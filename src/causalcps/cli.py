@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .detection import expected_state_check, scan_anomalies
+from .detection import constant_label_windows, expected_state_check, scan_anomalies
 from .diagnosis import diagnose, explain
 from .model import ModelError
 from .planning import plan as find_plan
@@ -63,6 +63,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     stride = args.stride if args.stride is not None else doc.stride
     alpha = args.alpha if args.alpha is not None else doc.alpha
     report = scan_anomalies(trace, model, window=window, stride=stride, alpha=alpha)
+    # Neither the scan (trace segments) nor the check (reference segments) has a window.
+    if not report.verdicts and not any(
+        next(constant_label_windows(reference.labels_for(s), window, stride), None)
+        for s in reference.sensor_ids
+    ):
+        raise ScenarioError(
+            f"window {window} covers no constant-label segment of the trace or the "
+            f"reference: there is no window to test"
+        )
     deviations = expected_state_check(
         trace, reference, model, window=window, stride=stride, alpha=alpha
     )

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .distributions import ANOMALOUS, TestResult, match_state, state_p_values, two_sample_test
+from .distributions import (
+    ANOMALOUS,
+    TestResult,
+    match_state,
+    select_state,
+    state_p_values,
+    two_sample_test,
+)
 from .model import SystemModel
 from .simulation import Trace
 
@@ -110,7 +117,10 @@ def scan_anomalies(
     stride: int = DEFAULT_STRIDE,
     alpha: float = DEFAULT_ALPHA,
 ) -> AnomalyReport:
-    """Match every constant-label window of every sensor against its state set."""
+    """Match every constant-label window of every sensor against its state set.
+
+    Each window's goodness-of-fit tests run once; the verdict is chosen from
+    their p-values."""
     verdicts = []
     for sensor_id in trace.sensor_ids:
         states = model.sensor(sensor_id).states
@@ -124,7 +134,7 @@ def scan_anomalies(
                     sensor=sensor_id,
                     start=start,
                     length=window,
-                    matched=match_state(segment, states, alpha),
+                    matched=select_state(p_values, alpha),
                     p_values=p_values,
                     alpha=alpha,
                 )

@@ -10,6 +10,11 @@ behavior.  It is consistent with the observations when
       forces what it forces) predicts, on every observed sensor that did NOT
       deviate, exactly the state-label trajectory of the fault-free run.
 
+Consistency is judged on state labels alone, which never depend on the seed,
+so the re-run in (b) is ``simulation.label_steps``: it samples no values and
+logs no events, and a check stops at the first tick on which a nominal
+sensor's predicted label differs from the reference.
+
 Only normal behavior is modeled; no fault modes are enumerated.  A deviating
 sensor whose observed causal descendants are all nominal additionally yields a
 synthetic single-sensor hypothesis "sensor-fault:<id>": nothing downstream
@@ -30,7 +35,7 @@ from .model import (
     causal_descendants,
     derive_causal_graph,
 )
-from .simulation import FaultSpec, ScriptedIntervention, Trace, run_script
+from .simulation import FaultSpec, ScriptedIntervention, label_steps, run_script
 
 SENSOR_FAULT_PREFIX = "sensor-fault:"
 
@@ -57,10 +62,6 @@ class CausalPath:
     edges: tuple[CausalEdge, ...]
 
 
-def _labels_by_sensor(trace: Trace) -> dict[str, tuple[str, ...]]:
-    return {sid: tuple(trace.labels_for(sid)) for sid in trace.sensor_ids}
-
-
 class _ConsistencyChecker:
     """Shared state for evaluating hypothesis candidates against one scenario."""
 
@@ -81,9 +82,8 @@ class _ConsistencyChecker:
         self.reach = {
             sid: causal_descendants(graph, sid) for sid in model.sensor_ids()
         }
-        self.reference = _labels_by_sensor(
-            run_script(model, seed=0, horizon=horizon, interventions=self.interventions)
-        )
+        reference = run_script(model, seed=0, horizon=horizon, interventions=self.interventions)
+        self.expected = [tuple(r.labels[s] for s in self.nominal) for r in reference.records]
         self.component_sensors = {
             sub.id: tuple(sub.sensors) for sub in model.subsystems
         }
@@ -103,21 +103,20 @@ class _ConsistencyChecker:
 
     def predicts_nominal(self, components: Sequence[str]) -> bool:
         real = [c for c in components if not c.startswith(SENSOR_FAULT_PREFIX)]
-        if not real:
-            # Nothing to remove: the prediction is the reference itself.
+        if not real or not self.nominal:
+            # Nothing removed (the prediction is the reference itself), or
+            # nothing nominal that a prediction could contradict.
             return True
         faults = [
             FaultSpec(component=c, replacement_rules=(), activation=0) for c in real
         ]
-        predicted = run_script(
-            self.model,
-            seed=0,
-            horizon=self.horizon,
-            interventions=self.interventions,
-            faults=faults,
+        predicted = label_steps(
+            self.model, self.horizon, interventions=self.interventions, faults=faults
         )
-        labels = _labels_by_sensor(predicted)
-        return all(labels[s] == self.reference[s] for s in self.nominal)
+        for labels, expected in zip(predicted, self.expected):
+            if tuple(labels[s] for s in self.nominal) != expected:
+                return False
+        return True
 
     def is_consistent(self, components: Sequence[str]) -> bool:
         return self.covers(components) and self.predicts_nominal(components)
@@ -134,10 +133,10 @@ def diagnose(
     """Enumerate minimal consistent fault hypotheses, most parsimonious first.
 
     ``interventions`` and ``horizon`` describe the reference scenario that the
-    deviations were measured against; consistency checking re-simulates it
-    with candidate components disabled.  Returns only consistent hypotheses,
-    ranked by (cardinality, sorted component ids); no returned hypothesis is a
-    strict superset of another.
+    deviations were measured against; consistency checking re-simulates its
+    labels with candidate components disabled, up to the first divergence.
+    Returns only consistent hypotheses, ranked by (cardinality, sorted
+    component ids); no returned hypothesis is a strict superset of another.
     """
     if max_cardinality < 1:
         raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -183,22 +183,28 @@ def state_p_values(
     return {label: gof_test(values, dist) for label, dist in states}
 
 
-def match_state(
-    values: Sequence[float],
-    states: Sequence[tuple[str, Distribution]],
-    alpha: float,
-) -> str:
-    """Match a sample to one state of a finite state set, or declare it anomalous.
+def select_state(p_values: Mapping[str, float], alpha: float) -> str:
+    """The verdict on a sample given its p-value against every labeled state.
 
-    Each state is tested at the Bonferroni-corrected level alpha/len(states).
+    Each state is tested at the Bonferroni-corrected level alpha/len(p_values).
     Returns the label with the highest p-value among the non-rejected states,
     or ANOMALOUS if every state is rejected.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    results = state_p_values(values, states)
-    level = alpha / len(results)
-    survivors = [(label, r.p_value) for label, r in results.items() if r.p_value >= level]
+    level = alpha / len(p_values)
+    survivors = [(label, p) for label, p in p_values.items() if p >= level]
     if not survivors:
         return ANOMALOUS
     return max(survivors, key=lambda pair: pair[1])[0]
+
+
+def match_state(
+    values: Sequence[float],
+    states: Sequence[tuple[str, Distribution]],
+    alpha: float,
+) -> str:
+    """Match a sample to one state of a finite state set, or declare it anomalous
+    (see select_state for the decision rule)."""
+    results = state_p_values(values, states)
+    return select_state({label: r.p_value for label, r in results.items()}, alpha)

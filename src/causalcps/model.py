@@ -67,7 +67,7 @@ class Rule:
     effects: tuple[Effect, ...]
 
     def matches(self, assignment: Mapping[str, str]) -> bool:
-        return all(assignment.get(sensor) == label for sensor, label in self.guard.items())
+        return self.guard.items() <= assignment.items()
 
 
 @dataclass(frozen=True)

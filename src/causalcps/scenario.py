@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -578,6 +579,8 @@ def import_trace(text: str) -> Trace:
             value = float(row[2])
         except ValueError:
             raise ScenarioError(f"trace CSV row {row_number}: bad tick or value") from None
+        if not math.isfinite(value):
+            raise ScenarioError(f"trace CSV row {row_number}: non-finite value {row[2]!r}")
         values, labels = by_tick.setdefault(tick, ({}, {}))
         values[row[1]] = value
         labels[row[1]] = row[3]

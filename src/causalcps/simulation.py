@@ -15,6 +15,12 @@ enqueued by the higher-priority subsystem wins; within one subsystem, the rule
 later in its table wins, and within one rule the later effect wins.  State
 labels never depend on the random seed -- randomness only enters through the
 sampled values.
+
+Phases 1-2 are one method, ``Simulator._advance``.  ``Simulator.step`` runs it
+and then logs the tick's events and samples its values; ``label_steps`` runs
+it alone and yields only the labels, for callers that judge a run on its label
+trajectory (diagnosis consistency checks) and can stop at the first tick that
+settles the question.
 """
 
 from __future__ import annotations
@@ -147,48 +153,41 @@ class Simulator:
             )
         self._faults.setdefault(fault.activation, []).append(fault)
 
-    def step(self) -> TickRecord:
+    def _advance(self) -> tuple[
+        int, list[_QueuedEffect], list[tuple[str, str]], list[FaultSpec], list[tuple[int, int]]
+    ]:
+        """Phases 1-2 of the next tick: the only code that moves labels.
+
+        Returns the tick executed, the queued effects applied, the
+        interventions applied, the faults activated and the (subsystem
+        index, rule index) of every rule that fired, each in event order.
+        """
         t = self._tick
-        events: list[Event] = []
+        self._tick += 1
 
         # Phase 1: due effects, losers resolved away before anything is applied.
         due = self._queue.pop(t, [])
         winners: dict[str, _QueuedEffect] = {}
         for queued in sorted(due, key=lambda q: (-q.sub_index, q.rule_index, q.effect_index)):
             winners[queued.target] = queued
-        intervened = {sensor for sensor, _ in self._pending_interventions}
-        for target in sorted(winners):
-            if target in intervened:
-                continue
-            queued = winners[target]
-            self._labels[target] = queued.state
-            events.append(
-                Event(
-                    kind=EFFECT_APPLIED,
-                    tick=t,
-                    sensor=target,
-                    state=queued.state,
-                    subsystem=self._model.subsystems[queued.sub_index].id,
-                    rule_index=queued.rule_index,
-                    fire_tick=queued.fire_tick,
-                )
-            )
-        for sensor, state in self._pending_interventions:
+        interventions, self._pending_interventions = self._pending_interventions, []
+        intervened = {sensor for sensor, _ in interventions}
+        applied = [winners[target] for target in sorted(winners) if target not in intervened]
+        for queued in applied:
+            self._labels[queued.target] = queued.state
+        for sensor, state in interventions:
             self._labels[sensor] = state
-            events.append(Event(kind=INTERVENTION, tick=t, sensor=sensor, state=state))
-        self._pending_interventions.clear()
-        for fault in self._faults.pop(t, []):
+        faults = self._faults.pop(t, [])
+        for fault in faults:
             self._tables[fault.component] = tuple(fault.replacement_rules)
-            events.append(Event(kind=FAULT_ACTIVATED, tick=t, subsystem=fault.component))
 
         # Phase 2: evaluate rule tables against the updated joint state.
+        fired: list[tuple[int, int]] = []
         for sub_index, sub in enumerate(self._model.subsystems):
             for rule_index, rule in enumerate(self._tables[sub.id]):
                 if not rule.matches(self._labels):
                     continue
-                events.append(
-                    Event(kind=RULE_FIRED, tick=t, subsystem=sub.id, rule_index=rule_index)
-                )
+                fired.append((sub_index, rule_index))
                 for effect_index, effect in enumerate(rule.effects):
                     self._queue.setdefault(t + effect.delay, []).append(
                         _QueuedEffect(
@@ -200,6 +199,34 @@ class Simulator:
                             state=effect.state,
                         )
                     )
+        return t, applied, interventions, faults, fired
+
+    def step(self) -> TickRecord:
+        t, applied, interventions, faults, fired = self._advance()
+        subsystems = self._model.subsystems
+        events = [
+            Event(
+                kind=EFFECT_APPLIED,
+                tick=t,
+                sensor=queued.target,
+                state=queued.state,
+                subsystem=subsystems[queued.sub_index].id,
+                rule_index=queued.rule_index,
+                fire_tick=queued.fire_tick,
+            )
+            for queued in applied
+        ]
+        events.extend(
+            Event(kind=INTERVENTION, tick=t, sensor=sensor, state=state)
+            for sensor, state in interventions
+        )
+        events.extend(
+            Event(kind=FAULT_ACTIVATED, tick=t, subsystem=fault.component) for fault in faults
+        )
+        events.extend(
+            Event(kind=RULE_FIRED, tick=t, subsystem=subsystems[sub_index].id, rule_index=rule_index)
+            for sub_index, rule_index in fired
+        )
 
         # Phase 3: one sampled value per sensor from its current state.
         values = {
@@ -211,7 +238,6 @@ class Simulator:
 
         record = TickRecord(tick=t, values=values, labels=dict(self._labels), events=tuple(events))
         self._records.append(record)
-        self._tick += 1
         return record
 
     def run(self, horizon: int) -> Trace:
@@ -226,15 +252,14 @@ class Simulator:
         return Trace(sensor_ids=self._model.sensor_ids(), records=tuple(self._records))
 
 
-def run_script(
-    model: SystemModel,
-    seed: int,
+def _script(
+    sim: Simulator,
     horizon: int,
-    interventions: Sequence[ScriptedIntervention] = (),
-    faults: Sequence[FaultSpec] = (),
-) -> Trace:
-    """Run a model with scripted interventions and faults up to ``horizon``."""
-    sim = Simulator(model, seed=seed)
+    interventions: Sequence[ScriptedIntervention],
+    faults: Sequence[FaultSpec],
+) -> Iterator[int]:
+    """Schedule ``faults`` on ``sim``, then yield each tick up to ``horizon``
+    with that tick's interventions queued; the caller executes the tick."""
     for fault in faults:
         sim.inject_fault(fault)
     by_tick: dict[int, list[ScriptedIntervention]] = {}
@@ -245,5 +270,38 @@ def run_script(
     while sim.tick < horizon:
         for item in by_tick.get(sim.tick, []):
             sim.intervene(item.sensor, item.state)
+        yield sim.tick
+
+
+def run_script(
+    model: SystemModel,
+    seed: int,
+    horizon: int,
+    interventions: Sequence[ScriptedIntervention] = (),
+    faults: Sequence[FaultSpec] = (),
+) -> Trace:
+    """Run a model with scripted interventions and faults up to ``horizon``."""
+    sim = Simulator(model, seed=seed)
+    for _ in _script(sim, horizon, interventions, faults):
         sim.step()
     return sim.trace()
+
+
+def label_steps(
+    model: SystemModel,
+    horizon: int,
+    interventions: Sequence[ScriptedIntervention] = (),
+    faults: Sequence[FaultSpec] = (),
+) -> Iterator[dict[str, str]]:
+    """Yield the joint labels after each tick of the same run as run_script.
+
+    Runs phases 1-2 only: nothing is sampled and no record or event is kept,
+    so a consumer that has seen enough can stop early at no further cost.
+    Labels never depend on the seed, so none is taken.  Errors surface as
+    iteration reaches them, as in run_script: a bad horizon or fault on the
+    first tick, a bad intervention on its own tick.
+    """
+    sim = Simulator(model)
+    for _ in _script(sim, horizon, interventions, faults):
+        sim._advance()
+        yield sim.current_labels()

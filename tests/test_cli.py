@@ -127,6 +127,43 @@ class TestPipeline:
         assert json.loads(capsys.readouterr().err)["reason"] == "NOTHING_TO_DIAGNOSE"
 
 
+class TestDetectInvalidInput:
+    def simulate_pair(self, tmp_path, knife_yaml):
+        faulty, reference = tmp_path / "faulty.csv", tmp_path / "reference.csv"
+        assert main(["simulate", str(knife_yaml), "--out", str(faulty)]) == 0
+        assert main(["simulate", str(knife_yaml), "--out", str(reference), "--no-faults"]) == 0
+        return faulty, reference
+
+    def detect(self, knife_yaml, faulty, reference, out, *extra):
+        args = ["detect", str(knife_yaml), "--trace", str(faulty), "--reference", str(reference)]
+        return main(args + ["--out", str(out), *extra])
+
+    def test_nan_reading_exits_2(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        lines = faulty.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("100,oven_temp,"))
+        tick, sensor, _, label = lines[row].split(",")
+        lines[row] = f"{tick},{sensor},nan,{label}"
+        faulty.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        assert self.detect(knife_yaml, faulty, reference, out) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert f"row {row + 1}: non-finite value" in error["detail"]
+        assert not out.exists()
+
+    def test_window_covering_no_segment_exits_2(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        assert self.detect(knife_yaml, faulty, reference, out, "--window", "400") == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert "covers no constant-label segment" in error["detail"]
+        assert not out.exists()
+
+
 class TestPlanCommand:
     def test_plan_writes_steps(self, tmp_path, knife_yaml):
         out = tmp_path / "plan.csv"

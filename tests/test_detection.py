@@ -1,5 +1,6 @@
 import pytest
 
+from causalcps import distributions
 from causalcps.detection import (
     constant_label_windows,
     detect_effect,
@@ -121,6 +122,22 @@ class TestScanAnomalies:
                 knife_model.sensor(verdict.sensor).labels()
             )
             assert verdict.length == 50 and verdict.alpha == 0.01
+
+    def test_one_gof_test_per_state_per_window(self, knife_model, knife_reference, monkeypatch):
+        calls = []
+        original = distributions.gof_test
+
+        def counting(values, dist):
+            calls.append(dist)
+            return original(values, dist)
+
+        monkeypatch.setattr(distributions, "gof_test", counting)
+        report = scan_anomalies(knife_reference, knife_model)
+        assert len(calls) == sum(len(v.p_values) for v in report.verdicts)
+
+    def test_rejects_bad_alpha(self, knife_model, knife_reference):
+        with pytest.raises(ValueError, match="alpha"):
+            scan_anomalies(knife_reference, knife_model, alpha=1.5)
 
     def test_matched_label_survives_bonferroni_level(self, knife_model, knife_reference):
         report = scan_anomalies(knife_reference, knife_model)

@@ -175,6 +175,36 @@ class TestDiagnoseErrors:
                 max_cardinality=0,
             )
 
+    def test_horizon_below_one_rejected(self, knife_doc, knife_model, knife_deviations):
+        with pytest.raises(ValueError, match="horizon"):
+            diagnose(
+                knife_model,
+                knife_doc.interventions,
+                0,
+                knife_deviations,
+                knife_model.sensor_ids(),
+            )
+
+
+def test_every_observed_sensor_deviating_leaves_nothing_nominal(chain_doc):
+    model = chain_doc.build()
+    reference = chain_doc.run(include_faults=False)
+    drive_fault = FaultSpec("c_drive", (Rule(guard={}, effects=(Effect("mid", "Lo", 1),)),), 150)
+    faulty = run_script(
+        model, chain_doc.seed, chain_doc.horizon, chain_doc.interventions, [drive_fault]
+    )
+    deviations = expected_state_check(faulty, reference, model)
+    observed = ("mid", "dst")
+    assert {d.sensor for d in deviations} == set(observed)
+    got = diagnose(model, chain_doc.interventions, chain_doc.horizon, deviations, observed)
+    expected = oracle_consistent_sets(
+        model, chain_doc.interventions, chain_doc.horizon, deviations, observed
+    )
+    assert {h.components for h in got} == expected == {
+        frozenset({"c_drive"}),
+        frozenset({"c_relay"}),
+    }
+
 
 class TestExplain:
     def test_paths_from_lid_to_every_deviation(self, knife_doc, knife_model, knife_deviations):

@@ -10,6 +10,7 @@ from causalcps.distributions import (
     cdf,
     gof_test,
     match_state,
+    select_state,
     sample,
     state_p_values,
     two_sample_test,
@@ -206,6 +207,29 @@ class TestMatchState:
     def test_empty_sample_propagates(self):
         with pytest.raises(ValueError, match="empty sample"):
             match_state([], self.STATES, 0.05)
+
+
+class TestSelectState:
+    def test_highest_surviving_p_value_wins(self):
+        assert select_state({"A": 0.2, "B": 0.7, "C": 0.001}, 0.03) == "B"
+
+    def test_every_state_below_bonferroni_level_is_anomalous(self):
+        # level 0.05 / 2 = 0.025 rejects both.
+        assert select_state({"A": 0.02, "B": 0.024}, 0.05) == ANOMALOUS
+        assert select_state({"A": 0.02, "B": 0.025}, 0.05) == "B"
+
+    def test_alpha_validation(self):
+        for alpha in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError, match="alpha"):
+                select_state({"A": 0.5}, alpha)
+
+    def test_agrees_with_match_state(self):
+        rng = np.random.default_rng(3)
+        states = TestMatchState.STATES
+        for mean in (20, 400, 800):
+            values = rng.normal(mean, 5, 40)
+            p_values = {label: r.p_value for label, r in state_p_values(values, states).items()}
+            assert select_state(p_values, 0.01) == match_state(values, states, 0.01)
 
 
 def test_test_result_is_plain_data():

@@ -29,6 +29,14 @@ def simple_model(*subsystems, n_sensors=3):
     return build_model(sensors, subsystems)
 
 
+def test_rule_matches_iff_guard_is_a_sub_assignment():
+    rule = Rule(guard={"s0": "A", "s1": "B"}, effects=())
+    assert rule.matches({"s0": "A", "s1": "B", "s2": "A"})
+    assert not rule.matches({"s0": "A", "s1": "A"})
+    assert not rule.matches({"s0": "A"})
+    assert Rule(guard={}, effects=()).matches({})
+
+
 class TestBuildModel:
     def test_minimal_model_with_empty_rule_table(self):
         # The subsystem must own a proper subset, so two sensors is the floor.

@@ -236,6 +236,17 @@ class TestTraceCsv:
             import_trace(text)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_import_rejects_non_finite_value_naming_its_row(self, value):
+        text = (
+            "tick,sensor_id,value,state_label\n"
+            "0,a,1.0,X\n"
+            f"1,a,{value},X\n"
+        )
+        with pytest.raises(ScenarioError, match="row 3: non-finite value"):
+            import_trace(text)
+
+
 class TestReportCsv:
     def test_anomaly_report_schema(self, knife_model, knife_reference):
         report = scan_anomalies(knife_reference, knife_model)

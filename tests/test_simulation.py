@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from causalcps.distributions import Degenerate, Normal, match_state
@@ -10,6 +12,7 @@ from causalcps.simulation import (
     FaultSpec,
     ScriptedIntervention,
     Simulator,
+    label_steps,
     run_script,
 )
 
@@ -274,3 +277,36 @@ class TestSampledValues:
     def test_one_value_per_sensor_per_tick(self, knife_reference):
         for record in knife_reference.records[:20]:
             assert set(record.values) == set(knife_reference.sensor_ids)
+
+
+class TestLabelSteps:
+    @pytest.mark.parametrize("fixture", ["knife_doc", "chain_doc", "thermostat_doc"])
+    def test_yields_the_labels_of_run_script(self, fixture, request):
+        doc = request.getfixturevalue(fixture)
+        model = doc.build()
+        for faults in (doc.faults, ()):
+            trace = run_script(model, doc.seed, doc.horizon, doc.interventions, faults)
+            steps = list(label_steps(model, doc.horizon, doc.interventions, faults))
+            assert steps == [record.labels for record in trace.records]
+
+    def test_cycle_with_scripted_intervention_and_fault(self, thermostat_doc):
+        model = thermostat_doc.build()
+        script = [ScriptedIntervention(10, "temp", "Cold"), ScriptedIntervention(30, "valve", "Open")]
+        faults = [FaultSpec("plant", (), 50), FaultSpec("controller", (), 70)]
+        trace = run_script(model, 3, 120, script, faults)
+        steps = list(label_steps(model, 120, script, faults))
+        assert steps == [record.labels for record in trace.records]
+        assert len({tuple(labels.values()) for labels in steps}) > 1
+
+    def test_is_lazy_and_yields_independent_dicts(self, oven_model):
+        first, second = islice(label_steps(oven_model, 10**9), 2)
+        first["burner"] = "On"
+        assert second["burner"] == "Off"
+
+    def test_rejects_bad_horizon(self, oven_model):
+        with pytest.raises(ValueError, match="horizon"):
+            next(label_steps(oven_model, 0))
+
+    def test_rejects_invalid_script(self, oven_model):
+        with pytest.raises(ModelError):
+            list(label_steps(oven_model, 5, [ScriptedIntervention(1, "burner", "Lit")]))
