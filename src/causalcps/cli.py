@@ -57,8 +57,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     doc = _load_scenario(args.scenario)
     model = doc.build()
-    trace = import_trace(Path(args.trace).read_text(encoding="utf-8"))
-    reference = import_trace(Path(args.reference).read_text(encoding="utf-8"))
+    trace = import_trace(Path(args.trace).read_text(encoding="utf-8"), model)
+    reference = import_trace(Path(args.reference).read_text(encoding="utf-8"), model)
     window = args.window if args.window is not None else doc.window
     stride = args.stride if args.stride is not None else doc.stride
     alpha = args.alpha if args.alpha is not None else doc.alpha

@@ -3,9 +3,10 @@ the causal graph read off the rules.
 
 A subsystem's behavior is a finite table of rules.  Each rule has a guard (a
 partial assignment over the subsystem's own sensors) and a list of delayed
-effects on arbitrary sensors.  Build-time validation checks, exhaustively over
-the subsystem's joint state set, that no two guards can match at once, so the
-table always defines a deterministic transformation.
+effects on arbitrary sensors.  Build-time validation checks that no two guards
+can match at once, so the table always defines a deterministic transformation.
+Two guards can both match iff they agree on every sensor they share, so the
+check compares guards pairwise instead of enumerating the joint state set.
 
 Models are immutable after construction; every modifying operation (compose)
 returns a new model.
@@ -194,7 +195,8 @@ def validate_rules(
 
     Used for the subsystem's own table at build time and for fault
     replacement tables at injection time; both must satisfy the same
-    constraints, including the exhaustive determinism check.
+    constraints, including the determinism check: no two guards may agree on
+    every sensor they share, since some joint state would then match both.
     """
     sub = model.subsystem(subsystem_id)
     own = set(sub.sensors)
@@ -222,19 +224,18 @@ def validate_rules(
                     f"subsystem {subsystem_id!r} rule {i}: delay {effect.delay} invalid, "
                     f"effect must follow cause (delay >= 1)"
                 )
-    # Exhaustive determinism check over the subsystem's joint state set.
-    if len(rules) < 2:
-        return
-    domains = [model.sensor(sid).labels() for sid in sub.sensors]
-    for combo in itertools.product(*domains):
-        assignment = dict(zip(sub.sensors, combo))
-        hits = [i for i, rule in enumerate(rules) if rule.matches(assignment)]
-        if len(hits) > 1:
-            raise ModelError(
-                f"subsystem {subsystem_id!r}: overlapping guards, rules {hits[0]} and "
-                f"{hits[1]} both match {assignment!r} "
-                f"(nondeterministic functional representation)"
-            )
+    # Pairwise determinism check; exact because guards are conjunctions over
+    # the validated labels of this subsystem's sensors.
+    guards = [rule.guard for rule in rules]
+    for i, a in enumerate(guards):
+        for j, b in enumerate(guards[i + 1 :], start=i + 1):
+            if all(a[k] == b[k] for k in a.keys() & b.keys()):
+                witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors} | a | b
+                raise ModelError(
+                    f"subsystem {subsystem_id!r}: overlapping guards, rules {i} and "
+                    f"{j} both match {witness!r} "
+                    f"(nondeterministic functional representation)"
+                )
 
 
 def build_model(

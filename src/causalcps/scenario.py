@@ -77,6 +77,10 @@ from .planning import Functionality, Plan, PlanningProblem, TransitionEntry
 from .simulation import FaultSpec, ScriptedIntervention, Trace, TickRecord, run_script
 
 
+# libyaml's C parser when PyYAML was built with it; same documents, same types.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ScenarioError(ValueError):
     """Scenario text that cannot be parsed or fails schema validation."""
 
@@ -391,7 +395,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     raised by model validation.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f"line {mark.line + 1}: " if mark is not None else ""
@@ -561,12 +565,18 @@ def export_trace(trace: Trace) -> str:
     return out.getvalue()
 
 
-def import_trace(text: str) -> Trace:
-    """Read a trace CSV back into a Trace (the event log is not serialized)."""
+def import_trace(text: str, model: SystemModel | None = None) -> Trace:
+    """Read a trace CSV back into a Trace (the event log is not serialized).
+
+    Every tick must have exactly one row per sensor.  With ``model``, every
+    row's sensor must be one of its sensors and its label one of that
+    sensor's states.
+    """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["tick", "sensor_id", "value", "state_label"]:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
+    states = None if model is None else {s.id: s.labels() for s in model.sensors}
     by_tick: dict[int, tuple[dict[str, float], dict[str, str]]] = {}
     sensor_ids: dict[str, None] = {}
     for row_number, row in enumerate(reader, start=2):
@@ -581,15 +591,33 @@ def import_trace(text: str) -> Trace:
             raise ScenarioError(f"trace CSV row {row_number}: bad tick or value") from None
         if not math.isfinite(value):
             raise ScenarioError(f"trace CSV row {row_number}: non-finite value {row[2]!r}")
+        sensor_id, label = row[1], row[3]
+        if states is not None and label not in states.get(sensor_id, ()):
+            problem = (
+                f"sensor {sensor_id!r} has no state {label!r}"
+                if sensor_id in states
+                else f"unknown sensor id {sensor_id!r}"
+            )
+            raise ScenarioError(f"trace CSV row {row_number}: {problem}")
         values, labels = by_tick.setdefault(tick, ({}, {}))
-        values[row[1]] = value
-        labels[row[1]] = row[3]
-        sensor_ids.setdefault(row[1])
-    if sorted(by_tick) != list(range(len(by_tick))):
+        if sensor_id in values:
+            raise ScenarioError(
+                f"trace CSV row {row_number}: second row for tick {tick}, sensor {sensor_id!r}"
+            )
+        values[sensor_id] = value
+        labels[sensor_id] = label
+        sensor_ids.setdefault(sensor_id)
+    ticks = range(len(by_tick))
+    if sorted(by_tick) != list(ticks):
         raise ScenarioError("trace CSV ticks are not contiguous from 0")
+    for t in ticks:
+        values = by_tick[t][0]
+        if len(values) != len(sensor_ids):
+            missing = next(sid for sid in sensor_ids if sid not in values)
+            raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
     records = tuple(
         TickRecord(tick=t, values=by_tick[t][0], labels=by_tick[t][1], events=())
-        for t in sorted(by_tick)
+        for t in ticks
     )
     return Trace(sensor_ids=tuple(sensor_ids), records=records)
 

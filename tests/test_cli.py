@@ -153,6 +153,50 @@ class TestDetectInvalidInput:
         assert f"row {row + 1}: non-finite value" in error["detail"]
         assert not out.exists()
 
+    def edit_oven_temp_row(self, path, edit):
+        """Replace the tick-100 ``oven_temp`` line by ``edit(line)`` (a list of
+        lines); returns its 1-based CSV row number."""
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("100,oven_temp,"))
+        lines[row : row + 1] = edit(lines[row])
+        path.write_text("".join(lines))
+        return row + 1
+
+    def assert_invalid(self, capsys, code, out, detail):
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert detail in error["detail"]
+        assert not out.exists()
+
+    def test_missing_row_exits_2(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        self.edit_oven_temp_row(faulty, lambda line: [])
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out)
+        self.assert_invalid(capsys, code, out, "tick 100: no row for sensor 'oven_temp'")
+
+    def test_duplicate_row_exits_2(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        row = self.edit_oven_temp_row(faulty, lambda line: [line, line])
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out)
+        detail = f"row {row + 1}: second row for tick 100, sensor 'oven_temp'"
+        self.assert_invalid(capsys, code, out, detail)
+
+    @pytest.mark.parametrize("which", ["trace", "reference"])
+    def test_unknown_state_label_exits_2(self, tmp_path, knife_yaml, capsys, which):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        edited = faulty if which == "trace" else reference
+        row = self.edit_oven_temp_row(edited, lambda line: ["100,oven_temp,5.0,Bogus\n"])
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out)
+        detail = f"row {row}: sensor 'oven_temp' has no state 'Bogus'"
+        self.assert_invalid(capsys, code, out, detail)
+
     def test_window_covering_no_segment_exits_2(self, tmp_path, knife_yaml, capsys):
         faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
         capsys.readouterr()

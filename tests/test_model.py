@@ -1,4 +1,7 @@
+import ast
 import itertools
+import random
+import re
 
 import pytest
 
@@ -16,6 +19,7 @@ from causalcps.model import (
     causal_descendants,
     compose,
     derive_causal_graph,
+    validate_rules,
 )
 from causalcps.simulation import run_script
 
@@ -140,6 +144,85 @@ class TestBuildModel:
         model = simple_model(a, b)
         reordered = build_model(model.sensors, (a, b), priority_order=["b", "a"])
         assert [s.id for s in reordered.subsystems] == ["b", "a"]
+
+
+def n_state(sid, n):
+    return Sensor(sid, tuple((f"S{k}", Degenerate(float(k))) for k in range(n)), "S0")
+
+
+def overlaps_exhaustively(model, sub, rules):
+    """Reference oracle: some joint state of ``sub`` matches two rules."""
+    domains = [model.sensor(sid).labels() for sid in sub.sensors]
+    for combo in itertools.product(*domains):
+        assignment = dict(zip(sub.sensors, combo))
+        if sum(rule.matches(assignment) for rule in rules) > 1:
+            return True
+    return False
+
+
+def random_tables(seed, count):
+    """Small subsystems with random partial guards over 1-3 states per sensor;
+    yields (model, subsystem, rules) with the table not yet validated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        owned = [n_state(f"x{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 4))]
+        sensors = (*owned, n_state("out", 2))
+        sub = Subsystem("sub", SubsystemKind.COMPONENT, tuple(s.id for s in owned), ())
+        model = build_model(sensors, (sub,))
+        rules = tuple(
+            Rule(
+                {s.id: rng.choice(s.labels()) for s in owned if rng.random() < 0.6},
+                (Effect("out", "S1", 1),),
+            )
+            for _ in range(rng.randint(0, 4))
+        )
+        yield model, sub, rules
+
+
+class TestDeterminismCheck:
+    def test_pairwise_check_agrees_with_exhaustive_oracle(self):
+        verdicts = []
+        for model, sub, rules in random_tables(seed=20221018, count=400):
+            try:
+                validate_rules(model, sub.id, rules)
+                rejected = False
+            except ModelError as exc:
+                assert "overlapping guards" in str(exc)
+                rejected = True
+            assert rejected == overlaps_exhaustively(model, sub, rules), rules
+            verdicts.append(rejected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_reported_assignment_is_matched_by_both_named_rules(self):
+        checked = 0
+        for model, sub, rules in random_tables(seed=7, count=200):
+            if not overlaps_exhaustively(model, sub, rules):
+                continue
+            with pytest.raises(ModelError, match="overlapping guards") as info:
+                validate_rules(model, sub.id, rules)
+            found = re.search(r"rules (\d+) and (\d+) both match (\{.*?\}) ", str(info.value))
+            first, second, witness = int(found[1]), int(found[2]), ast.literal_eval(found[3])
+            assert first < second
+            assert list(witness) == list(sub.sensors)
+            model.check_assignment(witness, total=False)
+            assert rules[first].matches(witness) and rules[second].matches(witness)
+            checked += 1
+        assert checked > 10
+
+    def test_wide_subsystem_with_disjoint_partial_guards_builds(self):
+        # 4^20 joint states: only a check that never enumerates them finishes.
+        owned = tuple(n_state(f"w{i:02d}", 4) for i in range(20))
+        sub = Subsystem(
+            "wide",
+            SubsystemKind.COMPONENT,
+            tuple(s.id for s in owned),
+            (
+                Rule({"w00": "S0", "w07": "S1"}, (Effect("out", "S1", 1),)),
+                Rule({"w07": "S2", "w19": "S3"}, (Effect("out", "S0", 1),)),
+            ),
+        )
+        model = build_model((*owned, n_state("out", 2)), (sub,))
+        assert len(model.subsystem("wide").rules) == 2
 
 
 class TestCompose:

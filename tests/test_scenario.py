@@ -1,7 +1,9 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
+import causalcps.scenario as scenario_module
 from causalcps.detection import scan_anomalies
 from causalcps.distributions import Degenerate, Normal, Uniform
 from causalcps.model import ModelError, SubsystemKind
@@ -139,6 +141,27 @@ functionalities:
             parse_scenario(text)
 
 
+class TestYamlLoader:
+    """The libyaml loader is used when PyYAML has it; the pure-Python fallback
+    must parse the same documents and report errors the same way."""
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
+
+    def test_libyaml_loader_used_when_available(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert scenario_module._YAML_LOADER is expected
+
+    def test_fallback_yaml_syntax_error_carries_line(self, fallback):
+        with pytest.raises(ScenarioError, match=r"^line 1: invalid YAML"):
+            parse_scenario("horizon: [unclosed")
+
+    def test_fallback_parses_bundled_scenario_like_fixture(self, fallback):
+        bundled = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
+        assert parse_scenario(bundled.read_text()) == knife_fixture()
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", [knife_fixture, chain_fixture, thermostat_fixture])
     def test_serialize_parse_identity(self, fixture):
@@ -235,6 +258,36 @@ class TestTraceCsv:
         with pytest.raises(ScenarioError, match="contiguous"):
             import_trace(text)
 
+    def test_import_rejects_missing_row_naming_tick_and_sensor(self):
+        text = (
+            "tick,sensor_id,value,state_label\n"
+            "0,a,1.0,X\n"
+            "0,b,1.0,X\n"
+            "1,b,1.0,X\n"
+        )
+        with pytest.raises(ScenarioError, match="tick 1: no row for sensor 'a'"):
+            import_trace(text)
+
+    def test_import_rejects_duplicate_row_naming_its_row(self):
+        text = (
+            "tick,sensor_id,value,state_label\n"
+            "0,a,1.0,X\n"
+            "0,a,2.0,X\n"
+        )
+        with pytest.raises(ScenarioError, match="row 3: second row for tick 0, sensor 'a'"):
+            import_trace(text)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0,oven_temp,1.0,Bogus", "row 2: sensor 'oven_temp' has no state 'Bogus'"),
+            ("0,nowhere,1.0,Hot", "row 2: unknown sensor id 'nowhere'"),
+        ],
+    )
+    def test_import_with_model_rejects_what_the_model_lacks(self, knife_model, row, message):
+        text = f"tick,sensor_id,value,state_label\n{row}\n"
+        with pytest.raises(ScenarioError, match=message):
+            import_trace(text, knife_model)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     def test_import_rejects_non_finite_value_naming_its_row(self, value):
