@@ -398,8 +398,12 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        line = f"line {mark.line + 1}: " if mark is not None else ""
-        raise ScenarioError(f"{line}invalid YAML: {exc}") from None
+        if mark is None:
+            raise ScenarioError(f"invalid YAML: {exc}") from None
+        # libyaml puts the stream end past an implied final newline; clamp to
+        # the text's last line so both loaders name the same line.
+        line = min(mark.line + 1, text.count("\n") + 1)
+        raise ScenarioError(f"line {line}: invalid YAML: {exc}") from None
     root = _expect_mapping(raw, "document")
     _reject_unknown(root, _TOP_LEVEL_FIELDS, "document")
 

@@ -21,16 +21,30 @@ and then logs the tick's events and samples its values; ``label_steps`` runs
 it alone and yields only the labels, for callers that judge a run on its label
 trajectory (diagnosis consistency checks) and can stop at the first tick that
 settles the question.
+
+Phase 2 does not test rules one by one.  Each rule table is compiled once, when
+the simulator is made and again when a fault swaps a table in, into one dict
+per set of guard sensors, keyed by those sensors' labels; a tick costs one
+lookup per set.  Validation guarantees that at most one rule of a table
+matches any joint state, so the first hit is the table's only match.  Phase 3
+calls one scalar sampler per sensor from a (sensor, state) table built on the
+first sampled tick: ``rng.normal(mean, sd)``, ``rng.uniform(lo, hi)``, or the
+point mass as a float with no RNG call.  The scalar calls run the same numpy
+routines as one-element draws, so a seed gives the same values as
+``draw(dist, rng, 1)[0]`` sensor by sensor.  ``Event`` is a ``NamedTuple``,
+built positionally like the queue's ``_QueuedEffect``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from functools import cached_property, partial
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import draw
+from .distributions import Degenerate, Distribution, Normal, Uniform
 from .model import ModelError, Rule, SystemModel, validate_rules
 
 RULE_FIRED = "RULE_FIRED"
@@ -39,8 +53,7 @@ INTERVENTION = "INTERVENTION"
 FAULT_ACTIVATED = "FAULT_ACTIVATED"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     tick: int
     sensor: str | None = None
@@ -111,6 +124,30 @@ class _QueuedEffect(NamedTuple):
     state: str
 
 
+def _no_key(labels: Mapping[str, str]) -> tuple[()]:
+    return ()
+
+
+def _compile_table(
+    rules: Sequence[Rule],
+) -> tuple[tuple[Callable[[Mapping[str, str]], object], dict[object, tuple[int, Rule]]], ...]:
+    """Compile a rule table into one (key_of, rules) pair per guard-key set.
+
+    ``key_of`` reads the labels of that set's sensors off a joint assignment
+    and ``rules`` maps those labels to (rule index, rule).  A rule's own key is
+    ``key_of`` applied to its guard, so an assignment finds the rule iff it
+    agrees with the whole guard, which is ``Rule.matches``.
+    """
+    groups: dict[tuple[str, ...], tuple[Callable, dict[object, tuple[int, Rule]]]] = {}
+    for rule_index, rule in enumerate(rules):
+        keys = tuple(sorted(rule.guard))
+        if keys not in groups:
+            groups[keys] = (itemgetter(*keys) if keys else _no_key, {})
+        key_of, table = groups[keys]
+        table[key_of(rule.guard)] = (rule_index, rule)
+    return tuple(groups.values())
+
+
 class Simulator:
     """Single-owner simulation handle for one model run."""
 
@@ -122,8 +159,30 @@ class Simulator:
         self._queue: dict[int, list[_QueuedEffect]] = {}
         self._pending_interventions: list[tuple[str, str]] = []
         self._faults: dict[int, list[FaultSpec]] = {}
-        self._tables: dict[str, tuple[Rule, ...]] = {s.id: s.rules for s in model.subsystems}
+        self._sub_ids = tuple(sub.id for sub in model.subsystems)
+        self._sub_index = {sub_id: i for i, sub_id in enumerate(self._sub_ids)}
+        self._lookups = [_compile_table(sub.rules) for sub in model.subsystems]
         self._records: list[TickRecord] = []
+
+    @cached_property
+    def _samplers(self) -> tuple[tuple[str, dict[str, Callable[[], float]]], ...]:
+        """Per sensor, in model order: state label -> zero-argument draw of one
+        value.  Built on the first sampled tick, so ``label_steps`` never builds it."""
+        rng = self._rng
+
+        def sampler(dist: Distribution) -> Callable[[], float]:
+            if isinstance(dist, Normal):
+                return partial(rng.normal, dist.mean, dist.stddev)
+            if isinstance(dist, Uniform):
+                return partial(rng.uniform, dist.lo, dist.hi)
+            if isinstance(dist, Degenerate):
+                return partial(float, dist.value)
+            raise TypeError(f"not a distribution: {dist!r}")
+
+        return tuple(
+            (sensor.id, {label: sampler(dist) for label, dist in sensor.states})
+            for sensor in self._model.sensors
+        )
 
     @property
     def model(self) -> SystemModel:
@@ -179,64 +238,50 @@ class Simulator:
             self._labels[sensor] = state
         faults = self._faults.pop(t, [])
         for fault in faults:
-            self._tables[fault.component] = tuple(fault.replacement_rules)
+            self._lookups[self._sub_index[fault.component]] = _compile_table(
+                fault.replacement_rules
+            )
 
-        # Phase 2: evaluate rule tables against the updated joint state.
+        # Phase 2: look the updated joint state up in every rule table.  At
+        # most one rule of a validated table matches, so the first hit is it.
+        labels = self._labels
+        queue = self._queue
         fired: list[tuple[int, int]] = []
-        for sub_index, sub in enumerate(self._model.subsystems):
-            for rule_index, rule in enumerate(self._tables[sub.id]):
-                if not rule.matches(self._labels):
+        for sub_index, lookup in enumerate(self._lookups):
+            for key_of, rules in lookup:
+                hit = rules.get(key_of(labels))
+                if hit is None:
                     continue
+                rule_index, rule = hit
                 fired.append((sub_index, rule_index))
                 for effect_index, effect in enumerate(rule.effects):
-                    self._queue.setdefault(t + effect.delay, []).append(
+                    queue.setdefault(t + effect.delay, []).append(
                         _QueuedEffect(
-                            sub_index=sub_index,
-                            rule_index=rule_index,
-                            effect_index=effect_index,
-                            fire_tick=t,
-                            target=effect.target,
-                            state=effect.state,
+                            sub_index, rule_index, effect_index, t, effect.target, effect.state
                         )
                     )
+                break
         return t, applied, interventions, faults, fired
 
     def step(self) -> TickRecord:
         t, applied, interventions, faults, fired = self._advance()
-        subsystems = self._model.subsystems
+        sub_ids = self._sub_ids
         events = [
-            Event(
-                kind=EFFECT_APPLIED,
-                tick=t,
-                sensor=queued.target,
-                state=queued.state,
-                subsystem=subsystems[queued.sub_index].id,
-                rule_index=queued.rule_index,
-                fire_tick=queued.fire_tick,
-            )
-            for queued in applied
+            Event(EFFECT_APPLIED, t, target, state, sub_ids[sub_index], rule_index, fire_tick)
+            for sub_index, rule_index, _, fire_tick, target, state in applied
         ]
+        events.extend(Event(INTERVENTION, t, sensor, state) for sensor, state in interventions)
+        events.extend(Event(FAULT_ACTIVATED, t, None, None, fault.component) for fault in faults)
         events.extend(
-            Event(kind=INTERVENTION, tick=t, sensor=sensor, state=state)
-            for sensor, state in interventions
-        )
-        events.extend(
-            Event(kind=FAULT_ACTIVATED, tick=t, subsystem=fault.component) for fault in faults
-        )
-        events.extend(
-            Event(kind=RULE_FIRED, tick=t, subsystem=subsystems[sub_index].id, rule_index=rule_index)
+            Event(RULE_FIRED, t, None, None, sub_ids[sub_index], rule_index)
             for sub_index, rule_index in fired
         )
 
         # Phase 3: one sampled value per sensor from its current state.
-        values = {
-            sensor.id: float(
-                draw(sensor.distribution(self._labels[sensor.id]), self._rng, 1)[0]
-            )
-            for sensor in self._model.sensors
-        }
+        labels = self._labels
+        values = {sensor: samplers[labels[sensor]]() for sensor, samplers in self._samplers}
 
-        record = TickRecord(tick=t, values=values, labels=dict(self._labels), events=tuple(events))
+        record = TickRecord(tick=t, values=values, labels=dict(labels), events=tuple(events))
         self._records.append(record)
         return record
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,56 @@ class TestGofTest:
             result = gof_test(rng.normal(1, 2, 50), dist)
             assert result.statistic >= 0
             assert 0.0 <= result.p_value <= 1.0
+
+
+def scalar_cdf(dist, x):
+    """Oracle: each law's CDF at one point, in plain Python arithmetic."""
+    if isinstance(dist, Normal):
+        return 0.5 * (1.0 + math.erf((x - dist.mean) / (dist.stddev * math.sqrt(2.0))))
+    if x <= dist.lo:
+        return 0.0
+    if x >= dist.hi:
+        return 1.0
+    return (x - dist.lo) / (dist.hi - dist.lo)
+
+
+def oracle_gof(values, dist):
+    """KS statistic and p-value from the per-element scalar CDF."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    n = ordered.size
+    f = np.array([scalar_cdf(dist, x) for x in ordered])
+    grid = np.arange(1, n + 1) / n
+    d = max(float(np.max(grid - f)), float(np.max(f - (grid - 1.0 / n))), 0.0)
+    return d, distributions._ks_p_value(d, n)
+
+
+class TestGofOracle:
+    def random_cases(self, seed, count):
+        """Normal and uniform laws with samples that mix draws from the law,
+        repeated values, the uniform bounds themselves and points outside."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 80))
+            if rng.random() < 0.5:
+                dist = Normal(float(rng.normal(0, 20)), float(rng.uniform(0.01, 10)))
+                edges = [dist.mean, dist.mean - 40 * dist.stddev, dist.mean + 40 * dist.stddev]
+                values = rng.normal(dist.mean, dist.stddev * rng.uniform(0.5, 2), n)
+            else:
+                lo = float(rng.normal(0, 20))
+                dist = Uniform(lo, lo + float(rng.uniform(0.01, 10)))
+                edges = [dist.lo, dist.hi, dist.lo - 1.0, dist.hi + 1.0]
+                values = rng.uniform(dist.lo - 0.5, dist.hi + 0.5, n)
+            values[rng.random(n) < 0.2] = rng.choice(edges)
+            values[rng.random(n) < 0.2] = values[0]
+            yield dist, values
+
+    def test_array_cdf_equals_scalar_oracle(self):
+        for dist, values in self.random_cases(seed=11, count=200):
+            result = gof_test(values, dist)
+            d, p = oracle_gof(values, dist)
+            assert result.statistic == d and result.p_value == p, dist
+            assert result.sample_size == len(values)
+            assert [cdf(dist, x) for x in values] == [scalar_cdf(dist, x) for x in values]
 
 
 class TestTwoSampleTest:

@@ -157,6 +157,33 @@ class TestYamlLoader:
         with pytest.raises(ScenarioError, match=r"^line 1: invalid YAML"):
             parse_scenario("horizon: [unclosed")
 
+    @pytest.mark.parametrize(
+        "loader",
+        [
+            yaml.SafeLoader,
+            pytest.param(
+                getattr(yaml, "CSafeLoader", None),
+                marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml"),
+            ),
+        ],
+        ids=["SafeLoader", "CSafeLoader"],
+    )
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("horizon: [unclosed", 1),
+            ("horizon: [unclosed\n", 2),
+            ("a: 1\nhorizon: [unclosed", 2),
+            ("a: 1\nb: [x\n  c: 2", 3),
+        ],
+    )
+    def test_syntax_error_line_is_the_same_under_both_loaders(
+        self, monkeypatch, loader, text, line
+    ):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError, match=rf"^line {line}: invalid YAML"):
+            parse_scenario(text)
+
     def test_fallback_parses_bundled_scenario_like_fixture(self, fallback):
         bundled = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
         assert parse_scenario(bundled.read_text()) == knife_fixture()

@@ -1,9 +1,20 @@
+import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
-from causalcps.distributions import Degenerate, Normal, match_state
-from causalcps.model import Effect, ModelError, Rule, Sensor, Subsystem, SubsystemKind, build_model
+from causalcps.distributions import Degenerate, Normal, Uniform, draw, match_state
+from causalcps.model import (
+    Effect,
+    ModelError,
+    Rule,
+    Sensor,
+    Subsystem,
+    SubsystemKind,
+    build_model,
+    validate_rules,
+)
 from causalcps.simulation import (
     EFFECT_APPLIED,
     FAULT_ACTIVATED,
@@ -310,3 +321,132 @@ class TestLabelSteps:
     def test_rejects_invalid_script(self, oven_model):
         with pytest.raises(ModelError):
             list(label_steps(oven_model, 5, [ScriptedIntervention(1, "burner", "Lit")]))
+
+
+def reference_run(model, seed, horizon, interventions, faults):
+    """Oracle stepper: the tick semantics of the module docstring, matching
+    rules with ``Rule.matches`` in table order and sampling with one-element
+    ``draw`` calls in sensor order.  Yields (labels, values, events) per tick,
+    events as plain tuples in the field order of ``Event``."""
+    rng = np.random.default_rng(seed)
+    labels = model.initial_labels()
+    tables = {sub.id: sub.rules for sub in model.subsystems}
+    queue = {}  # landing tick -> [(sub index, rule index, effect index, fire tick, target, state)]
+    for t in range(horizon):
+        events = []
+        # Higher-priority subsystem, then later rule, then later effect wins;
+        # on a full tie the effect enqueued last wins.
+        winners = {}
+        for item in queue.pop(t, []):
+            sub_index, rule_index, effect_index, _, target, _ = item
+            rank = (sub_index, -rule_index, -effect_index)
+            if target not in winners or rank <= winners[target][0]:
+                winners[target] = (rank, item)
+        forced = [(i.sensor, i.state) for i in interventions if i.tick == t]
+        for target in sorted(winners):
+            if target in {sensor for sensor, _ in forced}:
+                continue
+            sub_index, rule_index, _, fire_tick, _, state = winners[target][1]
+            labels[target] = state
+            sub_id = model.subsystems[sub_index].id
+            events.append((EFFECT_APPLIED, t, target, state, sub_id, rule_index, fire_tick))
+        for sensor, state in forced:
+            labels[sensor] = state
+            events.append((INTERVENTION, t, sensor, state, None, None, None))
+        for fault in faults:
+            if fault.activation == t:
+                tables[fault.component] = fault.replacement_rules
+                events.append((FAULT_ACTIVATED, t, None, None, fault.component, None, None))
+        for sub_index, sub in enumerate(model.subsystems):
+            for rule_index, rule in enumerate(tables[sub.id]):
+                if rule.matches(labels):
+                    events.append((RULE_FIRED, t, None, None, sub.id, rule_index, None))
+                    for effect_index, effect in enumerate(rule.effects):
+                        queue.setdefault(t + effect.delay, []).append(
+                            (sub_index, rule_index, effect_index, t, effect.target, effect.state)
+                        )
+        values = {
+            sensor.id: float(draw(sensor.distribution(labels[sensor.id]), rng, 1)[0])
+            for sensor in model.sensors
+        }
+        yield dict(labels), values, events
+
+
+def random_state(rng, k):
+    """State k of a sensor: a normal, uniform or point-mass law, distinct per k."""
+    kind = rng.choice(["normal", "uniform", "degenerate"])
+    if kind == "normal":
+        return Normal(10.0 * k + rng.uniform(-1, 1), rng.uniform(0.1, 3))
+    if kind == "uniform":
+        lo = 10.0 * k + rng.uniform(-2, 2)
+        return Uniform(lo, lo + rng.uniform(0.5, 4))
+    return Degenerate(10.0 * k + rng.choice([0, 0.5, 3]))
+
+
+def random_table(rng, model, sub):
+    """Random rules over ``sub``'s sensors, each kept only if the table still validates."""
+    rules = []
+    for _ in range(rng.randint(0, 5)):
+        guard = {
+            sid: rng.choice(model.sensor(sid).labels()) for sid in sub.sensors if rng.random() < 0.7
+        }
+        targets = [rng.choice(model.sensors) for _ in range(rng.randint(1, 3))]
+        effects = tuple(
+            Effect(target.id, rng.choice(target.labels()), rng.randint(1, 3)) for target in targets
+        )
+        try:
+            validate_rules(model, sub.id, [*rules, Rule(guard, effects)])
+        except ModelError:
+            continue
+        rules.append(Rule(guard, effects))
+    return tuple(rules)
+
+
+def random_scenario(rng, horizon):
+    """A validated model with 3-5 sensors and 2-3 subsystems, a script of
+    interventions and a fault that swaps one table mid-run."""
+    sensors = []
+    for i in range(rng.randint(3, 5)):
+        states = tuple((f"S{k}", random_state(rng, k)) for k in range(rng.randint(1, 3)))
+        sensors.append(Sensor(f"s{i}", states, "S0"))
+    ids = [s.id for s in sensors]
+    bare = [
+        Subsystem(f"c{j}", SubsystemKind.COMPONENT, tuple(rng.sample(ids, rng.randint(1, 2))), ())
+        for j in range(rng.randint(2, 3))
+    ]
+    probe = build_model(sensors, bare)
+    model = build_model(
+        sensors, [Subsystem(s.id, s.kind, s.sensors, random_table(rng, probe, s)) for s in bare]
+    )
+    interventions = []
+    for tick in sorted(rng.sample(range(horizon), 6)):
+        sensor = rng.choice(sensors)
+        interventions.append(ScriptedIntervention(tick, sensor.id, rng.choice(sensor.labels())))
+    target = rng.choice(model.subsystems)
+    fault = FaultSpec(target.id, random_table(rng, model, target), rng.randint(1, horizon - 1))
+    return model, interventions, [fault]
+
+
+class TestOracleStepper:
+    def test_run_script_matches_reference_stepper_on_random_models(self):
+        rng = random.Random(20221019)
+        horizon = 40
+        kinds, laws = set(), set()
+        for case in range(60):
+            model, interventions, faults = random_scenario(rng, horizon)
+            trace = run_script(model, case, horizon, interventions, faults)
+            expected = list(reference_run(model, case, horizon, interventions, faults))
+            assert len(trace.records) == len(expected) == horizon
+            for record, (labels, values, events) in zip(trace.records, expected):
+                assert record.labels == labels
+                assert record.values == values
+                assert all(
+                    a.hex() == b.hex() for a, b in zip(record.values.values(), values.values())
+                )
+                assert record.events == tuple(events)
+                kinds.update(event.kind for event in record.events)
+                laws.update(
+                    type(model.sensor(sid).distribution(label)) for sid, label in labels.items()
+                )
+        assert kinds == {EFFECT_APPLIED, INTERVENTION, FAULT_ACTIVATED, RULE_FIRED}
+        assert laws == {Normal, Uniform, Degenerate}
