@@ -6,6 +6,15 @@ state by construction, so they are skipped; localizing a change finer than the
 window stride is out of scope.  For scan_anomalies the segmentation comes from
 the trace's own labels, for expected_state_check from the fault-free reference
 run being compared against.
+
+Both functions test all windows of a sensor in one array pass: the windows
+are gathered from a sliding-window view of the sensor's values into one
+k x window block (no window is sliced out on its own), each row is sorted
+once, and every state's law is tested over the whole block with
+``distributions.gof_block``.  The p-values are those ``state_p_values`` gives
+window by window; each verdict is chosen from them by ``select_state``.  Both
+functions reject a bad window, stride or alpha on entry, even when there is
+no window to test.
 """
 
 from __future__ import annotations
@@ -13,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from .distributions import (
     ANOMALOUS,
+    Distribution,
     TestResult,
-    match_state,
+    check_alpha,
+    gof_block,
     select_state,
-    state_p_values,
     two_sample_test,
 )
 from .model import SystemModel
@@ -75,13 +88,17 @@ class Deviation:
     matched: str
 
 
+def _check_window(window: int, stride: int) -> None:
+    if window < 1 or stride < 1:
+        raise ValueError("window and stride must be >= 1")
+
+
 def constant_label_windows(
     labels: Sequence[str], window: int, stride: int
 ) -> Iterator[tuple[int, str]]:
     """Yield (start, label) for every stride-aligned window inside a maximal
     constant-label segment."""
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be >= 1")
+    _check_window(window, stride)
     n = len(labels)
     seg_start = 0
     for i in range(1, n + 1):
@@ -110,6 +127,23 @@ def detect_effect(
     return result.p_value < alpha, result
 
 
+def _window_p_values(
+    values: np.ndarray,
+    starts: list[int],
+    window: int,
+    states: Sequence[tuple[str, Distribution]],
+) -> list[dict[str, float]]:
+    """The p-value of every window ``values[start : start + window]`` against
+    every labeled state, one dict per start: one sort per window, one block
+    test per state."""
+    if not starts:
+        return []
+    block = np.sort(sliding_window_view(values, window)[starts], axis=1)
+    labels = [label for label, _ in states]
+    columns = [gof_block(block, dist)[1] for _, dist in states]
+    return [dict(zip(labels, row)) for row in zip(*columns)]
+
+
 def scan_anomalies(
     trace: Trace,
     model: SystemModel,
@@ -121,24 +155,25 @@ def scan_anomalies(
 
     Each window's goodness-of-fit tests run once; the verdict is chosen from
     their p-values."""
+    _check_window(window, stride)
+    check_alpha(alpha)
     verdicts = []
     for sensor_id in trace.sensor_ids:
-        states = model.sensor(sensor_id).states
-        values = trace.values_for(sensor_id)
         labels = trace.labels_for(sensor_id)
-        for start, _ in constant_label_windows(labels, window, stride):
-            segment = values[start : start + window]
-            p_values = {label: r.p_value for label, r in state_p_values(segment, states).items()}
-            verdicts.append(
-                WindowVerdict(
-                    sensor=sensor_id,
-                    start=start,
-                    length=window,
-                    matched=select_state(p_values, alpha),
-                    p_values=p_values,
-                    alpha=alpha,
-                )
+        starts = [start for start, _ in constant_label_windows(labels, window, stride)]
+        states = model.sensor(sensor_id).states
+        p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
+        verdicts.extend(
+            WindowVerdict(
+                sensor=sensor_id,
+                start=start,
+                length=window,
+                matched=select_state(window_p, alpha),
+                p_values=window_p,
+                alpha=alpha,
             )
+            for start, window_p in zip(starts, p_values)
+        )
     return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
 
 
@@ -158,6 +193,8 @@ def expected_state_check(
     whenever the matched state differs from the reference label or is
     ANOMALOUS.
     """
+    _check_window(window, stride)
+    check_alpha(alpha)
     if len(trace) != len(reference):
         raise ValueError(
             f"trace/reference length mismatch: {len(trace)} vs {len(reference)}"
@@ -166,11 +203,13 @@ def expected_state_check(
         raise ValueError("trace and reference cover different sensor sets")
     deviations = []
     for sensor_id in trace.sensor_ids:
-        states = model.sensor(sensor_id).states
-        values = trace.values_for(sensor_id)
         expected_labels = reference.labels_for(sensor_id)
-        for start, expected in constant_label_windows(expected_labels, window, stride):
-            matched = match_state(values[start : start + window], states, alpha)
+        windows = list(constant_label_windows(expected_labels, window, stride))
+        starts = [start for start, _ in windows]
+        states = model.sensor(sensor_id).states
+        p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
+        for (start, expected), window_p in zip(windows, p_values):
+            matched = select_state(window_p, alpha)
             if matched != expected:
                 deviations.append(
                     Deviation(sensor=sensor_id, start=start, expected=expected, matched=matched)

@@ -11,11 +11,17 @@ truncated once a term drops below 1e-10 or after 100 terms, and clamped to
 [0, 1].  Against a degenerate (point-mass) law the KS statistic is undefined,
 so an exact-match test with absolute tolerance 1e-9 is used instead.
 
-The one-sample test evaluates the law's CDF over the whole sorted window as
-one array expression.  That array CDF is the only definition of each law's
-CDF -- ``cdf`` evaluates it at a single point -- and it performs the scalar
-formula's IEEE operations in the same order, element by element, so it gives
-the same values as calling ``cdf`` on each sample.
+The one-sample test runs on a block: a k x n array whose rows are k sorted
+windows of n samples each.  ``gof_block`` evaluates the law's CDF over the
+whole block as one array expression and takes each row's KS statistic with a
+row-wise maximum, so testing many windows of one sensor against one state
+costs one array pass and one scalar p-value per row.  ``gof_test`` is the
+block test of a single row, so each law's statistic is defined in one place,
+and ``state_p_values`` sorts its window once for all states.  The array CDF is
+the only definition of each law's CDF -- ``cdf`` evaluates it at a single
+point -- and it performs the scalar formula's IEEE operations in the same
+order, element by element, so it gives the same values as calling ``cdf`` on
+each sample.
 
 Sampling uses numpy's default bit generator (PCG64) seeded explicitly, so a
 fixed (distribution, seed, n) always reproduces the same sequence on a given
@@ -102,10 +108,11 @@ def cdf(dist: Distribution, x: float) -> float:
 
 
 def _cdf_array(dist: Distribution, xs: np.ndarray) -> np.ndarray:
-    """The CDF of ``dist`` at every element of the float array ``xs``."""
+    """The CDF of ``dist`` at every element of the float array ``xs`` (any shape)."""
     if isinstance(dist, Normal):
         z = (xs - dist.mean) / (dist.stddev * math.sqrt(2.0))
-        return 0.5 * (1.0 + np.fromiter(map(math.erf, z.tolist()), dtype=float, count=z.size))
+        erf = np.fromiter(map(math.erf, z.ravel().tolist()), dtype=float, count=z.size)
+        return 0.5 * (1.0 + erf.reshape(z.shape))
     if isinstance(dist, Uniform):
         return np.where(
             xs <= dist.lo,
@@ -138,26 +145,36 @@ def _as_sample(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def gof_test(values: Sequence[float], dist: Distribution) -> TestResult:
-    """One-sample goodness-of-fit test of ``values`` against ``dist``.
+def gof_block(ordered: np.ndarray, dist: Distribution) -> tuple[list[float], list[float]]:
+    """One-sample goodness-of-fit test of every row of ``ordered`` against ``dist``.
 
+    ``ordered`` is a k x n float array (k, n >= 1) whose rows are sorted
+    ascending.  Returns the k statistics and the k p-values, in row order.
     Kolmogorov-Smirnov for continuous laws; against a Degenerate law the
     statistic is the largest absolute deviation from the point mass and the
     p-value is 1.0 within DEGENERATE_TOLERANCE, else 0.0.
     """
-    arr = _as_sample(values)
-    n = arr.size
+    n = ordered.shape[1]
     if isinstance(dist, Degenerate):
-        stat = float(np.max(np.abs(arr - dist.value)))
-        p = 1.0 if stat <= DEGENERATE_TOLERANCE else 0.0
-        return TestResult(statistic=stat, p_value=p, sample_size=n)
-    ordered = np.sort(arr)
+        stats = np.abs(ordered - dist.value).max(axis=1)
+        return stats.tolist(), np.where(stats <= DEGENERATE_TOLERANCE, 1.0, 0.0).tolist()
     f = _cdf_array(dist, ordered)
     grid = np.arange(1, n + 1) / n
-    d_plus = float((grid - f).max())
-    d_minus = float((f - (grid - 1.0 / n)).max())
-    d = max(d_plus, d_minus, 0.0)
-    return TestResult(statistic=d, p_value=_ks_p_value(d, n), sample_size=n)
+    d_plus = (grid - f).max(axis=1)
+    d_minus = (f - (grid - 1.0 / n)).max(axis=1)
+    stats = np.maximum(np.maximum(d_plus, d_minus), 0.0).tolist()
+    return stats, [_ks_p_value(d, n) for d in stats]
+
+
+def _gof_row(ordered: np.ndarray, dist: Distribution) -> TestResult:
+    stats, p_values = gof_block(ordered[np.newaxis], dist)
+    return TestResult(statistic=stats[0], p_value=p_values[0], sample_size=ordered.size)
+
+
+def gof_test(values: Sequence[float], dist: Distribution) -> TestResult:
+    """One-sample goodness-of-fit test of ``values`` against ``dist``: the
+    block test (see gof_block) of a single window."""
+    return _gof_row(np.sort(_as_sample(values)), dist)
 
 
 def two_sample_test(a: Sequence[float], b: Sequence[float]) -> TestResult:
@@ -191,7 +208,14 @@ def state_p_values(
 ) -> dict[str, TestResult]:
     """Goodness-of-fit result of ``values`` against every labeled state."""
     _check_state_set(states)
-    return {label: gof_test(values, dist) for label, dist in states}
+    ordered = np.sort(_as_sample(values))
+    return {label: _gof_row(ordered, dist) for label, dist in states}
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless ``alpha`` is a significance level in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def select_state(p_values: Mapping[str, float], alpha: float) -> str:
@@ -201,8 +225,7 @@ def select_state(p_values: Mapping[str, float], alpha: float) -> str:
     Returns the label with the highest p-value among the non-rejected states,
     or ANOMALOUS if every state is rejected.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     level = alpha / len(p_values)
     survivors = [(label, p) for label, p in p_values.items() if p >= level]
     if not survivors:

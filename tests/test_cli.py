@@ -78,6 +78,34 @@ KNIFE_SEED_1_DIGESTS = {
 }
 
 
+# detect --window 20 --stride 7 --alpha 0.05 on the knife traces of seed 42.
+KNIFE_SEED_42_W20_S7_A05_DIGESTS = {
+    "deviations.csv": "382ac6d4109ce995713b09be5bc132b04a8d86b3b2042dd203e7d658baad92f0",
+    "report.csv": "56c9c868bffd641823c077c4d901087ef1a432b5bd78a683c97f064391afb659",
+}
+
+
+def knife_detect_digests(out_dir, seed, *detect_options):
+    """Simulate the bundled knife scenario's faulty and fault-free runs at
+    ``seed``, run detect on them with ``detect_options`` and return the sha256
+    digest of the report and the deviations, by file name."""
+    s = str(BUNDLED_KNIFE)
+    faulty, reference = out_dir / "faulty.csv", out_dir / "reference.csv"
+    outputs = {name: out_dir / name for name in ("report.csv", "deviations.csv")}
+    commands = [
+        ["simulate", s, "--out", str(faulty), "--seed", str(seed)],
+        ["simulate", s, "--out", str(reference), "--seed", str(seed), "--no-faults"],
+        [
+            "detect", s, "--trace", str(faulty), "--reference", str(reference),
+            "--out", str(outputs["report.csv"]),
+            "--deviations-out", str(outputs["deviations.csv"]), *detect_options,
+        ],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    return {name: digest(path) for name, path in outputs.items()}
+
+
 def knife_artifact_digests(out_dir):
     """Run the whole CLI pipeline on the bundled knife scenario at seed 1 and
     return the sha256 digest of every artifact, by file name."""
@@ -253,6 +281,13 @@ class TestDetectInvalidInput:
         assert "covers no constant-label segment" in error["detail"]
         assert not out.exists()
 
+    def test_bad_alpha_is_blamed_even_when_no_window_fits(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out, "--alpha", "1.5", "--window", "400")
+        self.assert_invalid(capsys, code, out, "alpha must be in (0, 1), got 1.5")
+
 
 class TestPlanCommand:
     def test_plan_writes_steps(self, tmp_path, knife_yaml):
@@ -307,6 +342,14 @@ class TestDeterminism:
         the p-values that follow from them.
         """
         assert knife_artifact_digests(tmp_path) == KNIFE_SEED_1_DIGESTS
+
+    def test_knife_detect_at_non_default_settings_keeps_its_bytes(self, tmp_path):
+        """detect with a short window, a stride that does not divide it and a
+        looser alpha writes the bytes recorded here (same assumptions as the
+        seed-1 digests above)."""
+        options = ("--window", "20", "--stride", "7", "--alpha", "0.05")
+        digests = knife_detect_digests(tmp_path, 42, *options)
+        assert digests == KNIFE_SEED_42_W20_S7_A05_DIGESTS
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,13 +1,26 @@
+import itertools
+
 import pytest
 
-from causalcps import distributions
+from causalcps import detection
 from causalcps.detection import (
+    AnomalyReport,
+    Deviation,
+    WindowVerdict,
     constant_label_windows,
     detect_effect,
     expected_state_check,
     scan_anomalies,
 )
-from causalcps.distributions import ANOMALOUS, Degenerate, Normal, sample
+from causalcps.distributions import (
+    ANOMALOUS,
+    Degenerate,
+    Normal,
+    match_state,
+    sample,
+    select_state,
+    state_p_values,
+)
 from causalcps.model import (
     Sensor,
     Subsystem,
@@ -97,6 +110,20 @@ class TestDetectEffect:
             detect_effect(trace, "probe", 60, window=50, alpha=0.01)
 
 
+def count_block_rows(monkeypatch):
+    """Count every (window, state) pair detection tests: one entry per row of
+    each block passed to the goodness-of-fit kernel."""
+    tested = []
+    original = detection.gof_block
+
+    def counting(ordered, dist):
+        tested.extend([dist] * ordered.shape[0])
+        return original(ordered, dist)
+
+    monkeypatch.setattr(detection, "gof_block", counting)
+    return tested
+
+
 class TestScanAnomalies:
     def test_fault_free_knife_trace_is_clean(self, knife_doc, knife_model, knife_reference):
         report = scan_anomalies(knife_reference, knife_model)
@@ -124,20 +151,20 @@ class TestScanAnomalies:
             assert verdict.length == 50 and verdict.alpha == 0.01
 
     def test_one_gof_test_per_state_per_window(self, knife_model, knife_reference, monkeypatch):
-        calls = []
-        original = distributions.gof_test
-
-        def counting(values, dist):
-            calls.append(dist)
-            return original(values, dist)
-
-        monkeypatch.setattr(distributions, "gof_test", counting)
+        tested = count_block_rows(monkeypatch)
         report = scan_anomalies(knife_reference, knife_model)
-        assert len(calls) == sum(len(v.p_values) for v in report.verdicts)
+        assert len(tested) == sum(len(v.p_values) for v in report.verdicts)
 
     def test_rejects_bad_alpha(self, knife_model, knife_reference):
         with pytest.raises(ValueError, match="alpha"):
             scan_anomalies(knife_reference, knife_model, alpha=1.5)
+
+    def test_rejects_bad_parameters_with_no_window_to_test(self, knife_model, knife_reference):
+        with pytest.raises(ValueError, match="alpha"):
+            scan_anomalies(knife_reference, knife_model, window=400, alpha=1.5)
+        for window, stride in ((0, 25), (400, 0)):
+            with pytest.raises(ValueError, match="window and stride"):
+                scan_anomalies(knife_reference, knife_model, window=window, stride=stride)
 
     def test_matched_label_survives_bonferroni_level(self, knife_model, knife_reference):
         report = scan_anomalies(knife_reference, knife_model)
@@ -150,6 +177,27 @@ class TestScanAnomalies:
 class TestExpectedStateCheck:
     def test_reference_against_itself_is_empty(self, knife_model, knife_reference):
         assert expected_state_check(knife_reference, knife_reference, knife_model) == []
+
+    def test_one_gof_test_per_state_per_window(
+        self, knife_model, knife_reference, knife_lid_fault_trace, monkeypatch
+    ):
+        tested = count_block_rows(monkeypatch)
+        expected_state_check(knife_lid_fault_trace, knife_reference, knife_model)
+        windows = {
+            s: len(list(constant_label_windows(knife_reference.labels_for(s), 50, 25)))
+            for s in knife_reference.sensor_ids
+        }
+        assert len(tested) == sum(
+            n * len(knife_model.sensor(s).states) for s, n in windows.items()
+        )
+
+    def test_rejects_bad_parameters_with_no_window_to_test(self, knife_model, knife_reference):
+        ref = knife_reference
+        with pytest.raises(ValueError, match="alpha"):
+            expected_state_check(ref, ref, knife_model, window=400, alpha=1.5)
+        for window, stride in ((0, 25), (400, 0)):
+            with pytest.raises(ValueError, match="window and stride"):
+                expected_state_check(ref, ref, knife_model, window=window, stride=stride)
 
     def test_lid_fault_deviations_cover_downstream(
         self, knife_model, knife_reference, knife_lid_fault_trace
@@ -218,3 +266,86 @@ class TestExpectedStateCheck:
             if deviations and min(d.start for d in deviations) <= onset + 2 * 25:
                 hits += 1
         assert hits >= 29
+
+
+def reference_scan(trace, model, window, stride, alpha):
+    """scan_anomalies, one window and one state_p_values call at a time."""
+    verdicts = []
+    for sensor_id in trace.sensor_ids:
+        states = model.sensor(sensor_id).states
+        values = trace.values_for(sensor_id)
+        for start, _ in constant_label_windows(trace.labels_for(sensor_id), window, stride):
+            results = state_p_values(values[start : start + window], states)
+            p_values = {label: r.p_value for label, r in results.items()}
+            verdicts.append(
+                WindowVerdict(sensor_id, start, window, select_state(p_values, alpha), p_values, alpha)
+            )
+    return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
+
+
+def reference_check(trace, reference, model, window, stride, alpha):
+    """expected_state_check, one window and one match_state call at a time."""
+    deviations = []
+    for sensor_id in trace.sensor_ids:
+        states = model.sensor(sensor_id).states
+        values = trace.values_for(sensor_id)
+        expected_labels = reference.labels_for(sensor_id)
+        for start, expected in constant_label_windows(expected_labels, window, stride):
+            matched = match_state(values[start : start + window], states, alpha)
+            if matched != expected:
+                deviations.append(Deviation(sensor_id, start, expected, matched))
+    return deviations
+
+
+def longest_segment(*traces):
+    return max(
+        len(list(run))
+        for trace in traces
+        for sensor_id in trace.sensor_ids
+        for _, run in itertools.groupby(trace.labels_for(sensor_id))
+    )
+
+
+class TestBlockOracle:
+    """The block pass gives the per-window loop's reports and deviations."""
+
+    SETTINGS = [(50, 25, 0.01), (1, 1, 0.01), (7, 13, 0.05)]
+
+    def settings(self, *traces):
+        too_long = longest_segment(*traces) + 1
+        return self.SETTINGS + [(too_long, 25, 0.01), (len(traces[0]) + 1, 25, 0.01)]
+
+    def test_scan_equals_per_window_loop(self, knife_model, knife_reference, knife_lid_fault_trace):
+        for trace in (knife_reference, knife_lid_fault_trace):
+            for window, stride, alpha in self.settings(trace):
+                report = scan_anomalies(trace, knife_model, window, stride, alpha)
+                expected = reference_scan(trace, knife_model, window, stride, alpha)
+                assert report == expected
+                # report.csv writes repr(p_best): the p-values' types must match too.
+                assert [repr(v.p_best) for v in report.verdicts] == [
+                    repr(v.p_best) for v in expected.verdicts
+                ]
+
+    def test_check_equals_per_window_loop(
+        self, knife_model, knife_reference, knife_lid_fault_trace
+    ):
+        ref = knife_reference
+        for trace in (knife_reference, knife_lid_fault_trace):
+            for window, stride, alpha in self.settings(trace, ref):
+                deviations = expected_state_check(trace, ref, knife_model, window, stride, alpha)
+                expected = reference_check(trace, ref, knife_model, window, stride, alpha)
+                assert deviations == expected
+
+    def test_settings_cover_non_empty_and_empty_cases(
+        self, knife_model, knife_reference, knife_lid_fault_trace
+    ):
+        trace, ref = knife_lid_fault_trace, knife_reference
+        counts = [
+            (
+                len(scan_anomalies(trace, knife_model, window, stride, alpha).verdicts),
+                len(expected_state_check(trace, ref, knife_model, window, stride, alpha)),
+            )
+            for window, stride, alpha in self.settings(trace, ref)
+        ]
+        assert all(scanned and deviating for scanned, deviating in counts[:3])
+        assert counts[3:] == [(0, 0), (0, 0)]

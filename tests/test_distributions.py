@@ -10,6 +10,7 @@ from causalcps.distributions import (
     Normal,
     Uniform,
     cdf,
+    gof_block,
     gof_test,
     match_state,
     select_state,
@@ -183,6 +184,70 @@ class TestGofOracle:
             assert result.statistic == d and result.p_value == p, dist
             assert result.sample_size == len(values)
             assert [cdf(dist, x) for x in values] == [scalar_cdf(dist, x) for x in values]
+
+
+class TestGofBlockOracle:
+    """gof_block on a k x n block equals gof_test on each of its rows."""
+
+    TOL = distributions.DEGENERATE_TOLERANCE
+
+    def random_blocks(self, seed, count):
+        """Blocks of 1-40 rows and 1-60 columns against normal, uniform and
+        point-mass laws, with ties, the uniform bounds themselves, points
+        outside the support and point-mass rows just inside or just outside
+        the tolerance."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            k, n = int(rng.integers(1, 41)), int(rng.integers(1, 61))
+            kind = i % 3
+            if kind == 0:
+                dist = Normal(float(rng.normal(0, 20)), float(rng.uniform(0.01, 10)))
+                edges = [dist.mean, dist.mean - 40 * dist.stddev, dist.mean + 40 * dist.stddev]
+                block = rng.normal(dist.mean, dist.stddev * rng.uniform(0.5, 2), (k, n))
+            elif kind == 1:
+                lo = float(rng.normal(0, 20))
+                dist = Uniform(lo, lo + float(rng.uniform(0.01, 10)))
+                edges = [dist.lo, dist.hi, dist.lo - 1.0, dist.hi + 1.0]
+                block = rng.uniform(dist.lo - 0.5, dist.hi + 0.5, (k, n))
+            else:
+                value = float(rng.choice([0.0, 1.0, -3.5, float(rng.normal(0, 100))]))
+                dist = Degenerate(value)
+                offsets = [0.0, 0.5 * self.TOL, -0.5 * self.TOL, 2 * self.TOL, -2 * self.TOL, 1.0]
+                block = np.full((k, n), value)
+                for row in block:
+                    row[rng.random(n) < 0.3] = value + float(rng.choice(offsets))
+                    row[int(rng.integers(n))] = value + float(rng.choice(offsets))
+                edges = [value, value + self.TOL, value - self.TOL]
+            block[rng.random((k, n)) < 0.15] = rng.choice(edges)
+            ties = rng.random((k, n)) < 0.2
+            block[ties] = np.broadcast_to(block[:, :1], (k, n))[ties]
+            yield dist, block
+
+    def test_rows_equal_gof_test(self):
+        inside = outside = 0
+        for dist, block in self.random_blocks(seed=29, count=240):
+            stats, p_values = gof_block(np.sort(block, axis=1), dist)
+            assert len(stats) == len(p_values) == block.shape[0]
+            for row, stat, p in zip(block, stats, p_values):
+                expected = gof_test(row, dist)
+                assert (stat, p) == (expected.statistic, expected.p_value), dist
+                assert type(stat) is float and type(p) is float
+                if isinstance(dist, Degenerate):
+                    assert stat == float(np.max(np.abs(row - dist.value)))
+                    assert p == (1.0 if stat <= self.TOL else 0.0)
+                    inside += 0 < stat <= self.TOL
+                    outside += self.TOL < stat < 1.0
+                else:
+                    assert (stat, p) == oracle_gof(row, dist), dist
+        assert inside and outside
+
+    def test_state_p_values_equal_gof_test_per_state(self):
+        states = [("N", Normal(1, 2)), ("U", Uniform(-1, 3)), ("P", Degenerate(1.0))]
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 50):
+            values = rng.normal(1, 2, n)
+            results = state_p_values(values, states)
+            assert results == {label: gof_test(values, dist) for label, dist in states}
 
 
 class TestTwoSampleTest:
