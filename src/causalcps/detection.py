@@ -72,11 +72,6 @@ class AnomalyReport:
     def anomalous_verdicts(self) -> list[WindowVerdict]:
         return [v for v in self.verdicts if v.anomalous]
 
-    def anomalous_rate(self) -> float:
-        if not self.verdicts:
-            return 0.0
-        return len(self.anomalous_verdicts()) / len(self.verdicts)
-
 
 @dataclass(frozen=True)
 class Deviation:

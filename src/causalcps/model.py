@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .distributions import ANOMALOUS, Distribution
 
@@ -69,6 +69,12 @@ class Rule:
 
     def matches(self, assignment: Mapping[str, str]) -> bool:
         return self.guard.items() <= assignment.items()
+
+
+def guards_overlap(a: Mapping[str, str], b: Mapping[str, str]) -> bool:
+    """Whether some assignment matches both conjunctive guards: exactly when
+    they agree on every sensor they share."""
+    return all(a[k] == b[k] for k in a.keys() & b.keys())
 
 
 @dataclass(frozen=True)
@@ -229,7 +235,7 @@ def validate_rules(
     guards = [rule.guard for rule in rules]
     for i, a in enumerate(guards):
         for j, b in enumerate(guards[i + 1 :], start=i + 1):
-            if all(a[k] == b[k] for k in a.keys() & b.keys()):
+            if guards_overlap(a, b):
                 witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors} | a | b
                 raise ModelError(
                     f"subsystem {subsystem_id!r}: overlapping guards, rules {i} and "
@@ -421,13 +427,3 @@ def causal_descendants(graph: CausalGraph, sensor: str) -> set[str]:
                 seen.add(edge.effect)
                 frontier.append(edge.effect)
     return result
-
-
-def descendant_closure(model: SystemModel, sensors: Iterable[str]) -> set[str]:
-    """The given sensors plus everything causally downstream of them."""
-    graph = derive_causal_graph(model)
-    closure: set[str] = set()
-    for sensor in sensors:
-        closure.add(sensor)
-        closure.update(causal_descendants(graph, sensor))
-    return closure

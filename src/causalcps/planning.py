@@ -15,6 +15,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
+from .model import guards_overlap
+
 
 @dataclass(frozen=True)
 class TransitionEntry:
@@ -50,14 +52,13 @@ class Functionality:
                     f"{entry.param} outside domain"
                 )
         # Determinism: for one parameter, no two guards may match the same state.
-        # Partial guards that agree on all shared sensors can both match.
         by_param: dict[float, list[TransitionEntry]] = {}
         for entry in self.transitions:
             by_param.setdefault(entry.param, []).append(entry)
         for param, entries in by_param.items():
             for i, a in enumerate(entries):
                 for b in entries[i + 1 :]:
-                    if all(a.guard[k] == b.guard[k] for k in a.guard.keys() & b.guard.keys()):
+                    if guards_overlap(a.guard, b.guard):
                         raise ValueError(
                             f"functionality {self.module}.{self.name}: overlapping "
                             f"transition guards for parameter {param}"

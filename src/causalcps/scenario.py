@@ -2,7 +2,7 @@
 
 A scenario is a YAML document describing a complete runnable setup::
 
-    name: knife-hardening        # optional
+    name: knife-hardening        # optional string
     seed: 42                     # default 0
     horizon: 300                 # ticks to simulate
     detection:                   # optional, defaults shown
@@ -40,11 +40,16 @@ A scenario is a YAML document describing a complete runnable setup::
 Distributions are written ``normal(mean, stddev)``, ``uniform(lo, hi)`` or
 ``degenerate(value)``.  Unknown fields are rejected; semantic errors are
 raised by model validation.
+
+The knife-hardening scenario ships as package data in
+``causalcps/scenarios/knife.yaml``, its only definition; ``knife_fixture``
+parses that file.  The chain and thermostat fixtures are built in Python.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.resources
 import io
 import math
 import re
@@ -306,11 +311,12 @@ def _parse_functionality(node: Any, where: str) -> Functionality:
         entry_where = f"{where}.transitions[{i}]"
         entry_map = _expect_mapping(entry_node, entry_where)
         _reject_unknown(entry_map, {"param", "when", "then"}, entry_where)
-        if "param" not in entry_map or not isinstance(entry_map["param"], (int, float)):
+        param = entry_map.get("param")
+        if not isinstance(param, (int, float)) or isinstance(param, bool):
             raise ScenarioError(f"{entry_where}.param: expected a number")
         transitions.append(
             TransitionEntry(
-                param=float(entry_map["param"]),
+                param=float(param),
                 guard=_parse_label_map(entry_map.get("when", {}), f"{entry_where}.when"),
                 effect=_parse_label_map(entry_map.get("then", {}), f"{entry_where}.then"),
             )
@@ -431,9 +437,12 @@ def parse_scenario(text: str) -> ScenarioDocument:
         )
     )
     interventions, faults = _parse_script(root.get("script", {}), "script", horizon)
+    name = root.get("name", "")
+    if not isinstance(name, str):
+        raise ScenarioError(f"document.name: expected a string, got {type(name).__name__}")
 
     doc = ScenarioDocument(
-        name=root.get("name", ""),
+        name=name,
         seed=_get_int(root, "seed", "document", default=0),
         horizon=horizon,
         window=_get_int(detection, "window", "document.detection", default=DEFAULT_WINDOW),
@@ -709,8 +718,6 @@ def export_plan(plan: Plan, functionalities: Sequence[Functionality]) -> str:
 # Bundled fixtures
 # ---------------------------------------------------------------------------
 
-BURNER_LEVELS = (0, 25, 50, 75, 100)
-
 
 def knife_fixture() -> ScenarioDocument:
     """Knife-hardening line: gas oven with a lid, heat transfer to the knife,
@@ -720,212 +727,11 @@ def knife_fixture() -> ScenarioDocument:
     let the chamber and knife heat up, open up and shut the burner off, then
     quench).  The scripted fault makes the lid actuator ignore its commands
     from tick 0, so the lid never closes and the knife never hardens.
+
+    The scenario is defined once, in the package's ``scenarios/knife.yaml``.
     """
-    sensors = (
-        Sensor(
-            id="burner_cmd",
-            states=tuple((f"C{v}", Degenerate(float(v))) for v in BURNER_LEVELS),
-            initial_state="C0",
-        ),
-        Sensor(
-            id="burner_set",
-            states=tuple((f"S{v}", Degenerate(float(v))) for v in BURNER_LEVELS),
-            initial_state="S0",
-        ),
-        Sensor(
-            id="lid_cmd",
-            states=(
-                ("Idle", Degenerate(0.0)),
-                ("DoClose", Degenerate(1.0)),
-                ("DoOpen", Degenerate(2.0)),
-            ),
-            initial_state="Idle",
-        ),
-        Sensor(
-            id="lid_state",
-            states=(("Open", Degenerate(0.0)), ("Closed", Degenerate(1.0))),
-            initial_state="Open",
-        ),
-        Sensor(
-            id="quench_cmd",
-            states=(("Off", Degenerate(0.0)), ("On", Degenerate(1.0))),
-            initial_state="Off",
-        ),
-        Sensor(
-            id="oven_temp",
-            states=(("Ambient", Normal(20.0, 2.0)), ("Hot", Normal(800.0, 10.0))),
-            initial_state="Ambient",
-        ),
-        Sensor(
-            id="knife_temp",
-            states=(("Cold", Normal(20.0, 2.0)), ("Hot", Normal(780.0, 15.0))),
-            initial_state="Cold",
-        ),
-        Sensor(
-            id="knife_hardness",
-            states=(("Soft", Uniform(20.0, 30.0)), ("Hard", Uniform(58.0, 65.0))),
-            initial_state="Soft",
-        ),
-    )
-
-    burner = Subsystem(
-        id="burner",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("burner_cmd", "burner_set"),
-        rules=tuple(
-            Rule(
-                guard={"burner_cmd": f"C{v}"},
-                effects=(Effect(target="burner_set", state=f"S{v}", delay=1),),
-            )
-            for v in BURNER_LEVELS
-        ),
-    )
-    lid_actuator = Subsystem(
-        id="lid_actuator",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("lid_cmd", "lid_state"),
-        rules=(
-            Rule(
-                guard={"lid_cmd": "DoClose"},
-                effects=(Effect(target="lid_state", state="Closed", delay=1),),
-            ),
-            Rule(
-                guard={"lid_cmd": "DoOpen"},
-                effects=(Effect(target="lid_state", state="Open", delay=1),),
-            ),
-        ),
-    )
-    # Heat transfer: only a fully fired burner behind a closed lid heats the
-    # chamber; every other combination lets it fall back to ambient.
-    oven_chamber = Subsystem(
-        id="oven_chamber",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("burner_set", "lid_state", "oven_temp"),
-        rules=tuple(
-            Rule(
-                guard={"burner_set": f"S{v}", "lid_state": lid},
-                effects=(
-                    Effect(
-                        target="oven_temp",
-                        state="Hot" if (v == 100 and lid == "Closed") else "Ambient",
-                        delay=2,
-                    ),
-                ),
-            )
-            for v in BURNER_LEVELS
-            for lid in ("Open", "Closed")
-        ),
-    )
-    # The knife keeps its heat once out of the oven; only the quencher cools it.
-    heat_exchange = Subsystem(
-        id="heat_exchange",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("oven_temp", "knife_temp"),
-        rules=(
-            Rule(
-                guard={"oven_temp": "Hot"},
-                effects=(Effect(target="knife_temp", state="Hot", delay=2),),
-            ),
-        ),
-    )
-    quencher = Subsystem(
-        id="quencher",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("quench_cmd", "knife_temp", "knife_hardness"),
-        rules=(
-            Rule(
-                guard={"quench_cmd": "On", "knife_temp": "Hot"},
-                effects=(
-                    Effect(target="knife_temp", state="Cold", delay=1),
-                    Effect(target="knife_hardness", state="Hard", delay=1),
-                ),
-            ),
-            Rule(
-                guard={"quench_cmd": "On", "knife_temp": "Cold"},
-                effects=(Effect(target="knife_temp", state="Cold", delay=1),),
-            ),
-        ),
-    )
-    oven_module = Subsystem(
-        id="oven",
-        kind=SubsystemKind.MODULE,
-        sensors=("burner_cmd", "burner_set", "lid_cmd", "lid_state", "oven_temp"),
-        rules=(),
-    )
-    cooler_module = Subsystem(
-        id="cooler", kind=SubsystemKind.MODULE, sensors=("quench_cmd",), rules=()
-    )
-    knife_product = Subsystem(
-        id="knife",
-        kind=SubsystemKind.PRODUCT,
-        sensors=("knife_temp", "knife_hardness"),
-        rules=(),
-    )
-
-    functionalities = (
-        Functionality(
-            module="oven",
-            name="heat",
-            parameter_domain=tuple(float(v) for v in BURNER_LEVELS),
-            transitions=(
-                TransitionEntry(
-                    param=100.0, guard={"knife_temp": "Cold"}, effect={"knife_temp": "Hot"}
-                ),
-            ),
-            duration=8,
-        ),
-        Functionality(
-            module="cooler",
-            name="quench",
-            parameter_domain=(1.0,),
-            transitions=(
-                TransitionEntry(
-                    param=1.0,
-                    guard={"knife_temp": "Hot", "knife_hardness": "Soft"},
-                    effect={"knife_temp": "Cold", "knife_hardness": "Hard"},
-                ),
-                TransitionEntry(
-                    param=1.0,
-                    guard={"knife_temp": "Hot", "knife_hardness": "Hard"},
-                    effect={"knife_temp": "Cold"},
-                ),
-            ),
-            duration=3,
-        ),
-    )
-
-    interventions = (
-        ScriptedIntervention(tick=5, sensor="burner_cmd", state="C100"),
-        ScriptedIntervention(tick=5, sensor="lid_cmd", state="DoClose"),
-        ScriptedIntervention(tick=130, sensor="burner_cmd", state="C0"),
-        ScriptedIntervention(tick=130, sensor="lid_cmd", state="DoOpen"),
-        ScriptedIntervention(tick=180, sensor="quench_cmd", state="On"),
-        ScriptedIntervention(tick=185, sensor="quench_cmd", state="Off"),
-    )
-    faults = (FaultSpec(component="lid_actuator", replacement_rules=(), activation=0),)
-
-    return ScenarioDocument(
-        name="knife-hardening",
-        seed=42,
-        horizon=300,
-        window=DEFAULT_WINDOW,
-        stride=DEFAULT_STRIDE,
-        alpha=DEFAULT_ALPHA,
-        sensors=sensors,
-        subsystems=(
-            burner,
-            lid_actuator,
-            oven_chamber,
-            heat_exchange,
-            quencher,
-            oven_module,
-            cooler_module,
-            knife_product,
-        ),
-        functionalities=functionalities,
-        interventions=interventions,
-        faults=faults,
-    )
+    path = importlib.resources.files(__package__) / "scenarios" / "knife.yaml"
+    return parse_scenario(path.read_text(encoding="utf-8"))
 
 
 def chain_fixture() -> ScenarioDocument:

@@ -1,3 +1,4 @@
+import importlib.resources
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,9 @@ from causalcps.scenario import (
     serialize_scenario,
     thermostat_fixture,
 )
+
+PACKAGED_KNIFE = importlib.resources.files("causalcps") / "scenarios" / "knife.yaml"
+REPO_KNIFE = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
 
 MINIMAL = """
 horizon: 10
@@ -80,6 +84,19 @@ class TestParseScenario:
     def test_unknown_nested_field_rejected(self):
         text = MINIMAL.replace("subsystems: []", "subsystems:\n  - {id: s, kind: component, sensors: [probe], rules: [], color: red}")
         with pytest.raises(ScenarioError, match="unknown field"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("value", ["[1, 2]", "7", "null"])
+    def test_non_string_name_rejected(self, value):
+        with pytest.raises(ScenarioError, match=r"document\.name: expected a string"):
+            parse_scenario(f"name: {value}\n" + MINIMAL)
+
+    def test_boolean_transition_param_rejected(self):
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        quench = "parameters:\n  - 1.0\n  duration: 3\n  transitions:\n  - param: 1.0\n"
+        assert quench in text
+        text = text.replace(quench, quench.replace("param: 1.0", "param: true"))
+        with pytest.raises(ScenarioError, match=r"transitions\[0\]\.param: expected a number"):
             parse_scenario(text)
 
     def test_yaml_syntax_error_carries_line(self):
@@ -184,9 +201,15 @@ class TestYamlLoader:
         with pytest.raises(ScenarioError, match=rf"^line {line}: invalid YAML"):
             parse_scenario(text)
 
-    def test_fallback_parses_bundled_scenario_like_fixture(self, fallback):
-        bundled = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
-        assert parse_scenario(bundled.read_text()) == knife_fixture()
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
+    def test_fallback_parses_bundled_scenario_like_fixture(self, monkeypatch):
+        # knife_fixture() parses with whichever loader is patched in, so each
+        # parse names its loader explicitly.
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.CSafeLoader)
+        with_libyaml = parse_scenario(text)
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
+        assert parse_scenario(text) == with_libyaml
 
 
 class TestRoundTrip:
@@ -202,8 +225,22 @@ class TestRoundTrip:
         assert once == twice
 
     def test_bundled_scenario_file_matches_fixture(self):
-        bundled = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
-        assert parse_scenario(bundled.read_text()) == knife_fixture()
+        assert parse_scenario(REPO_KNIFE.read_text()) == knife_fixture()
+
+    def test_knife_fixture_loads_the_packaged_file(self, monkeypatch):
+        parsed = []
+
+        def spy(text):
+            parsed.append(text)
+            return "parsed"
+
+        monkeypatch.setattr(scenario_module, "parse_scenario", spy)
+        assert knife_fixture() == "parsed"
+        assert parsed == [PACKAGED_KNIFE.read_text(encoding="utf-8")]
+
+    def test_repo_scenario_path_links_to_the_packaged_file(self):
+        assert REPO_KNIFE.is_symlink()
+        assert REPO_KNIFE.read_bytes() == PACKAGED_KNIFE.read_bytes()
 
 
 class TestKnifeFixtureContent:
