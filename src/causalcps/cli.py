@@ -65,7 +65,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     report = scan_anomalies(trace, model, window=window, stride=stride, alpha=alpha)
     # Neither the scan (trace segments) nor the check (reference segments) has a window.
     if not report.verdicts and not any(
-        next(constant_label_windows(reference.labels_for(s), window, stride), None)
+        next(constant_label_windows(reference.codes_for(s), window, stride), None)
         for s in reference.sensor_ids
     ):
         raise ScenarioError(

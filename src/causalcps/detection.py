@@ -89,20 +89,19 @@ def _check_window(window: int, stride: int) -> None:
 
 
 def constant_label_windows(
-    labels: Sequence[str], window: int, stride: int
-) -> Iterator[tuple[int, str]]:
+    labels: Sequence[str] | np.ndarray, window: int, stride: int
+) -> Iterator[tuple[int, str | int]]:
     """Yield (start, label) for every stride-aligned window inside a maximal
-    constant-label segment."""
+    constant-label segment.  ``labels`` may be labels or label codes; the
+    segment boundaries come from one comparison of adjacent entries."""
     _check_window(window, stride)
-    n = len(labels)
-    seg_start = 0
-    for i in range(1, n + 1):
-        if i == n or labels[i] != labels[seg_start]:
-            start = seg_start
-            while start + window <= i:
-                yield start, labels[seg_start]
-                start += stride
-            seg_start = i
+    labels = np.asarray(labels)
+    if not len(labels):
+        return
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(labels)]
+    for seg_start, seg_end, label in zip(bounds, bounds[1:], labels[bounds[:-1]].tolist()):
+        for start in range(seg_start, seg_end - window + 1, stride):
+            yield start, label
 
 
 def detect_effect(
@@ -154,8 +153,8 @@ def scan_anomalies(
     check_alpha(alpha)
     verdicts = []
     for sensor_id in trace.sensor_ids:
-        labels = trace.labels_for(sensor_id)
-        starts = [start for start, _ in constant_label_windows(labels, window, stride)]
+        codes = trace.codes_for(sensor_id)
+        starts = [start for start, _ in constant_label_windows(codes, window, stride)]
         states = model.sensor(sensor_id).states
         p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
         verdicts.extend(
@@ -198,12 +197,13 @@ def expected_state_check(
         raise ValueError("trace and reference cover different sensor sets")
     deviations = []
     for sensor_id in trace.sensor_ids:
-        expected_labels = reference.labels_for(sensor_id)
-        windows = list(constant_label_windows(expected_labels, window, stride))
+        table = reference.label_table(sensor_id)
+        windows = list(constant_label_windows(reference.codes_for(sensor_id), window, stride))
         starts = [start for start, _ in windows]
         states = model.sensor(sensor_id).states
         p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
-        for (start, expected), window_p in zip(windows, p_values):
+        for (start, code), window_p in zip(windows, p_values):
+            expected = table[code]
             matched = select_state(window_p, alpha)
             if matched != expected:
                 deviations.append(

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .distributions import ANOMALOUS, Distribution
 
@@ -100,17 +100,33 @@ class CausalGraph:
     sensors: frozenset[str]
     edges: frozenset[CausalEdge]
 
+    @cached_property
+    def _out(self) -> dict[str, tuple[CausalEdge, ...]]:
+        """Edges by cause, each sorted by (effect, via, delay); built once,
+        outside the fields that eq and hash read."""
+        return _index(self.edges, lambda e: e.cause, lambda e: (e.effect, e.via, e.delay))
+
+    @cached_property
+    def _in(self) -> dict[str, tuple[CausalEdge, ...]]:
+        """Edges by effect, each sorted by (cause, via, delay)."""
+        return _index(self.edges, lambda e: e.effect, lambda e: (e.cause, e.via, e.delay))
+
     def out_edges(self, sensor: str) -> list[CausalEdge]:
-        return sorted(
-            (e for e in self.edges if e.cause == sensor),
-            key=lambda e: (e.effect, e.via, e.delay),
-        )
+        return list(self._out.get(sensor, ()))
 
     def in_edges(self, sensor: str) -> list[CausalEdge]:
-        return sorted(
-            (e for e in self.edges if e.effect == sensor),
-            key=lambda e: (e.cause, e.via, e.delay),
-        )
+        return list(self._in.get(sensor, ()))
+
+
+def _index(
+    edges: frozenset[CausalEdge],
+    key_of: Callable[[CausalEdge], str],
+    order: Callable[[CausalEdge], tuple],
+) -> dict[str, tuple[CausalEdge, ...]]:
+    groups: dict[str, list[CausalEdge]] = {}
+    for edge in edges:
+        groups.setdefault(key_of(edge), []).append(edge)
+    return {key: tuple(sorted(group, key=order)) for key, group in groups.items()}
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ A scenario is a YAML document describing a complete runnable setup::
     seed: 42                     # default 0
     horizon: 300                 # ticks to simulate
     detection:                   # optional, defaults shown
-      window: 50
-      stride: 25
-      alpha: 0.01
+      window: 50                 # >= 1
+      stride: 25                 # >= 1
+      alpha: 0.01                # in (0, 1)
     sensors:
       - id: oven_temp
         initial: Ambient
@@ -44,6 +44,14 @@ raised by model validation.
 The knife-hardening scenario ships as package data in
 ``causalcps/scenarios/knife.yaml``, its only definition; ``knife_fixture``
 parses that file.  The chain and thermostat fixtures are built in Python.
+
+Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
+log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
+``export_trace`` builds all rows from the value and label-code matrices in
+bulk, values written with ``repr``.  ``import_trace`` splits the text once
+and converts whole columns with ``int`` and ``float``; only when some row is
+bad, repeated or missing does it walk the rows one by one, to name the first
+bad row in file order.
 """
 
 from __future__ import annotations
@@ -55,8 +63,9 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NoReturn, Sequence
 
+import numpy as np
 import yaml
 
 from .detection import (
@@ -79,7 +88,7 @@ from .model import (
     validate_rules,
 )
 from .planning import Functionality, Plan, PlanningProblem, TransitionEntry
-from .simulation import FaultSpec, ScriptedIntervention, Trace, TickRecord, run_script
+from .simulation import FaultSpec, ScriptedIntervention, Trace, run_script
 
 
 # libyaml's C parser when PyYAML was built with it; same documents, same types.
@@ -217,7 +226,9 @@ def _get_str(node: Mapping, key: str, where: str) -> str:
     return value
 
 
-def _get_int(node: Mapping, key: str, where: str, default: int | None = None) -> int:
+def _get_int(
+    node: Mapping, key: str, where: str, default: int | None = None, minimum: int | None = None
+) -> int:
     if key not in node:
         if default is None:
             raise ScenarioError(f"{where}: missing required field {key!r}")
@@ -225,6 +236,8 @@ def _get_int(node: Mapping, key: str, where: str, default: int | None = None) ->
     value = node[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioError(f"{where}.{key}: expected an integer")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{where}.{key}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -413,9 +426,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     root = _expect_mapping(raw, "document")
     _reject_unknown(root, _TOP_LEVEL_FIELDS, "document")
 
-    horizon = _get_int(root, "horizon", "document")
-    if horizon < 1:
-        raise ScenarioError(f"document.horizon: must be >= 1, got {horizon}")
+    horizon = _get_int(root, "horizon", "document", minimum=1)
     detection = _expect_mapping(root.get("detection", {}), "document.detection")
     _reject_unknown(detection, {"window", "stride", "alpha"}, "document.detection")
     alpha = detection.get("alpha", DEFAULT_ALPHA)
@@ -445,8 +456,12 @@ def parse_scenario(text: str) -> ScenarioDocument:
         name=name,
         seed=_get_int(root, "seed", "document", default=0),
         horizon=horizon,
-        window=_get_int(detection, "window", "document.detection", default=DEFAULT_WINDOW),
-        stride=_get_int(detection, "stride", "document.detection", default=DEFAULT_STRIDE),
+        window=_get_int(
+            detection, "window", "document.detection", default=DEFAULT_WINDOW, minimum=1
+        ),
+        stride=_get_int(
+            detection, "stride", "document.detection", default=DEFAULT_STRIDE, minimum=1
+        ),
         alpha=float(alpha),
         sensors=sensors,
         subsystems=subsystems,
@@ -567,15 +582,20 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 def export_trace(trace: Trace) -> str:
     """Trace CSV: ``tick,sensor_id,value,state_label``, rows sorted by
     (tick, sensor_id); float repr keeps the values bit-exact on re-import."""
-    out = io.StringIO()
-    out.write("tick,sensor_id,value,state_label\n")
-    for record in trace.records:
-        for sensor_id in sorted(record.values):
-            out.write(
-                f"{record.tick},{sensor_id},{record.values[sensor_id]!r},"
-                f"{record.labels[sensor_id]}\n"
-            )
-    return out.getvalue()
+    order = sorted(range(len(trace.sensor_ids)), key=trace.sensor_ids.__getitem__)
+    ids = [trace.sensor_ids[j] for j in order]
+    # Row ends of all sensors' labels in one list, sensor j's codes offset by
+    # the lengths of the tables before it.
+    ends = [label + "\n" for j in order for label in trace.label_tables[j]]
+    offsets = np.cumsum([0] + [len(trace.label_tables[j]) for j in order[:-1]], dtype=np.intp)
+    ticks = [str(t) for t in range(len(trace)) for _ in ids]
+    values = map(repr, trace.values[:, order].ravel().tolist())
+    states = map(ends.__getitem__, (trace.codes[:, order] + offsets).ravel().tolist())
+    rows = map(",".join, zip(ticks, ids * len(trace), values, states))
+    return "tick,sensor_id,value,state_label\n" + "".join(rows)
+
+
+_TRACE_HEADER = ["tick", "sensor_id", "value", "state_label"]
 
 
 def import_trace(text: str, model: SystemModel | None = None) -> Trace:
@@ -583,14 +603,131 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
 
     Every tick must have exactly one row per sensor.  With ``model``, every
     row's sensor must be one of its sensors and its label one of that
-    sensor's states.
+    sensor's states, and each sensor's label table is the model's; without
+    it, a sensor's table lists the labels it shows, sorted.  Columns follow
+    the order in which sensors first appear in the file.
+
+    The whole text is split once and each column converted in bulk.  If any
+    row breaks a rule, ``_raise_trace_error`` walks the rows in file order
+    to name the first one.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header != ["tick", "sensor_id", "value", "state_label"]:
+    if header != _TRACE_HEADER:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
+    columns = _trace_columns(text, reader)
+    trace = None if columns is None else _trace_from_columns(*columns, model)
+    if trace is None:
+        _raise_trace_error(text, model)
+    return trace
+
+
+# Every byte but the field and row separators, for ``bytes.translate`` to delete.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _trace_columns(
+    text: str, reader: Iterator[list[str]]
+) -> tuple[Sequence[str], Sequence[str], Sequence[str], Sequence[str]] | None:
+    """The tick, sensor, value and label columns of the rows after the
+    header, blank rows skipped, or None if a row does not have four fields.
+
+    Without quotes and with bare-newline row ends, a row is a line and its
+    fields are split by commas, as ``csv.reader`` splits them; the text after
+    the header is then split once.  Anything else is left to ``reader``."""
+    if '"' in text or "\r" in text or "\0" in text:
+        rows = [row for row in reader if row]
+        if any(len(row) != 4 for row in rows):
+            return None
+        return tuple(zip(*rows)) if rows else ((), (), (), ())
+    body = text.partition("\n")[2]
+    if body.startswith("\n") or "\n\n" in body:
+        body = "\n".join(filter(None, body.split("\n")))
+    body = body.removesuffix("\n")
+    if not body:
+        return (), (), (), ()
+    # Four fields in every row iff the separators, in order, are ",,,\n" per
+    # row.  Neither byte occurs inside a multi-byte UTF-8 character.
+    rows = body.count("\n") + 1
+    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if separators != b",,,\n" * (rows - 1) + b",,,":
+        return None
+    fields = body.replace("\n", ",").split(",")
+    return fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+
+
+def _positions(column: Sequence[str], distinct: Sequence[str]) -> np.ndarray:
+    """The position in ``distinct`` of every entry of ``column``."""
+    position = {item: i for i, item in enumerate(distinct)}
+    return np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def _trace_from_columns(
+    ticks: Sequence[str],
+    sensors: Sequence[str],
+    values: Sequence[str],
+    labels: Sequence[str],
+    model: SystemModel | None,
+) -> Trace | None:
+    """The trace that the columns of a trace CSV describe, or None if any row
+    is bad, missing or repeated."""
+    n = len(ticks)
+    try:
+        tick_col = np.fromiter(map(int, ticks), dtype=np.int64, count=n)
+        value_col = np.fromiter(map(float, values), dtype=np.float64, count=n)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(value_col).all():
+        return None
+    sensor_ids = tuple(dict.fromkeys(sensors))
+    label_ids = tuple(dict.fromkeys(labels))
+    sensor_col = _positions(sensors, sensor_ids)
+
+    # Label tables, then the code of every (sensor, label) pair that occurs.
+    pair_ids, pair_of_row = np.unique(
+        sensor_col * len(label_ids) + _positions(labels, label_ids), return_inverse=True
+    )
+    pairs = [divmod(pair, len(label_ids)) for pair in pair_ids.tolist()]
+    if model is None:
+        shown: dict[int, list[str]] = {}
+        for j, k in pairs:
+            shown.setdefault(j, []).append(label_ids[k])
+        tables = tuple(tuple(sorted(shown[j])) for j in range(len(sensor_ids)))
+    else:
+        known = {sensor.id: sensor.labels() for sensor in model.sensors}
+        if any(sensor not in known for sensor in sensor_ids):
+            return None
+        tables = tuple(known[sensor] for sensor in sensor_ids)
+    codes = [{label: code for code, label in enumerate(table)} for table in tables]
+    pair_codes = np.array([codes[j].get(label_ids[k], -1) for j, k in pairs], dtype=np.intp)
+    if (pair_codes < 0).any():
+        return None
+
+    # Every (tick, sensor) cell of ticks 0..T-1 exactly once.
+    horizon = int(tick_col.max()) + 1 if n else 0
+    if n and (tick_col.min() < 0 or horizon * len(sensor_ids) != n):
+        return None
+    cells = tick_col * len(sensor_ids) + sensor_col
+    filled = np.zeros(n, dtype=bool)
+    filled[cells] = True
+    if not filled.all():
+        return None
+    value_matrix = np.empty(n)
+    value_matrix[cells] = value_col
+    code_matrix = np.empty(n, dtype=np.intp)
+    code_matrix[cells] = pair_codes[pair_of_row]
+    shape = (horizon, len(sensor_ids))
+    return Trace(sensor_ids, value_matrix.reshape(shape), code_matrix.reshape(shape), tables)
+
+
+def _raise_trace_error(text: str, model: SystemModel | None) -> NoReturn:
+    """Raise the ScenarioError for the first problem of a trace CSV that
+    ``import_trace`` refused: the first bad row in file order, else
+    non-contiguous ticks, else the first tick that misses a sensor."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
     states = None if model is None else {s.id: s.labels() for s in model.sensors}
-    by_tick: dict[int, tuple[dict[str, float], dict[str, str]]] = {}
+    by_tick: dict[int, set[str]] = {}
     sensor_ids: dict[str, None] = {}
     for row_number, row in enumerate(reader, start=2):
         if not row:
@@ -612,27 +749,20 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
                 else f"unknown sensor id {sensor_id!r}"
             )
             raise ScenarioError(f"trace CSV row {row_number}: {problem}")
-        values, labels = by_tick.setdefault(tick, ({}, {}))
-        if sensor_id in values:
+        seen = by_tick.setdefault(tick, set())
+        if sensor_id in seen:
             raise ScenarioError(
                 f"trace CSV row {row_number}: second row for tick {tick}, sensor {sensor_id!r}"
             )
-        values[sensor_id] = value
-        labels[sensor_id] = label
+        seen.add(sensor_id)
         sensor_ids.setdefault(sensor_id)
-    ticks = range(len(by_tick))
-    if sorted(by_tick) != list(ticks):
+    if sorted(by_tick) != list(range(len(by_tick))):
         raise ScenarioError("trace CSV ticks are not contiguous from 0")
-    for t in ticks:
-        values = by_tick[t][0]
-        if len(values) != len(sensor_ids):
-            missing = next(sid for sid in sensor_ids if sid not in values)
+    for t in range(len(by_tick)):
+        if len(by_tick[t]) != len(sensor_ids):
+            missing = next(sid for sid in sensor_ids if sid not in by_tick[t])
             raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
-    records = tuple(
-        TickRecord(tick=t, values=by_tick[t][0], labels=by_tick[t][1], events=())
-        for t in ticks
-    )
-    return Trace(sensor_ids=tuple(sensor_ids), records=records)
+    raise AssertionError("trace CSV refused but no problem found")
 
 
 def export_anomaly_report(report: AnomalyReport) -> str:

@@ -16,23 +16,33 @@ later in its table wins, and within one rule the later effect wins.  State
 labels never depend on the random seed -- randomness only enters through the
 sampled values.
 
-Phases 1-2 are one method, ``Simulator._advance``.  ``Simulator.step`` runs it
-and then logs the tick's events and samples its values; ``label_steps`` runs
-it alone and yields only the labels, for callers that judge a run on its label
-trajectory (diagnosis consistency checks) and can stop at the first tick that
-settles the question.
+Phases 1-2 are one method, ``Simulator._advance``; ``label_steps`` runs it
+alone and yields only the labels, for callers that judge a run on its label
+trajectory (diagnosis) and can stop at the first tick that settles the
+question.  A full run keeps, per tick, what ``_advance`` returned as the raw
+event log, plus one label row and one value row.
+
+A ``Trace`` is columnar: a T x N float64 value matrix, a T x N matrix of
+integer label codes with one label table per sensor (the model's state
+order), and the raw log.  ``values_for`` and ``codes_for`` are column reads.
+``Event``s and the per-tick ``TickRecord`` view (``Trace.events``,
+``Trace.records``, ``Simulator.step``'s return value) are built from the log
+and the columns only when asked for, in the order and with the values a
+record-per-tick run would have had.
 
 Phase 2 does not test rules one by one.  Each rule table is compiled once, when
 the simulator is made and again when a fault swaps a table in, into one dict
 per set of guard sensors, keyed by those sensors' labels; a tick costs one
 lookup per set.  Validation guarantees that at most one rule of a table
-matches any joint state, so the first hit is the table's only match.  Phase 3
-calls one scalar sampler per sensor from a (sensor, state) table built on the
-first sampled tick: ``rng.normal(mean, sd)``, ``rng.uniform(lo, hi)``, or the
-point mass as a float with no RNG call.  The scalar calls run the same numpy
-routines as one-element draws, so a seed gives the same values as
-``draw(dist, rng, 1)[0]`` sensor by sensor.  ``Event`` is a ``NamedTuple``,
-built positionally like the queue's ``_QueuedEffect``.
+matches any joint state, so the first hit is the table's only match.  Each
+compiled rule carries its effects as ready-made queue entries, shared by
+every tick it fires on.  Phase 3 calls one scalar sampler per sensor from a
+(sensor, state) table built on the first sampled tick: ``rng.normal(mean,
+sd)``, ``rng.uniform(lo, hi)``, or the point mass as a float with no RNG
+call; the samplers of a joint label row are looked up once, when the row
+first occurs.  The scalar calls run the same numpy routines as one-element
+draws, so a seed gives the same values as ``draw(dist, rng, 1)[0]`` sensor
+by sensor.
 """
 
 from __future__ import annotations
@@ -87,64 +97,190 @@ class TickRecord:
     events: tuple[Event, ...]
 
 
-@dataclass(frozen=True)
+# What ``Simulator._advance`` returns for one tick: the tick, the queued
+# effects applied, the interventions applied, the faults activated and the
+# (subsystem index, rule index) of every rule that fired.
+_TickLog = tuple[
+    int, list["_QueuedEffect"], list[tuple[str, str]], list["FaultSpec"], list[tuple[int, int]]
+]
+
+
+def _tick_events(sub_ids: Sequence[str], entry: _TickLog) -> tuple[Event, ...]:
+    """The events of one logged tick, in log order."""
+    t, applied, interventions, faults, fired = entry
+    events = [
+        Event(EFFECT_APPLIED, t, target, state, sub_ids[sub_index], rule_index, t - delay)
+        for _, sub_index, rule_index, delay, target, state in applied
+    ]
+    events.extend(Event(INTERVENTION, t, sensor, state) for sensor, state in interventions)
+    events.extend(Event(FAULT_ACTIVATED, t, None, None, fault.component) for fault in faults)
+    events.extend(
+        Event(RULE_FIRED, t, None, None, sub_ids[sub_index], rule_index)
+        for sub_index, rule_index in fired
+    )
+    return tuple(events)
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Per-tick sampled values, ground-truth state labels and event log."""
+    """Sampled values, ground-truth state labels and event log of one run, by column.
+
+    ``values[t, j]`` is the value of sensor ``sensor_ids[j]`` at tick ``t`` and
+    ``label_tables[j][codes[t, j]]`` its label.  ``log`` holds the raw output
+    of ``Simulator._advance`` for every tick, and ``subsystem_ids`` names the
+    subsystem indices in it; a trace read from CSV has no log.  Events and
+    per-tick records are built from these only when asked for.  Two traces
+    are equal when their sensor ids and records are.
+    """
 
     sensor_ids: tuple[str, ...]
-    records: tuple[TickRecord, ...]
+    values: np.ndarray
+    codes: np.ndarray
+    label_tables: tuple[tuple[str, ...], ...]
+    subsystem_ids: tuple[str, ...] = ()
+    log: tuple[_TickLog, ...] = ()
+
+    def __post_init__(self) -> None:
+        shape = (len(self.values), len(self.sensor_ids))
+        if (
+            self.values.shape != shape
+            or self.codes.shape != shape
+            or len(self.label_tables) != shape[1]
+            or len(self.log) not in (0, shape[0])
+        ):
+            raise ValueError("trace columns, label tables and log disagree in shape")
+        self.values.flags.writeable = False
+        self.codes.flags.writeable = False
+
+    @classmethod
+    def from_columns(
+        cls, values: Mapping[str, Sequence[float]], labels: Mapping[str, Sequence[str]]
+    ) -> Trace:
+        """A trace without an event log from per-sensor value and label
+        sequences of one length, sensors in the order of ``values``.  Each
+        sensor's label table lists its labels sorted."""
+        sensor_ids = tuple(values)
+        horizon = len(values[sensor_ids[0]]) if sensor_ids else 0
+        value_matrix = np.empty((horizon, len(sensor_ids)))
+        codes = np.empty((horizon, len(sensor_ids)), dtype=np.intp)
+        tables = []
+        for j, sensor in enumerate(sensor_ids):
+            value_matrix[:, j] = values[sensor]
+            table, codes[:, j] = np.unique(
+                np.asarray(labels[sensor], dtype=str), return_inverse=True
+            )
+            tables.append(tuple(table.tolist()))
+        return cls(sensor_ids, value_matrix, codes, tuple(tables))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.sensor_ids == other.sensor_ids and self.records == other.records
+
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        return {sensor: j for j, sensor in enumerate(self.sensor_ids)}
 
     def values_for(self, sensor: str) -> np.ndarray:
-        return np.array([r.values[sensor] for r in self.records])
+        return self.values[:, self._columns[sensor]]
+
+    def codes_for(self, sensor: str) -> np.ndarray:
+        return self.codes[:, self._columns[sensor]]
+
+    def label_table(self, sensor: str) -> tuple[str, ...]:
+        return self.label_tables[self._columns[sensor]]
 
     def labels_for(self, sensor: str) -> list[str]:
-        return [r.labels[sensor] for r in self.records]
+        return list(map(self.label_table(sensor).__getitem__, self.codes_for(sensor).tolist()))
+
+    @cached_property
+    def records(self) -> tuple[TickRecord, ...]:
+        """One record per tick, built from the columns and the log on first use."""
+        ids = self.sensor_ids
+        labels = zip(*map(self.labels_for, ids))
+        if self.log:
+            events = (_tick_events(self.subsystem_ids, entry) for entry in self.log)
+        else:
+            events = ((),) * len(self)
+        return tuple(
+            TickRecord(t, dict(zip(ids, value_row)), dict(zip(ids, label_row)), tick_events)
+            for t, (value_row, label_row, tick_events) in enumerate(
+                zip(self.values.tolist(), labels, events)
+            )
+        )
 
     def events(self, kind: str | None = None) -> Iterator[Event]:
-        for record in self.records:
-            for event in record.events:
+        for entry in self.log:
+            for event in _tick_events(self.subsystem_ids, entry):
                 if kind is None or event.kind == kind:
                     yield event
 
     def final_labels(self) -> dict[str, str]:
-        if not self.records:
+        if not len(self):
             raise ValueError("empty trace")
-        return dict(self.records[-1].labels)
+        last = self.codes[-1].tolist()
+        return {
+            sensor: table[code]
+            for sensor, table, code in zip(self.sensor_ids, self.label_tables, last)
+        }
 
 
 class _QueuedEffect(NamedTuple):
+    """One effect of one rule, made once when its table is compiled and queued
+    by reference each time the rule fires; it fired ``delay`` ticks before
+    the tick it lands on."""
+
+    rank: tuple[int, int, int]  # (-subsystem index, rule index, effect index)
     sub_index: int
     rule_index: int
-    effect_index: int
-    fire_tick: int
+    delay: int
     target: str
     state: str
+
+
+_rank = itemgetter(0)
 
 
 def _no_key(labels: Mapping[str, str]) -> tuple[()]:
     return ()
 
 
+_CompiledRule = tuple[tuple[int, int], tuple[_QueuedEffect, ...]]
+
+
 def _compile_table(
-    rules: Sequence[Rule],
-) -> tuple[tuple[Callable[[Mapping[str, str]], object], dict[object, tuple[int, Rule]]], ...]:
-    """Compile a rule table into one (key_of, rules) pair per guard-key set.
+    sub_index: int, rules: Sequence[Rule]
+) -> tuple[tuple[Callable[[Mapping[str, str]], object], dict[object, _CompiledRule]], ...]:
+    """Compile subsystem ``sub_index``'s rule table into one (key_of, rules)
+    pair per guard-key set.
 
     ``key_of`` reads the labels of that set's sensors off a joint assignment
-    and ``rules`` maps those labels to (rule index, rule).  A rule's own key is
-    ``key_of`` applied to its guard, so an assignment finds the rule iff it
-    agrees with the whole guard, which is ``Rule.matches``.
+    and ``rules`` maps those labels to the rule's (subsystem index, rule
+    index) and its queued effects.  A rule's own key is ``key_of`` applied to
+    its guard, so an assignment finds the rule iff it agrees with the whole
+    guard, which is ``Rule.matches``.
     """
-    groups: dict[tuple[str, ...], tuple[Callable, dict[object, tuple[int, Rule]]]] = {}
+    groups: dict[tuple[str, ...], tuple[Callable, dict[object, _CompiledRule]]] = {}
     for rule_index, rule in enumerate(rules):
         keys = tuple(sorted(rule.guard))
         if keys not in groups:
             groups[keys] = (itemgetter(*keys) if keys else _no_key, {})
         key_of, table = groups[keys]
-        table[key_of(rule.guard)] = (rule_index, rule)
+        effects = tuple(
+            _QueuedEffect(
+                (-sub_index, rule_index, effect_index),
+                sub_index,
+                rule_index,
+                effect.delay,
+                effect.target,
+                effect.state,
+            )
+            for effect_index, effect in enumerate(rule.effects)
+        )
+        table[key_of(rule.guard)] = ((sub_index, rule_index), effects)
     return tuple(groups.values())
 
 
@@ -161,11 +297,16 @@ class Simulator:
         self._faults: dict[int, list[FaultSpec]] = {}
         self._sub_ids = tuple(sub.id for sub in model.subsystems)
         self._sub_index = {sub_id: i for i, sub_id in enumerate(self._sub_ids)}
-        self._lookups = [_compile_table(sub.rules) for sub in model.subsystems]
-        self._records: list[TickRecord] = []
+        self._lookups = [_compile_table(i, sub.rules) for i, sub in enumerate(model.subsystems)]
+        self._sensor_ids = model.sensor_ids()
+        self._log: list[_TickLog] = []
+        self._value_rows: list[list[float]] = []
+        self._row_indices: list[int] = []
+        # Distinct label rows seen, in model order -> (row index, row samplers).
+        self._label_rows: dict[tuple[str, ...], tuple[int, tuple[Callable[[], float], ...]]] = {}
 
     @cached_property
-    def _samplers(self) -> tuple[tuple[str, dict[str, Callable[[], float]]], ...]:
+    def _samplers(self) -> tuple[dict[str, Callable[[], float]], ...]:
         """Per sensor, in model order: state label -> zero-argument draw of one
         value.  Built on the first sampled tick, so ``label_steps`` never builds it."""
         rng = self._rng
@@ -180,7 +321,7 @@ class Simulator:
             raise TypeError(f"not a distribution: {dist!r}")
 
         return tuple(
-            (sensor.id, {label: sampler(dist) for label, dist in sensor.states})
+            {label: sampler(dist) for label, dist in sensor.states}
             for sensor in self._model.sensors
         )
 
@@ -225,9 +366,10 @@ class Simulator:
         self._tick += 1
 
         # Phase 1: due effects, losers resolved away before anything is applied.
+        # The stable sort keeps effects of equal rank in the order they fired.
         due = self._queue.pop(t, [])
         winners: dict[str, _QueuedEffect] = {}
-        for queued in sorted(due, key=lambda q: (-q.sub_index, q.rule_index, q.effect_index)):
+        for queued in sorted(due, key=_rank):
             winners[queued.target] = queued
         interventions, self._pending_interventions = self._pending_interventions, []
         intervened = {sensor for sensor, _ in interventions}
@@ -238,63 +380,77 @@ class Simulator:
             self._labels[sensor] = state
         faults = self._faults.pop(t, [])
         for fault in faults:
-            self._lookups[self._sub_index[fault.component]] = _compile_table(
-                fault.replacement_rules
-            )
+            sub_index = self._sub_index[fault.component]
+            self._lookups[sub_index] = _compile_table(sub_index, fault.replacement_rules)
 
         # Phase 2: look the updated joint state up in every rule table.  At
         # most one rule of a validated table matches, so the first hit is it.
         labels = self._labels
         queue = self._queue
         fired: list[tuple[int, int]] = []
-        for sub_index, lookup in enumerate(self._lookups):
+        for lookup in self._lookups:
             for key_of, rules in lookup:
                 hit = rules.get(key_of(labels))
                 if hit is None:
                     continue
-                rule_index, rule = hit
-                fired.append((sub_index, rule_index))
-                for effect_index, effect in enumerate(rule.effects):
-                    queue.setdefault(t + effect.delay, []).append(
-                        _QueuedEffect(
-                            sub_index, rule_index, effect_index, t, effect.target, effect.state
-                        )
-                    )
+                fired_rule, effects = hit
+                fired.append(fired_rule)
+                for queued in effects:
+                    queue.setdefault(t + queued.delay, []).append(queued)
                 break
         return t, applied, interventions, faults, fired
 
-    def step(self) -> TickRecord:
-        t, applied, interventions, faults, fired = self._advance()
-        sub_ids = self._sub_ids
-        events = [
-            Event(EFFECT_APPLIED, t, target, state, sub_ids[sub_index], rule_index, fire_tick)
-            for sub_index, rule_index, _, fire_tick, target, state in applied
-        ]
-        events.extend(Event(INTERVENTION, t, sensor, state) for sensor, state in interventions)
-        events.extend(Event(FAULT_ACTIVATED, t, None, None, fault.component) for fault in faults)
-        events.extend(
-            Event(RULE_FIRED, t, None, None, sub_ids[sub_index], rule_index)
-            for sub_index, rule_index in fired
-        )
+    def _step(self) -> None:
+        """Execute the next tick and append its log entry, label row and value row."""
+        self._log.append(self._advance())
 
-        # Phase 3: one sampled value per sensor from its current state.
+        # Phase 3: one sampled value per sensor from its current state.  The
+        # samplers of a label row are looked up once, when the row first occurs.
         labels = self._labels
-        values = {sensor: samplers[labels[sensor]]() for sensor, samplers in self._samplers}
+        row = tuple(map(labels.__getitem__, self._sensor_ids))
+        seen = self._label_rows.get(row)
+        if seen is None:
+            samplers = tuple(by_label[label] for by_label, label in zip(self._samplers, row))
+            seen = self._label_rows[row] = (len(self._label_rows), samplers)
+        index, samplers = seen
+        self._row_indices.append(index)
+        self._value_rows.append([draw() for draw in samplers])
 
-        record = TickRecord(tick=t, values=values, labels=dict(labels), events=tuple(events))
-        self._records.append(record)
-        return record
+    def step(self) -> TickRecord:
+        """Execute the next tick and return its record."""
+        self._step()
+        ids = self._sensor_ids
+        return TickRecord(
+            self._log[-1][0],
+            dict(zip(ids, self._value_rows[-1])),
+            self.current_labels(),
+            _tick_events(self._sub_ids, self._log[-1]),
+        )
 
     def run(self, horizon: int) -> Trace:
         """Step until ``horizon`` ticks have executed; returns the full trace."""
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         while self._tick < horizon:
-            self.step()
+            self._step()
         return self.trace()
 
     def trace(self) -> Trace:
-        return Trace(sensor_ids=self._model.sensor_ids(), records=tuple(self._records))
+        ids = self._sensor_ids
+        tables = tuple(sensor.labels() for sensor in self._model.sensors)
+        code_of = [{label: code for code, label in enumerate(table)} for table in tables]
+        distinct = np.array(
+            [[codes[label] for codes, label in zip(code_of, row)] for row in self._label_rows],
+            dtype=np.intp,
+        ).reshape(len(self._label_rows), len(ids))
+        return Trace(
+            sensor_ids=ids,
+            values=np.array(self._value_rows, dtype=float).reshape(len(self._log), len(ids)),
+            codes=distinct[self._row_indices],
+            label_tables=tables,
+            subsystem_ids=self._sub_ids,
+            log=tuple(self._log),
+        )
 
 
 def _script(
@@ -328,7 +484,7 @@ def run_script(
     """Run a model with scripted interventions and faults up to ``horizon``."""
     sim = Simulator(model, seed=seed)
     for _ in _script(sim, horizon, interventions, faults):
-        sim.step()
+        sim._step()
     return sim.trace()
 
 

@@ -85,6 +85,19 @@ KNIFE_SEED_42_W20_S7_A05_DIGESTS = {
 }
 
 
+# simulate and simulate --no-faults, both at the same seed, on the bundled knife scenario.
+KNIFE_TRACE_DIGESTS = {
+    42: {
+        "faulty.csv": "7b6509c779e91c6171d51e2fb05eb3a4097c44b3fca5c7de0a6dd072edc5c682",
+        "reference.csv": "84de1472e5e59defce0bbe59dabdad4b6789a04c8844f4a0fb7d001a898a0743",
+    },
+    777: {
+        "faulty.csv": "1d5c13bf057b82a785d33953a97593b23634c14e27d93072d0a8f8cfe3881c00",
+        "reference.csv": "3eda5c4049dd514d8e8233e42248896cc2ea585580c5c755cceb2be8fa291252",
+    },
+}
+
+
 def knife_detect_digests(out_dir, seed, *detect_options):
     """Simulate the bundled knife scenario's faulty and fault-free runs at
     ``seed``, run detect on them with ``detect_options`` and return the sha256
@@ -158,6 +171,38 @@ class TestSimulate:
         bad.write_text("horizon: 10\nsensors: []\nsubsystems: []\nmystery: 1\n")
         assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["reason"] == "INVALID_INPUT"
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (("  window: 50\n", "  window: 0\n"), "window"),
+            (("  stride: 25\n", "  stride: 0\n"), "stride"),
+            (("  stride: 25\n", "  stride: -3\n"), "stride"),
+        ],
+    )
+    def test_detection_window_or_stride_below_one_exits_2(self, tmp_path, capsys, edit, field):
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace(*edit), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert f"document.detection.{field}: must be >= 1" in error["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", sorted(KNIFE_TRACE_DIGESTS))
+    def test_knife_traces_keep_their_bytes(self, tmp_path, seed):
+        """Both trace CSVs of the bundled knife scenario at ``seed`` have the
+        bytes recorded here (same assumptions as the seed-1 digests below)."""
+        s = str(BUNDLED_KNIFE)
+        faulty, reference = tmp_path / "faulty.csv", tmp_path / "reference.csv"
+        assert main(["simulate", s, "--out", str(faulty), "--seed", str(seed)]) == 0
+        argv = ["simulate", s, "--out", str(reference), "--seed", str(seed), "--no-faults"]
+        assert main(argv) == 0
+        digests = {path.name: digest(path) for path in (faulty, reference)}
+        assert digests == KNIFE_TRACE_DIGESTS[seed]
 
 
 class TestPipeline:

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from causalcps import detection
@@ -29,22 +31,11 @@ from causalcps.model import (
     causal_descendants,
     derive_causal_graph,
 )
-from causalcps.simulation import ScriptedIntervention, TickRecord, Trace, run_script
+from causalcps.simulation import ScriptedIntervention, Trace, run_script
 
 
 def synthetic_trace(values_by_sensor, labels_by_sensor):
-    sensor_ids = tuple(values_by_sensor)
-    n = len(next(iter(values_by_sensor.values())))
-    records = tuple(
-        TickRecord(
-            tick=t,
-            values={s: float(values_by_sensor[s][t]) for s in sensor_ids},
-            labels={s: labels_by_sensor[s][t] for s in sensor_ids},
-            events=(),
-        )
-        for t in range(n)
-    )
-    return Trace(sensor_ids=sensor_ids, records=records)
+    return Trace.from_columns(values_by_sensor, labels_by_sensor)
 
 
 class TestConstantLabelWindows:
@@ -59,6 +50,33 @@ class TestConstantLabelWindows:
 
     def test_short_segments_yield_nothing(self):
         assert list(constant_label_windows(["A", "B"] * 30, 50, 25)) == []
+
+    def test_codes_and_labels_give_the_windows_of_a_label_walk(self):
+        def label_walk(labels, window, stride):
+            found, seg_start = [], 0
+            for i in range(1, len(labels) + 1):
+                if i == len(labels) or labels[i] != labels[seg_start]:
+                    starts = range(seg_start, i - window + 1, stride)
+                    found += [(s, labels[seg_start]) for s in starts]
+                    seg_start = i
+            return found
+
+        rng = random.Random(5)
+        for _ in range(200):
+            table = ("Lo", "Mid", "Hi")
+            codes = [rng.choice((0, 0, 0, 1, 2)) for _ in range(rng.randint(0, 80))]
+            labels = [table[c] for c in codes]
+            window, stride = rng.randint(1, 12), rng.randint(1, 6)
+            expected = label_walk(labels, window, stride)
+            assert list(constant_label_windows(labels, window, stride)) == expected
+            by_code = list(constant_label_windows(np.array(codes), window, stride))
+            assert [(start, table[code]) for start, code in by_code] == expected
+            assert all(type(label) is str for _, label in constant_label_windows(labels, 1, 1))
+
+    def test_bad_window_rejected_on_first_step(self):
+        windows = constant_label_windows([], 0, 1)
+        with pytest.raises(ValueError, match="window and stride"):
+            next(windows)
 
 
 class TestDetectEffect:

@@ -8,6 +8,7 @@ import pytest
 from causalcps.distributions import Degenerate, Normal
 from causalcps.model import (
     CausalEdge,
+    CausalGraph,
     Effect,
     ModelError,
     Rule,
@@ -392,6 +393,32 @@ class TestCausalGraph:
 
     def test_deterministic_for_identical_inputs(self, knife_model):
         assert derive_causal_graph(knife_model) == derive_causal_graph(knife_model)
+
+    def test_adjacency_lists_equal_scan_and_sort_on_random_graphs(self):
+        rng = random.Random(1019)
+        for _ in range(60):
+            sensors = [f"s{i}" for i in range(rng.randint(1, 6))]
+            edges = frozenset(
+                CausalEdge(*rng.choices(sensors, k=2), rng.choice("uvw"), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 30))
+            )
+            graph = CausalGraph(frozenset(sensors), edges)
+            for sensor in [*sensors, "ghost"]:
+                outgoing = sorted(
+                    (e for e in edges if e.cause == sensor),
+                    key=lambda e: (e.effect, e.via, e.delay),
+                )
+                incoming = sorted(
+                    (e for e in edges if e.effect == sensor),
+                    key=lambda e: (e.cause, e.via, e.delay),
+                )
+                assert graph.out_edges(sensor) == outgoing
+                assert graph.in_edges(sensor) == incoming
+                graph.out_edges(sensor).clear()  # callers get a copy of the index
+                assert graph.out_edges(sensor) == outgoing
+            # The index is not part of equality or hashing.
+            fresh = CausalGraph(frozenset(sensors), edges)
+            assert graph == fresh and hash(graph) == hash(fresh)
 
     def test_every_edge_delay_at_least_one(self, knife_model, thermostat_doc, chain_doc):
         for model in (knife_model, thermostat_doc.build(), chain_doc.build()):

@@ -1,4 +1,8 @@
+import csv
 import importlib.resources
+import io
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -284,7 +288,7 @@ class TestTraceCsv:
     def test_empty_trace_is_header_only(self):
         from causalcps.simulation import Trace
 
-        assert export_trace(Trace(sensor_ids=(), records=())) == "tick,sensor_id,value,state_label\n"
+        assert export_trace(Trace.from_columns({}, {})) == "tick,sensor_id,value,state_label\n"
 
     def test_line_count(self, oven_model):
         from causalcps.simulation import run_script
@@ -362,6 +366,183 @@ class TestTraceCsv:
         )
         with pytest.raises(ScenarioError, match="row 3: non-finite value"):
             import_trace(text)
+
+
+def row_loop_import_trace(text, model=None):
+    """The row-at-a-time trace CSV reader that the columnar ``import_trace``
+    replaced, kept as its oracle.  Returns (sensor ids, records)."""
+    from causalcps.simulation import TickRecord
+
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != ["tick", "sensor_id", "value", "state_label"]:
+        raise ScenarioError(f"unexpected trace CSV header: {header}")
+    states = None if model is None else {s.id: s.labels() for s in model.sensors}
+    by_tick = {}
+    sensor_ids = {}
+    for row_number, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ScenarioError(f"trace CSV row {row_number}: expected 4 columns, got {len(row)}")
+        try:
+            tick = int(row[0])
+            value = float(row[2])
+        except ValueError:
+            raise ScenarioError(f"trace CSV row {row_number}: bad tick or value") from None
+        if not math.isfinite(value):
+            raise ScenarioError(f"trace CSV row {row_number}: non-finite value {row[2]!r}")
+        sensor_id, label = row[1], row[3]
+        if states is not None and label not in states.get(sensor_id, ()):
+            problem = (
+                f"sensor {sensor_id!r} has no state {label!r}"
+                if sensor_id in states
+                else f"unknown sensor id {sensor_id!r}"
+            )
+            raise ScenarioError(f"trace CSV row {row_number}: {problem}")
+        values, labels = by_tick.setdefault(tick, ({}, {}))
+        if sensor_id in values:
+            raise ScenarioError(
+                f"trace CSV row {row_number}: second row for tick {tick}, sensor {sensor_id!r}"
+            )
+        values[sensor_id] = value
+        labels[sensor_id] = label
+        sensor_ids.setdefault(sensor_id)
+    ticks = range(len(by_tick))
+    if sorted(by_tick) != list(ticks):
+        raise ScenarioError("trace CSV ticks are not contiguous from 0")
+    for t in ticks:
+        values = by_tick[t][0]
+        if len(values) != len(sensor_ids):
+            missing = next(sid for sid in sensor_ids if sid not in values)
+            raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
+    records = tuple(
+        TickRecord(tick=t, values=by_tick[t][0], labels=by_tick[t][1], events=())
+        for t in ticks
+    )
+    return tuple(sensor_ids), records
+
+
+TRACE_HEADER = "tick,sensor_id,value,state_label\n"
+
+
+def trace_csv_corpus(valid_texts):
+    """(name, text) pairs: each valid text and variants of it that keep or
+    break it, plus hand-written texts for every rejection ``import_trace``
+    names."""
+    rng = random.Random(20261018)
+    for name, text in valid_texts:
+        header, *rows = text.splitlines(keepends=True)
+        yield name, text
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        yield f"{name} shuffled", header + "".join(shuffled)
+        spaced = rows[:]
+        for _ in range(5):
+            spaced.insert(rng.randrange(len(spaced) + 1), "\n")
+        yield f"{name} blank lines", header + "\n" + "".join(spaced) + "\n\n"
+        yield f"{name} CRLF", text.replace("\n", "\r\n")
+        yield f"{name} no final newline", text.rstrip("\n")
+        quoted = [
+            ",".join(f'"{field}"' for field in row.rstrip("\n").split(",")) + "\n"
+            if i % 7 == 0
+            else row
+            for i, row in enumerate(rows)
+        ]
+        yield f"{name} quoted fields", header + "".join(quoted)
+        # One edit at a row in the middle of the file, and the same edit at
+        # the last row, so that the first bad row in file order must be found.
+        for at in (len(rows) // 2, len(rows) - 1):
+            tick, sensor, value, label = rows[at].rstrip("\n").split(",")
+            edits = {
+                "three columns": f"{tick},{sensor},{value}\n",
+                "five columns": f"{tick},{sensor},{value},{label},x\n",
+                "bad tick": f"x{tick},{sensor},{value},{label}\n",
+                "fractional tick": f"{tick}.0,{sensor},{value},{label}\n",
+                "bad value": f"{tick},{sensor},{value}x,{label}\n",
+                "empty value": f"{tick},{sensor},,{label}\n",
+                "nan": f"{tick},{sensor},nan,{label}\n",
+                "-inf": f"{tick},{sensor},-inf,{label}\n",
+                "unknown sensor": f"{tick},{sensor}_x,{value},{label}\n",
+                "unknown label": f"{tick},{sensor},{value},{label}_x\n",
+                "negative zero": f"{tick},{sensor},-0.0,{label}\n",
+                "spaced tick, underscored value": f" {tick} ,{sensor},1_0.5,{label}\n",
+                "missing row": "",
+                "duplicate row": rows[at] * 2,
+                "duplicate of the first row": rows[0],
+                "gap in ticks": f"{int(tick) + 10**6},{sensor},{value},{label}\n",
+                "huge tick": f"{10**30},{sensor},{value},{label}\n",
+                "negative tick": f"-1,{sensor},{value},{label}\n",
+            }
+            for edit, row in edits.items():
+                edited = rows[:at] + [row] + rows[at + 1 :]
+                yield f"{name} {edit} at row {at + 2}", header + "".join(edited)
+        # A short row and a long row whose fields would line up again.
+        misaligned = rows[:]
+        misaligned[1] = misaligned[1].rstrip("\n").rsplit(",", 1)[0] + "\n"
+        misaligned[2] = "X," + misaligned[2]
+        yield f"{name} compensating column counts", header + "".join(misaligned)
+        # A bad value late and a duplicate early: the duplicate's row is named.
+        late = rows[: len(rows) - 1] + ["0,x,nan,y\n"]
+        yield f"{name} duplicate before bad value", header + rows[0] + "".join(late)
+    yield "empty text", ""
+    yield "blank header line", "\n" + TRACE_HEADER
+    yield "header only", TRACE_HEADER
+    yield "header without newline", TRACE_HEADER.rstrip("\n")
+    yield "not from zero", TRACE_HEADER + "1,a,1.0,X\n2,a,1.0,X\n"
+    unicode_rows = "0,t\u00e9mp\u00e9rature,1.5,\u6e29\n1,t\u00e9mp\u00e9rature,2.5,\u6e29\n"
+    yield "unicode ids", TRACE_HEADER + unicode_rows
+    yield "quoted comma", TRACE_HEADER + '0,a,1.0,"X,Y"\n1,a,2.0,"X,Y"\n'
+    yield "lone carriage return", TRACE_HEADER + "0,a,1.0,X\r1,a,2.0,X\n"
+
+
+def outcome(read, text, model):
+    try:
+        return read(text, model)
+    except (ScenarioError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestImportAgreesWithRowLoop:
+    def test_same_traces_and_messages_on_corpus(
+        self, knife_model, knife_reference, knife_lid_fault_trace, oven_model
+    ):
+        from causalcps.simulation import run_script
+
+        oven = run_script(oven_model, 3, 6, interventions=())
+        valid = [
+            ("oven", export_trace(oven)),
+            ("knife reference", export_trace(knife_reference)),
+            ("knife faulty", export_trace(knife_lid_fault_trace)),
+        ]
+        models = {"oven": oven_model, "knife reference": knife_model, "knife faulty": knife_model}
+        checked = accepted = 0
+        for name, text in trace_csv_corpus(valid):
+            model_of_text = next((m for key, m in models.items() if name.startswith(key)), None)
+            for model in (None, model_of_text) if model_of_text else (None,):
+                expected = outcome(row_loop_import_trace, text, model)
+                got = outcome(import_trace, text, model)
+                checked += 1
+                if isinstance(expected, str):
+                    assert got == expected, (name, model is not None)
+                    continue
+                accepted += 1
+                assert not isinstance(got, str), (name, model is not None, got)
+                sensor_ids, records = expected
+                assert got.sensor_ids == sensor_ids, name
+                assert got.records == records, name
+                for mine, theirs in zip(got.records, records):
+                    assert {s: v.hex() for s, v in mine.values.items()} == {
+                        s: v.hex() for s, v in theirs.values.items()
+                    }, name
+        assert accepted >= 20 and checked - accepted >= 100
+
+    @pytest.mark.parametrize("which", ["knife_reference", "knife_lid_fault_trace"])
+    def test_export_of_import_keeps_the_bytes(self, request, knife_model, which):
+        text = export_trace(request.getfixturevalue(which))
+        for model in (None, knife_model):
+            assert export_trace(import_trace(text, model)) == text
+            assert export_trace(import_trace(text.replace("\n", "\r\n"), model)) == text
 
 
 class TestReportCsv:

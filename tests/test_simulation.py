@@ -23,6 +23,7 @@ from causalcps.simulation import (
     FaultSpec,
     ScriptedIntervention,
     Simulator,
+    Trace,
     label_steps,
     run_script,
 )
@@ -288,6 +289,82 @@ class TestSampledValues:
     def test_one_value_per_sensor_per_tick(self, knife_reference):
         for record in knife_reference.records[:20]:
             assert set(record.values) == set(knife_reference.sensor_ids)
+
+
+class TestColumnarTrace:
+    def test_columns_hold_the_records(self, knife_doc, knife_lid_fault_trace):
+        trace = knife_lid_fault_trace
+        model = knife_doc.build()
+        assert trace.sensor_ids == model.sensor_ids()
+        assert trace.values.shape == trace.codes.shape == (knife_doc.horizon, len(model.sensors))
+        assert trace.values.dtype == np.float64
+        assert np.issubdtype(trace.codes.dtype, np.integer)
+        assert trace.label_tables == tuple(sensor.labels() for sensor in model.sensors)
+        for t, record in enumerate(trace.records):
+            assert record.tick == t
+            assert list(record.values) == list(trace.sensor_ids)
+            assert list(record.values.values()) == trace.values[t].tolist()
+            assert record.labels == {
+                s: table[code]
+                for s, table, code in zip(trace.sensor_ids, trace.label_tables, trace.codes[t])
+            }
+        for j, sensor in enumerate(trace.sensor_ids):
+            assert trace.values_for(sensor).tolist() == trace.values[:, j].tolist()
+            assert trace.labels_for(sensor) == [r.labels[sensor] for r in trace.records]
+
+    def test_columns_are_read_only(self, knife_reference):
+        with pytest.raises(ValueError):
+            knife_reference.values_for("oven_temp")[0] = 0.0
+        with pytest.raises(ValueError):
+            knife_reference.codes[0, 0] = 1
+
+    def test_run_builds_no_event_and_no_record(self, oven_model, monkeypatch):
+        import causalcps.simulation as simulation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built during the run")
+
+        script = [ScriptedIntervention(4, "burner", "On")]
+        monkeypatch.setattr(simulation, "Event", refuse)
+        monkeypatch.setattr(simulation, "TickRecord", refuse)
+        trace = run_script(oven_model, 0, 12, interventions=script)
+        with pytest.raises(AssertionError, match="built during the run"):
+            list(trace.events())
+        monkeypatch.undo()
+        assert [e.kind for e in trace.events() if e.tick == 4] == [INTERVENTION, RULE_FIRED]
+        assert trace.records == run_script(oven_model, 0, 12, interventions=script).records
+
+    def test_step_returns_the_record_of_the_trace(self, thermostat_doc):
+        sim = Simulator(thermostat_doc.build(), seed=5)
+        sim.intervene("temp", "Cold")
+        stepped = [sim.step() for _ in range(12)]
+        assert tuple(stepped) == sim.trace().records
+
+    def test_equality_reads_values_labels_and_events(self, oven_model):
+        script = [ScriptedIntervention(4, "burner", "On")]
+        trace = run_script(oven_model, 1, 10, interventions=script)
+        assert trace == run_script(oven_model, 1, 10, interventions=script)
+        assert trace != run_script(oven_model, 2, 10, interventions=script)
+        assert trace != run_script(oven_model, 1, 10)
+        late = FaultSpec("oven", oven_model.subsystem("oven").rules, 8)
+        assert trace != run_script(oven_model, 1, 10, interventions=script, faults=[late])
+
+    def test_from_columns_sorts_each_label_table(self):
+        trace = Trace.from_columns(
+            {"b": [1.0, 2.0, 3.0], "a": [0.5, 0.5, 0.5]},
+            {"b": ["Z", "A", "Z"], "a": ["M", "M", "M"]},
+        )
+        assert trace.sensor_ids == ("b", "a")
+        assert trace.label_tables == (("A", "Z"), ("M",))
+        assert trace.codes.tolist() == [[1, 0], [0, 0], [1, 0]]
+        assert trace.labels_for("b") == ["Z", "A", "Z"]
+        assert trace.final_labels() == {"b": "Z", "a": "M"}
+        assert list(trace.events()) == []
+        assert [r.events for r in trace.records] == [(), (), ()]
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Trace(("a",), np.zeros((3, 1)), np.zeros((2, 1), dtype=np.intp), (("X",),))
 
 
 class TestLabelSteps:
