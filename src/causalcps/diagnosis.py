@@ -11,10 +11,28 @@ behavior.  It is consistent with the observations when
       deviate, exactly the state-label trajectory of the fault-free run.
 
 Consistency is judged on state labels alone, which never depend on the seed,
-so both the fault-free reference and the re-run in (b) come from
+so both the fault-free reference and the re-runs in (b) come from
 ``simulation.label_steps``: it samples no values and logs no events, and a
 check stops at the first tick on which a nominal sensor's predicted label
 differs from the reference.
+
+Causality is known by construction, so (b) re-simulates only what a
+candidate can change (the cone-of-influence reduction of model checking).
+The cone of a component set S holds the effect targets of S's rules and is
+closed under one step: a subsystem outside S whose guards read a cone sensor
+adds all of its effect targets.  No other sensor can leave its reference
+labels, since every effect on it comes from a subsystem that sees only
+reference labels.  A cone with no nominal sensor predicts the reference on
+every nominal sensor without a run.  Otherwise only the subsystems that write
+into the cone are advanced, their effects outside it dropped, and every other
+sensor they read replays its reference labels as scripted interventions.
+
+Candidates are composed, too.  A candidate is split into groups such that no
+member's cone meets the cone of a member of another group; the groups then
+change disjoint sets of sensors, so the candidate's verdict is the AND of the
+groups' verdicts.  Each group's verdict is cached under its component set,
+and cached refutations are checked first, so a pair of far-apart components
+costs no run once each alone has been checked.
 
 Only normal behavior is modeled; no fault modes are enumerated.  A deviating
 sensor whose observed causal descendants are all nominal additionally yields a
@@ -24,19 +42,22 @@ noticed anything, so the reading itself is suspect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
 from .detection import Deviation
+from .distributions import ANOMALOUS
 from .model import (
     CausalEdge,
     ModelError,
+    Rule,
+    Subsystem,
     SystemModel,
     causal_descendants,
     derive_causal_graph,
 )
-from .simulation import FaultSpec, ScriptedIntervention, label_steps
+from .simulation import ScriptedIntervention, label_steps
 from .simulation import run_script  # noqa: F401  (perfbench/tracing.py wraps diagnosis.run_script)
 
 SENSOR_FAULT_PREFIX = "sensor-fault:"
@@ -84,13 +105,30 @@ class _ConsistencyChecker:
         self.reach = {
             sid: causal_descendants(graph, sid) for sid in model.sensor_ids()
         }
-        self.expected = [
-            tuple(labels[s] for s in self.nominal)
-            for labels in label_steps(model, horizon, interventions=self.interventions)
-        ]
+        # The fault-free labels, one column per sensor (label_steps yields
+        # each tick's labels in model sensor order).
+        steps = label_steps(model, horizon, interventions=self.interventions)
+        columns = zip(*(labels.values() for labels in steps))
+        self.reference = dict(zip(model.sensor_ids(), map(list, columns)))
         self.component_sensors = {
             sub.id: tuple(sub.sensors) for sub in model.subsystems
         }
+        # What each subsystem's rules read (guard sensors) and write (effect targets).
+        self.reads = {
+            sub.id: frozenset(sensor for rule in sub.rules for sensor in rule.guard)
+            for sub in model.subsystems
+        }
+        self.writes = {
+            sub.id: frozenset(effect.target for rule in sub.rules for effect in rule.effects)
+            for sub in model.subsystems
+        }
+        self.readers: dict[str, list[str]] = {}
+        for sub in model.subsystems:
+            for sensor in self.reads[sub.id]:
+                self.readers.setdefault(sensor, []).append(sub.id)
+        self.cones: dict[frozenset[str], frozenset[str]] = {}
+        self.verdicts: dict[frozenset[str], bool] = {}
+        self.changes: dict[str, list[ScriptedIntervention]] = {}
 
     def sensors_of(self, component: str) -> tuple[str, ...]:
         if component.startswith(SENSOR_FAULT_PREFIX):
@@ -105,25 +143,129 @@ class _ConsistencyChecker:
                 covered.update(self.reach[sensor])
         return self.deviating <= covered
 
+    def cone(self, components: frozenset[str]) -> frozenset[str]:
+        """The sensors whose labels removing ``components``' tables can change.
+
+        It holds their rules' effect targets and is closed under one step:
+        when a subsystem outside ``components`` has a guard that reads a cone
+        sensor, all of that subsystem's effect targets are in the cone too.
+        """
+        cone = self.cones.get(components)
+        if cone is None:
+            found: set[str] = set()
+            todo = [target for c in components for target in self.writes[c]]
+            while todo:
+                sensor = todo.pop()
+                if sensor in found:
+                    continue
+                found.add(sensor)
+                for reader in self.readers.get(sensor, ()):
+                    if reader not in components:
+                        todo.extend(self.writes[reader])
+            cone = self.cones[components] = frozenset(found)
+        return cone
+
+    def groups(self, components: frozenset[str]) -> list[frozenset[str]]:
+        """``components`` split into the fewest groups such that no single
+        component's cone meets the cone of a component in another group."""
+        groups: list[tuple[frozenset[str], frozenset[str]]] = []
+        for component in sorted(components):
+            members, sensors = frozenset({component}), self.cone(frozenset({component}))
+            apart = []
+            for group in groups:
+                if group[1] & sensors:
+                    members, sensors = members | group[0], sensors | group[1]
+                else:
+                    apart.append(group)
+            groups = apart + [(members, sensors)]
+        return [members for members, _ in groups]
+
     def predicts_nominal(self, components: Sequence[str]) -> bool:
-        real = [c for c in components if not c.startswith(SENSOR_FAULT_PREFIX)]
+        real = frozenset(c for c in components if not c.startswith(SENSOR_FAULT_PREFIX))
         if not real or not self.nominal:
             # Nothing removed (the prediction is the reference itself), or
             # nothing nominal that a prediction could contradict.
             return True
-        faults = [
-            FaultSpec(component=c, replacement_rules=(), activation=0) for c in real
+        # Groups whose cones do not meet change disjoint sensor sets, so the
+        # verdict is the AND of theirs; a cached refutation settles it first.
+        groups = sorted(self.groups(real), key=lambda group: self.verdicts.get(group, True))
+        return all(self.group_predicts_nominal(group) for group in groups)
+
+    def group_predicts_nominal(self, group: frozenset[str]) -> bool:
+        """Whether removing ``group``'s tables leaves every nominal sensor on
+        its reference labels, re-simulating only the group's cone."""
+        verdict = self.verdicts.get(group)
+        if verdict is None:
+            verdict = self.verdicts[group] = self._replay_cone(group)
+        return verdict
+
+    def _replay_cone(self, group: frozenset[str]) -> bool:
+        cone = self.cone(group)
+        checked = [sensor for sensor in self.nominal if sensor in cone]
+        if not checked:
+            return True
+        # Only subsystems that write into the cone are advanced, with their
+        # effects outside it dropped.  Every other sensor they read replays
+        # its reference labels as interventions: labels never depend on the
+        # seed, so the replay is exact.  The replay model skips build_model,
+        # whose checks the full model has passed.
+        writers = [
+            sub
+            for sub in self.model.subsystems
+            if sub.id not in group and self.writes[sub.id] & cone
         ]
-        predicted = label_steps(
-            self.model, self.horizon, interventions=self.interventions, faults=faults
+        boundary = set().union(*(self.reads[sub.id] for sub in writers)) - cone
+        replay = SystemModel(
+            sensors=tuple(s for s in self.model.sensors if s.id in cone or s.id in boundary),
+            subsystems=tuple(
+                sub if self.writes[sub.id] <= cone else _effects_into(sub, cone) for sub in writers
+            ),
         )
-        for labels, expected in zip(predicted, self.expected):
-            if tuple(labels[s] for s in self.nominal) != expected:
-                return False
-        return True
+        interventions = [item for item in self.interventions if item.sensor in cone]
+        for sensor in sorted(boundary):
+            interventions.extend(self._reference_changes(sensor))
+        predicted = label_steps(replay, self.horizon, interventions=interventions)
+        expected = zip(*(self.reference[sensor] for sensor in checked))
+        return all(tuple(map(p.__getitem__, checked)) == e for p, e in zip(predicted, expected))
+
+    def _reference_changes(self, sensor: str) -> list[ScriptedIntervention]:
+        """One intervention per tick on which ``sensor``'s reference label
+        differs from the one before it (its initial state before tick 0)."""
+        changes = self.changes.get(sensor)
+        if changes is None:
+            changes = self.changes[sensor] = []
+            previous = self.model.sensor(sensor).initial_state
+            for tick, label in enumerate(self.reference[sensor]):
+                if label != previous:
+                    previous = label
+                    changes.append(ScriptedIntervention(tick, sensor, label))
+        return changes
 
     def is_consistent(self, components: Sequence[str]) -> bool:
         return self.covers(components) and self.predicts_nominal(components)
+
+
+def _effects_into(sub: Subsystem, cone: frozenset[str]) -> Subsystem:
+    """``sub`` with each rule keeping only its effects on ``cone`` sensors."""
+    rules = tuple(
+        Rule(rule.guard, tuple(e for e in rule.effects if e.target in cone)) for rule in sub.rules
+    )
+    return replace(sub, rules=rules)
+
+
+def _check_deviation(model: SystemModel, deviation: Deviation, horizon: int) -> None:
+    """Reject a deviation that no detect run of this scenario could report."""
+    where = f"deviation on {deviation.sensor!r} at window start {deviation.start}"
+    try:
+        labels = model.sensor(deviation.sensor).labels()
+    except ModelError as exc:
+        raise ModelError(f"{where}: {exc}") from None
+    if deviation.expected not in labels:
+        raise ModelError(f"{where}: the sensor has no state {deviation.expected!r}")
+    if deviation.matched not in labels and deviation.matched != ANOMALOUS:
+        raise ModelError(f"{where}: the sensor has no state {deviation.matched!r}")
+    if not 0 <= deviation.start < horizon:
+        raise ModelError(f"{where}: the window start is outside the horizon [0, {horizon})")
 
 
 def diagnose(
@@ -141,9 +283,14 @@ def diagnose(
     labels with candidate components disabled, up to the first divergence.
     Returns only consistent hypotheses, ranked by (cardinality, sorted
     component ids); no returned hypothesis is a strict superset of another.
+    Every deviation must fit the scenario (a known sensor, states it has or
+    ``ANOMALOUS`` as the match, a window start in ``[0, horizon)``), else a
+    ModelError names the first that does not.
     """
     if max_cardinality < 1:
         raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
+    for deviation in deviations:
+        _check_deviation(model, deviation, horizon)
     observed_set = set(observed)
     for sensor in observed_set:
         model.sensor(sensor)

@@ -598,6 +598,23 @@ def export_trace(trace: Trace) -> str:
 _TRACE_HEADER = ["tick", "sensor_id", "value", "state_label"]
 
 
+def _csv_rows(text: str, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV text, each with its row number from 1.  An error of
+    the csv module itself (a field longer than ``csv.field_size_limit()``, a
+    bare CR) is raised as a ScenarioError that names the row it stopped in."""
+    reader = csv.reader(io.StringIO(text))
+    row_number = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ScenarioError(f"{kind} CSV row {row_number}: {exc}") from None
+        yield row_number, row
+        row_number += 1
+
+
 def import_trace(text: str, model: SystemModel | None = None) -> Trace:
     """Read a trace CSV back into a Trace (the event log is not serialized).
 
@@ -611,11 +628,11 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
     row breaks a rule, ``_raise_trace_error`` walks the rows in file order
     to name the first one.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = _csv_rows(text, "trace")
+    _, header = next(rows, (1, None))
     if header != _TRACE_HEADER:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
-    columns = _trace_columns(text, reader)
+    columns = _trace_columns(text, rows)
     trace = None if columns is None else _trace_from_columns(*columns, model)
     if trace is None:
         _raise_trace_error(text, model)
@@ -627,16 +644,20 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _trace_columns(
-    text: str, reader: Iterator[list[str]]
+    text: str, reader: Iterator[tuple[int, list[str]]]
 ) -> tuple[Sequence[str], Sequence[str], Sequence[str], Sequence[str]] | None:
     """The tick, sensor, value and label columns of the rows after the
-    header, blank rows skipped, or None if a row does not have four fields.
+    header, blank rows skipped, or None if a row does not have four fields
+    or cannot be read.
 
     Without quotes and with bare-newline row ends, a row is a line and its
     fields are split by commas, as ``csv.reader`` splits them; the text after
     the header is then split once.  Anything else is left to ``reader``."""
     if '"' in text or "\r" in text or "\0" in text:
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for _, row in reader if row]
+        except ScenarioError:
+            return None
         if any(len(row) != 4 for row in rows):
             return None
         return tuple(zip(*rows)) if rows else ((), (), (), ())
@@ -724,12 +745,12 @@ def _raise_trace_error(text: str, model: SystemModel | None) -> NoReturn:
     """Raise the ScenarioError for the first problem of a trace CSV that
     ``import_trace`` refused: the first bad row in file order, else
     non-contiguous ticks, else the first tick that misses a sensor."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
+    rows = _csv_rows(text, "trace")
+    next(rows)
     states = None if model is None else {s.id: s.labels() for s in model.sensors}
     by_tick: dict[int, set[str]] = {}
     sensor_ids: dict[str, None] = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row:
             continue
         if len(row) != 4:
@@ -782,12 +803,12 @@ def export_deviations(deviations: Sequence[Deviation]) -> str:
 
 
 def import_deviations(text: str) -> list[Deviation]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = _csv_rows(text, "deviations")
+    _, header = next(rows, (1, None))
     if header != ["sensor_id", "window_start", "expected_state", "matched_state"]:
         raise ScenarioError(f"unexpected deviations CSV header: {header}")
     deviations = []
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row:
             continue
         if len(row) != 4:

@@ -289,7 +289,7 @@ class Simulator:
 
     def __init__(self, model: SystemModel, seed: int = 0):
         self._model = model
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
         self._labels = model.initial_labels()
         self._tick = 0
         self._queue: dict[int, list[_QueuedEffect]] = {}
@@ -308,8 +308,9 @@ class Simulator:
     @cached_property
     def _samplers(self) -> tuple[dict[str, Callable[[], float]], ...]:
         """Per sensor, in model order: state label -> zero-argument draw of one
-        value.  Built on the first sampled tick, so ``label_steps`` never builds it."""
-        rng = self._rng
+        value.  Built on the first sampled tick, with the random generator they
+        draw from, so ``label_steps`` builds neither."""
+        rng = np.random.default_rng(self._seed)
 
         def sampler(dist: Distribution) -> Callable[[], float]:
             if isinstance(dist, Normal):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -316,6 +317,16 @@ class TestDetectInvalidInput:
         detail = f"row {row}: sensor 'oven_temp' has no state 'Bogus'"
         self.assert_invalid(capsys, code, out, detail)
 
+    def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, knife_yaml, capsys):
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        huge = '"' + "X" * (csv.field_size_limit() + 1) + '"'
+        row = self.edit_oven_temp_row(faulty, lambda line: [f"100,oven_temp,5.0,{huge}\n"])
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out)
+        detail = f"trace CSV row {row}: field larger than field limit"
+        self.assert_invalid(capsys, code, out, detail)
+
     def test_window_covering_no_segment_exits_2(self, tmp_path, knife_yaml, capsys):
         faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
         capsys.readouterr()
@@ -332,6 +343,71 @@ class TestDetectInvalidInput:
         out = tmp_path / "report.csv"
         code = self.detect(knife_yaml, faulty, reference, out, "--alpha", "1.5", "--window", "400")
         self.assert_invalid(capsys, code, out, "alpha must be in (0, 1), got 1.5")
+
+
+DEVIATIONS_HEADER = "sensor_id,window_start,expected_state,matched_state\n"
+
+
+class TestDiagnoseInvalidInput:
+    @pytest.fixture(scope="class")
+    def knife_deviations(self, tmp_path_factory):
+        """The knife scenario file and the deviation rows of its lid fault."""
+        tmp_path = tmp_path_factory.mktemp("pipeline")
+        (tmp_path / "a").mkdir()
+        path = tmp_path / "knife.yaml"
+        path.write_text(serialize_scenario(knife_fixture()), encoding="utf-8")
+        deviations = run_pipeline(tmp_path, path)[3]
+        return path, deviations.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+
+    def diagnose(self, tmp_path, knife_yaml, rows):
+        deviations = tmp_path / "deviations.csv"
+        deviations.write_text(DEVIATIONS_HEADER + "".join(rows), encoding="utf-8")
+        out = tmp_path / "diagnosis.csv"
+        argv = ["diagnose", str(knife_yaml), "--deviations", str(deviations), "--out", str(out)]
+        code = main(argv)
+        return code, out
+
+    def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, knife_deviations, capsys):
+        knife_yaml, rows = knife_deviations
+        huge = '"' + "X" * (csv.field_size_limit() + 1) + '"'
+        code, out = self.diagnose(tmp_path, knife_yaml, [rows[0], f"{huge},8,Hot,Ambient\n"])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert "deviations CSV row 3: field larger than field limit" in error["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("no_such_sensor,8,Hot,Ambient", "unknown sensor id 'no_such_sensor'"),
+            ("oven_temp,8,Warm,Ambient", "the sensor has no state 'Warm'"),
+            ("oven_temp,8,Hot,Warm", "the sensor has no state 'Warm'"),
+            ("oven_temp,-1,Hot,Ambient", "outside the horizon [0, 300)"),
+            ("oven_temp,300,Hot,Ambient", "outside the horizon [0, 300)"),
+        ],
+        ids=[
+            "unknown sensor", "expected state", "matched state", "negative start", "start at horizon"
+        ],
+    )
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "among valid rows"])
+    def test_deviation_that_does_not_fit_the_scenario_exits_2(
+        self, tmp_path, knife_deviations, capsys, row, detail, alone
+    ):
+        knife_yaml, rows = knife_deviations
+        code, out = self.diagnose(tmp_path, knife_yaml, [row + "\n"] + ([] if alone else rows))
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert detail in error["detail"]
+        assert not out.exists()
+
+    def test_anomalous_match_is_accepted(self, tmp_path, knife_deviations):
+        knife_yaml, rows = knife_deviations
+        extra = "oven_temp,8,Hot,ANOMALOUS\n"
+        code, out = self.diagnose(tmp_path, knife_yaml, [extra] + rows)
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("1,lid_actuator,")
 
 
 class TestPlanCommand:

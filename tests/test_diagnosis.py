@@ -1,11 +1,24 @@
+import random
+from collections import Counter
 from itertools import chain, combinations
 
 import pytest
 
+from causalcps.cli import main
 from causalcps.detection import Deviation, expected_state_check
-from causalcps.diagnosis import SENSOR_FAULT_PREFIX, diagnose, explain
-from causalcps.model import Effect, Rule
-from causalcps.simulation import FaultSpec, run_script
+from causalcps.diagnosis import SENSOR_FAULT_PREFIX, _ConsistencyChecker, diagnose, explain
+from causalcps.distributions import Degenerate
+from causalcps.model import (
+    Effect,
+    Rule,
+    Sensor,
+    Subsystem,
+    SubsystemKind,
+    build_model,
+    guards_overlap,
+)
+from causalcps.scenario import ScenarioDocument, import_deviations, serialize_scenario
+from causalcps.simulation import FaultSpec, ScriptedIntervention, run_script
 
 
 def lid_fault_deviations(knife_doc, knife_model, knife_reference, knife_lid_fault_trace):
@@ -391,3 +404,298 @@ class TestOracleEquivalence:
         )
         assert {h.components for h in got} == expected
         assert expected  # non-vacuous: the cycle produces real hypotheses
+
+
+# ---------------------------------------------------------------------------
+# Cone re-simulation and composition against full runs on random models.
+# ---------------------------------------------------------------------------
+
+
+def random_effects(rng, sensors, hubs):
+    """One or two effects; half of them land on one of two hub sensors, so
+    that several subsystems often write one target on the same tick."""
+    effects = []
+    for _ in range(rng.randint(1, 2)):
+        target = rng.choice(hubs) if rng.random() < 0.5 else rng.choice(sensors)
+        effects.append(Effect(target.id, rng.choice(target.labels()), rng.randint(1, 3)))
+    return tuple(effects)
+
+
+def random_cone_model(rng, horizon):
+    """A validated model with 4-7 sensors and 3-5 components, and a script of
+    eight interventions.  About one table in five is a single rule with an
+    empty guard, which reads nothing and so adds no causal-graph edge."""
+    sensors = []
+    for i in range(rng.randint(4, 7)):
+        states = tuple((f"S{k}", Degenerate(float(k))) for k in range(rng.randint(1, 3)))
+        sensors.append(Sensor(f"s{i}", states, "S0"))
+    hubs = rng.sample(sensors, 2)
+    subsystems = []
+    for j in range(rng.randint(3, 5)):
+        owned = rng.sample(sensors, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            rules = [Rule({}, random_effects(rng, sensors, hubs))]
+        else:
+            rules = []
+            for _ in range(rng.randint(1, 4)):
+                guard = {s.id: rng.choice(s.labels()) for s in owned if rng.random() < 0.7}
+                if guard and not any(guards_overlap(guard, rule.guard) for rule in rules):
+                    rules.append(Rule(guard, random_effects(rng, sensors, hubs)))
+        ids = tuple(s.id for s in owned)
+        subsystems.append(Subsystem(f"c{j}", SubsystemKind.COMPONENT, ids, tuple(rules)))
+    model = build_model(sensors, subsystems)
+    interventions = []
+    for tick in sorted(rng.sample(range(horizon), 8)):
+        sensor = rng.choice(sensors)
+        interventions.append(ScriptedIntervention(tick, sensor.id, rng.choice(sensor.labels())))
+    return model, interventions
+
+
+def reads_of(sub):
+    return {sensor for rule in sub.rules for sensor in rule.guard}
+
+
+def writes_of(sub):
+    return {effect.target for rule in sub.rules for effect in rule.effects}
+
+
+def fixpoint_cone(model, removed):
+    """The removed tables' effect targets, grown by every subsystem outside
+    ``removed`` that reads a grown sensor, until nothing more is added."""
+    cone = set().union(*(writes_of(s) for s in model.subsystems if s.id in removed))
+    grown = True
+    while grown:
+        grown = False
+        for sub in model.subsystems:
+            if sub.id not in removed and reads_of(sub) & cone and not writes_of(sub) <= cone:
+                cone |= writes_of(sub)
+                grown = True
+    return cone
+
+
+def has_cycle(model):
+    edges = {sid: set() for sid in model.sensor_ids()}
+    for sub in model.subsystems:
+        for rule in sub.rules:
+            for cause in rule.guard:
+                edges[cause].update(effect.target for effect in rule.effects)
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            for nxt in edges[todo.pop()] - seen:
+                if nxt == goal:
+                    return True
+                seen.add(nxt)
+                todo.append(nxt)
+        return False
+
+    return any(reaches(sid, sid) for sid in edges)
+
+
+def test_cone_verdicts_equal_full_runs_on_random_models():
+    """``predicts_nominal`` of every candidate up to cardinality 3 equals a
+    comparison of full ``run_script`` labels, on 100 random models with one
+    checker per model, so that later candidates read the verdicts cached by
+    earlier ones.  Every second model checks its candidates in a shuffled
+    order, so that pairs and triples are also met before their parts."""
+    rng = random.Random(20261018)
+    horizon = 30
+    seen = Counter()
+    for case in range(100):
+        model, interventions = random_cone_model(rng, horizon)
+        ids = model.sensor_ids()
+        observed = set(rng.sample(ids, rng.randint(2, len(ids))))
+        deviating = set(rng.sample(sorted(observed), rng.randint(0, 2)))
+        nominal = sorted(observed - deviating)
+        checker = _ConsistencyChecker(model, interventions, horizon, deviating, observed)
+        reference = run_script(model, 0, horizon, interventions)
+        components = sorted(model.component_ids())
+        candidates = [c for k in (1, 2, 3) for c in combinations(components, k)]
+        if case % 2:
+            rng.shuffle(candidates)
+        seen["empty guard"] += any(not r.guard for s in model.subsystems for r in s.rules)
+        seen["cycle"] += has_cycle(model)
+        seen["shared target"] += any(
+            writes_of(a) & writes_of(b) for a, b in combinations(model.subsystems, 2)
+        )
+        for candidate in candidates:
+            faults = [FaultSpec(c, (), 0) for c in candidate]
+            full = run_script(model, 0, horizon, interventions, faults)
+            expected = all(full.labels_for(s) == reference.labels_for(s) for s in nominal)
+            assert checker.predicts_nominal(candidate) == expected, (case, candidate)
+
+            cone = fixpoint_cone(model, set(candidate))
+            for sensor in set(ids) - cone:
+                assert full.labels_for(sensor) == reference.labels_for(sensor), (case, sensor)
+            writers = [
+                s for s in model.subsystems if s.id not in candidate and writes_of(s) & cone
+            ]
+            boundary = set().union(*map(reads_of, writers)) - cone
+            for item in interventions:
+                if item.sensor in cone:
+                    seen["intervention inside"] += 1
+                elif item.sensor in boundary:
+                    seen["intervention boundary"] += 1
+                else:
+                    seen["intervention outside"] += 1
+            if len(candidate) > 1:
+                apart = all(
+                    not fixpoint_cone(model, {a}) & fixpoint_cone(model, {b})
+                    for a, b in combinations(candidate, 2)
+                )
+                seen[f"{'apart' if apart else 'meeting'} {expected}"] += 1
+            seen[f"verdict {expected}"] += 1
+    for feature in (
+        "empty guard",
+        "cycle",
+        "shared target",
+        "intervention inside",
+        "intervention boundary",
+        "intervention outside",
+        "apart True",
+        "apart False",
+        "meeting True",
+        "meeting False",
+    ):
+        assert seen[feature] >= 10, (feature, seen)
+    assert seen["verdict True"] >= 200 and seen["verdict False"] >= 200, seen
+
+
+# ---------------------------------------------------------------------------
+# A 12-stage relay beside two control loops: the CLI against brute force.
+# ---------------------------------------------------------------------------
+
+RELAY_STAGES = 12
+LOOP_DELAY = 30
+
+
+def relay_with_loops(faulted):
+    """Relay s00 -> ... -> s11 (component cNN copies s[NN-1] into sNN one
+    tick later; s00 turns Hi at tick 20) beside two slow thermostat loops
+    (controller and plant each react after LOOP_DELAY ticks).  Every reading
+    is a point mass.  The components in ``faulted`` have their tables emptied
+    from tick 0."""
+    stages = [f"s{i:02d}" for i in range(RELAY_STAGES)]
+    sensors = [
+        Sensor(sid, (("Lo", Degenerate(100.0 * i)), ("Hi", Degenerate(100.0 * i + 20))), "Lo")
+        for i, sid in enumerate(stages)
+    ]
+
+    def copy_rules(up, down, mapping, delay):
+        return tuple(
+            Rule({up: a}, (Effect(down, b, delay),)) for a, b in mapping.items()
+        )
+
+    subsystems = [
+        Subsystem(
+            f"c{i:02d}",
+            SubsystemKind.COMPONENT,
+            (stages[i - 1], stages[i]),
+            copy_rules(stages[i - 1], stages[i], {"Lo": "Lo", "Hi": "Hi"}, 1),
+        )
+        for i in range(1, RELAY_STAGES)
+    ]
+    for j in range(2):
+        temp, valve = f"loop{j}_temp", f"loop{j}_valve"
+        sensors.append(
+            Sensor(temp, (("Cold", Degenerate(10.0 + j)), ("Hot", Degenerate(80.0 + j))), "Cold")
+        )
+        sensors.append(
+            Sensor(valve, (("Open", Degenerate(1.0)), ("Closed", Degenerate(0.0))), "Open")
+        )
+        subsystems.append(
+            Subsystem(
+                f"loop{j}_ctrl",
+                SubsystemKind.COMPONENT,
+                (temp, valve),
+                copy_rules(temp, valve, {"Hot": "Closed", "Cold": "Open"}, LOOP_DELAY),
+            )
+        )
+        subsystems.append(
+            Subsystem(
+                f"loop{j}_plant",
+                SubsystemKind.COMPONENT,
+                (valve, temp),
+                copy_rules(valve, temp, {"Closed": "Cold", "Open": "Hot"}, LOOP_DELAY),
+            )
+        )
+    return ScenarioDocument(
+        name="relay-with-loops",
+        seed=1,
+        horizon=200,
+        window=20,
+        stride=10,
+        alpha=0.01,
+        sensors=tuple(sensors),
+        subsystems=tuple(subsystems),
+        functionalities=(),
+        interventions=(ScriptedIntervention(20, stages[0], "Hi"),),
+        faults=tuple(FaultSpec(c, (), 0) for c in faulted),
+    )
+
+
+def brute_force_minimal_sets(model, interventions, horizon, deviations, max_card):
+    """Every candidate up to ``max_card`` components, and every sensor-fault
+    candidate, checked by a full run; the minimal consistent ones."""
+    deviating = {d.sensor for d in deviations}
+    nominal = set(model.sensor_ids()) - deviating
+    edges = {sid: set() for sid in model.sensor_ids()}
+    for sub in model.subsystems:
+        for rule in sub.rules:
+            for cause in rule.guard:
+                edges[cause].update(effect.target for effect in rule.effects)
+
+    def downstream(sensor):
+        out, todo = set(), [sensor]
+        while todo:
+            for nxt in edges[todo.pop()] - out:
+                out.add(nxt)
+                todo.append(nxt)
+        return out
+
+    def covers(sensors):
+        return deviating <= set(sensors).union(*map(downstream, sensors))
+
+    reference = run_script(model, 0, horizon, interventions)
+    components = sorted(model.component_ids())
+    consistent = []
+    for k in range(1, max_card + 1):
+        for candidate in combinations(components, k):
+            if not covers([s for c in candidate for s in model.subsystem(c).sensors]):
+                continue
+            faults = [FaultSpec(c, (), 0) for c in candidate]
+            run = run_script(model, 0, horizon, interventions, faults)
+            if all(run.labels_for(s) == reference.labels_for(s) for s in nominal):
+                consistent.append(frozenset(candidate))
+    for sensor in sorted(deviating):
+        # Nothing is removed, so the prediction is the reference itself.
+        if not downstream(sensor) & deviating and covers([sensor]):
+            consistent.append(frozenset({SENSOR_FAULT_PREFIX + sensor}))
+    return {c for c in consistent if not any(other < c for other in consistent)}
+
+
+@pytest.mark.parametrize(
+    "faulted", [("c06",), ("c04", "loop1_plant")], ids=["one relay stage", "stage and loop"]
+)
+def test_relay_with_loops_cli_diagnosis_equals_brute_force(tmp_path, faulted):
+    doc = relay_with_loops(faulted)
+    model = doc.build()
+    scenario = tmp_path / "relay.yaml"
+    scenario.write_text(serialize_scenario(doc), encoding="utf-8")
+    s = str(scenario)
+    faulty, reference = tmp_path / "faulty.csv", tmp_path / "reference.csv"
+    deviations, report, out = (tmp_path / n for n in ("dev.csv", "report.csv", "diag.csv"))
+    assert main(["simulate", s, "--out", str(faulty), "--seed", "1"]) == 0
+    assert main(["simulate", s, "--out", str(reference), "--seed", "2", "--no-faults"]) == 0
+    argv = ["detect", s, "--trace", str(faulty), "--reference", str(reference), "--out"]
+    assert main(argv + [str(report), "--deviations-out", str(deviations)]) == 0
+    argv = ["diagnose", s, "--deviations", str(deviations), "--out", str(out)]
+    assert main(argv + ["--max-card", "2"]) == 0
+
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    got = {frozenset(row.split(",")[1].split("+")) for row in rows}
+    found = import_deviations(deviations.read_text(encoding="utf-8"))
+    expected = brute_force_minimal_sets(model, doc.interventions, doc.horizon, found, 2)
+    assert got == expected
+    assert frozenset(faulted) in got

@@ -368,19 +368,35 @@ class TestTraceCsv:
             import_trace(text)
 
 
+def numbered_rows(text):
+    """``csv.reader``'s rows with their numbers from 1; a ``csv.Error`` is
+    raised as a ScenarioError that names the row it stopped in."""
+    reader = csv.reader(io.StringIO(text))
+    row_number = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ScenarioError(f"trace CSV row {row_number}: {exc}") from None
+        yield row_number, row
+        row_number += 1
+
+
 def row_loop_import_trace(text, model=None):
     """The row-at-a-time trace CSV reader that the columnar ``import_trace``
     replaced, kept as its oracle.  Returns (sensor ids, records)."""
     from causalcps.simulation import TickRecord
 
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = numbered_rows(text)
+    _, header = next(rows, (1, None))
     if header != ["tick", "sensor_id", "value", "state_label"]:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
     states = None if model is None else {s.id: s.labels() for s in model.sensors}
     by_tick = {}
     sensor_ids = {}
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, row in rows:
         if not row:
             continue
         if len(row) != 4:
@@ -494,12 +510,16 @@ def trace_csv_corpus(valid_texts):
     yield "unicode ids", TRACE_HEADER + unicode_rows
     yield "quoted comma", TRACE_HEADER + '0,a,1.0,"X,Y"\n1,a,2.0,"X,Y"\n'
     yield "lone carriage return", TRACE_HEADER + "0,a,1.0,X\r1,a,2.0,X\n"
+    huge = '0,a,1.0,"' + "X" * (csv.field_size_limit() + 1) + '"\n'
+    yield "quoted field over the csv size limit", TRACE_HEADER + huge
+    yield "bad tick before a field over the limit", TRACE_HEADER + "x,a,1.0,X\n" + huge
+    yield "field over the limit in the header", huge + "0,a,1.0,X\n"
 
 
 def outcome(read, text, model):
     try:
         return read(text, model)
-    except (ScenarioError, csv.Error) as exc:
+    except ScenarioError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

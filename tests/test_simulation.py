@@ -395,6 +395,19 @@ class TestLabelSteps:
         with pytest.raises(ValueError, match="horizon"):
             next(label_steps(oven_model, 0))
 
+    def test_makes_no_random_generator(self, knife_doc, monkeypatch):
+        """Neither a label run nor a simulator that has not sampled yet makes
+        a generator; the draws of a sampled run are pinned elsewhere."""
+        model = knife_doc.build()
+        expected = list(label_steps(model, knife_doc.horizon, knife_doc.interventions))
+
+        def refuse(seed=None):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert list(label_steps(model, knife_doc.horizon, knife_doc.interventions)) == expected
+        Simulator(model, seed=5)
+
     def test_rejects_invalid_script(self, oven_model):
         with pytest.raises(ModelError):
             list(label_steps(oven_model, 5, [ScriptedIntervention(1, "burner", "Lit")]))
