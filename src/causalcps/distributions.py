@@ -23,9 +23,17 @@ point -- and it performs the scalar formula's IEEE operations in the same
 order, element by element, so it gives the same values as calling ``cdf`` on
 each sample.
 
+Every parameter of a law, and the width ``hi - lo`` of a uniform one, must
+be finite; the constructors raise ValueError otherwise.  So a uniform value
+``lo + (hi - lo) * u`` never meets an infinite width, which numpy's
+``uniform`` would refuse with OverflowError but the affine map would not.
+
 Sampling uses numpy's default bit generator (PCG64) seeded explicitly, so a
 fixed (distribution, seed, n) always reproduces the same sequence on a given
-platform.
+platform.  ``draw`` calls numpy's ``normal`` and ``uniform``; the simulator
+draws standard variates (``standard_normal``, ``random``) and applies each
+law's affine map itself, which gives the same values bit for bit (see
+``simulation``), so ``draw`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -47,12 +55,19 @@ _SERIES_MAX_TERMS = 100
 _SERIES_EPS = 1e-10
 
 
+def _check_finite(kind: str, **parameters: float) -> None:
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Normal:
     mean: float
     stddev: float
 
     def __post_init__(self):
+        _check_finite("normal", mean=self.mean, stddev=self.stddev)
         if not self.stddev > 0:
             raise ValueError(f"normal stddev must be > 0, got {self.stddev}")
 
@@ -63,13 +78,18 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
+        _check_finite("uniform", lo=self.lo, hi=self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"uniform bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        _check_finite("uniform", width=float(self.hi) - float(self.lo))
 
 
 @dataclass(frozen=True)
 class Degenerate:
     value: float
+
+    def __post_init__(self):
+        _check_finite("degenerate", value=self.value)
 
 
 Distribution = Normal | Uniform | Degenerate

@@ -187,11 +187,13 @@ def parse_distribution(text: str, where: str = "dist") -> Distribution:
 
 
 def format_distribution(dist: Distribution) -> str:
+    """The spec text of ``dist``; each parameter is written as the shortest
+    text that parses back to the same float."""
     if isinstance(dist, Normal):
-        return f"normal({dist.mean:g}, {dist.stddev:g})"
+        return f"normal({float(dist.mean)!r}, {float(dist.stddev)!r})"
     if isinstance(dist, Uniform):
-        return f"uniform({dist.lo:g}, {dist.hi:g})"
-    return f"degenerate({dist.value:g})"
+        return f"uniform({float(dist.lo)!r}, {float(dist.hi)!r})"
+    return f"degenerate({float(dist.value)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ Phases 1-2 are one method, ``Simulator._advance``; ``label_steps`` runs it
 alone and yields only the labels, for callers that judge a run on its label
 trajectory (diagnosis) and can stop at the first tick that settles the
 question.  A full run keeps, per tick, what ``_advance`` returned as the raw
-event log, plus one label row and one value row.
+event log, the index of its distinct label row and its standard draws.
 
 A ``Trace`` is columnar: a T x N float64 value matrix, a T x N matrix of
 integer label codes with one label table per sensor (the model's state
@@ -36,19 +36,38 @@ per set of guard sensors, keyed by those sensors' labels; a tick costs one
 lookup per set.  Validation guarantees that at most one rule of a table
 matches any joint state, so the first hit is the table's only match.  Each
 compiled rule carries its effects as ready-made queue entries, shared by
-every tick it fires on.  Phase 3 calls one scalar sampler per sensor from a
-(sensor, state) table built on the first sampled tick: ``rng.normal(mean,
-sd)``, ``rng.uniform(lo, hi)``, or the point mass as a float with no RNG
-call; the samplers of a joint label row are looked up once, when the row
-first occurs.  The scalar calls run the same numpy routines as one-element
-draws, so a seed gives the same values as ``draw(dist, rng, 1)[0]`` sensor
-by sensor.
+every tick it fires on.
+
+Phase 3 is split in two.  Per tick, it makes one zero-argument call per
+random sensor, in sensor order, and keeps the raw draw:
+``rng.standard_normal()`` for a normal state, ``rng.random()`` for a uniform
+one; a point mass makes no call.  The draw methods of a joint label row are
+looked up once, when the row first occurs.  Once per run, ``trace`` turns the
+draws into values with whole-array arithmetic, ``offset + scale * draw``,
+where the offset is the mean or ``lo`` and the scale the standard deviation
+or ``hi - lo`` of the cell's (sensor, state); a point-mass cell takes its
+value as it is, with no ``0.0 * draw`` term, so ``-0.0`` survives.
+``Simulator.step`` does the same two operations in Python for the row it
+has just drawn.
+
+The values are bit-identical to sampling with ``draw(dist, rng, 1)[0]``
+sensor by sensor.  Each zero-argument call consumes the same bits in the
+same order as numpy's own scalar call, and numpy computes
+``Generator.normal(m, s)`` as ``m + s * random_standard_normal`` and
+``Generator.uniform(lo, hi)`` as ``lo + (hi - lo) * next_double``: one
+multiply and one add, each rounded on its own.  Python float operations
+and numpy ufuncs never fuse a multiply and an add into one fused
+multiply-add (FMA).  The assumption is that numpy's C does not fuse them
+either: on x86-64 it is compiled for a baseline without FMA instructions
+(x86-64-v2 for numpy 2.x).  A numpy build that contracts them, possible
+where the baseline has FMA (aarch64), would change the last bit of some
+values; ``tests/test_simulation.py`` compares both ways bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -228,6 +247,16 @@ class Trace:
         }
 
 
+class _Law(NamedTuple):
+    """One state's law as an affine map of a standard draw: a value is
+    ``offset + scale * draw()``, or ``offset`` itself when ``draw`` is None
+    (a point mass)."""
+
+    draw: Callable[[], float] | None  # Generator.standard_normal or Generator.random
+    offset: float  # mean, lo or the point
+    scale: float  # stddev, hi - lo, or 0.0 for a point mass
+
+
 class _QueuedEffect(NamedTuple):
     """One effect of one rule, made once when its table is compiled and queued
     by reference each time the rule fires; it fired ``delay`` ticks before
@@ -300,30 +329,35 @@ class Simulator:
         self._lookups = [_compile_table(i, sub.rules) for i, sub in enumerate(model.subsystems)]
         self._sensor_ids = model.sensor_ids()
         self._log: list[_TickLog] = []
-        self._value_rows: list[list[float]] = []
+        # The standard draws of every tick, in tick then sensor order, and
+        # each tick's label-row index.
+        self._draws: list[float] = []
         self._row_indices: list[int] = []
-        # Distinct label rows seen, in model order -> (row index, row samplers).
-        self._label_rows: dict[tuple[str, ...], tuple[int, tuple[Callable[[], float], ...]]] = {}
+        # Distinct label rows seen, in model order -> (row index, the row's
+        # standard-draw methods in sensor order, every sensor's law).
+        self._label_rows: dict[
+            tuple[str, ...], tuple[int, tuple[Callable[[], float], ...], tuple[_Law, ...]]
+        ] = {}
 
     @cached_property
-    def _samplers(self) -> tuple[dict[str, Callable[[], float]], ...]:
-        """Per sensor, in model order: state label -> zero-argument draw of one
-        value.  Built on the first sampled tick, with the random generator they
-        draw from, so ``label_steps`` builds neither."""
+    def _laws(self) -> tuple[dict[str, _Law], ...]:
+        """Per sensor, in model order: state label -> its ``_Law``.  Built on
+        the first sampled tick, with the random generator the laws draw from,
+        so ``label_steps`` builds neither."""
         rng = np.random.default_rng(self._seed)
 
-        def sampler(dist: Distribution) -> Callable[[], float]:
+        def law(dist: Distribution) -> _Law:
             if isinstance(dist, Normal):
-                return partial(rng.normal, dist.mean, dist.stddev)
+                return _Law(rng.standard_normal, float(dist.mean), float(dist.stddev))
             if isinstance(dist, Uniform):
-                return partial(rng.uniform, dist.lo, dist.hi)
+                lo = float(dist.lo)
+                return _Law(rng.random, lo, float(dist.hi) - lo)
             if isinstance(dist, Degenerate):
-                return partial(float, dist.value)
+                return _Law(None, float(dist.value), 0.0)
             raise TypeError(f"not a distribution: {dist!r}")
 
         return tuple(
-            {label: sampler(dist) for label, dist in sensor.states}
-            for sensor in self._model.sensors
+            {label: law(dist) for label, dist in sensor.states} for sensor in self._model.sensors
         )
 
     @property
@@ -401,29 +435,38 @@ class Simulator:
                 break
         return t, applied, interventions, faults, fired
 
-    def _step(self) -> None:
-        """Execute the next tick and append its log entry, label row and value row."""
+    def _step(self) -> tuple[tuple[_Law, ...], list[float]]:
+        """Execute the next tick and append its log entry, label-row index and
+        standard draws; returns the laws of its label row and its draws."""
         self._log.append(self._advance())
 
-        # Phase 3: one sampled value per sensor from its current state.  The
-        # samplers of a label row are looked up once, when the row first occurs.
+        # Phase 3: one standard draw per random sensor, in sensor order.  The
+        # laws of a label row are looked up once, when the row first occurs.
         labels = self._labels
         row = tuple(map(labels.__getitem__, self._sensor_ids))
         seen = self._label_rows.get(row)
         if seen is None:
-            samplers = tuple(by_label[label] for by_label, label in zip(self._samplers, row))
-            seen = self._label_rows[row] = (len(self._label_rows), samplers)
-        index, samplers = seen
+            laws = tuple(by_label[label] for by_label, label in zip(self._laws, row))
+            samplers = tuple(law.draw for law in laws if law.draw is not None)
+            seen = self._label_rows[row] = (len(self._label_rows), samplers, laws)
+        index, samplers, laws = seen
         self._row_indices.append(index)
-        self._value_rows.append([draw() for draw in samplers])
+        draws = [draw() for draw in samplers]
+        self._draws += draws
+        return laws, draws
 
     def step(self) -> TickRecord:
         """Execute the next tick and return its record."""
-        self._step()
+        laws, row_draws = self._step()
+        draws = iter(row_draws)
+        values = [
+            law.offset if law.draw is None else law.offset + law.scale * next(draws)
+            for law in laws
+        ]
         ids = self._sensor_ids
         return TickRecord(
             self._log[-1][0],
-            dict(zip(ids, self._value_rows[-1])),
+            dict(zip(ids, values)),
             self.current_labels(),
             _tick_events(self._sub_ids, self._log[-1]),
         )
@@ -438,16 +481,32 @@ class Simulator:
 
     def trace(self) -> Trace:
         ids = self._sensor_ids
+        shape = (len(self._label_rows), len(ids))
         tables = tuple(sensor.labels() for sensor in self._model.sensors)
         code_of = [{label: code for code, label in enumerate(table)} for table in tables]
         distinct = np.array(
             [[codes[label] for codes, label in zip(code_of, row)] for row in self._label_rows],
             dtype=np.intp,
-        ).reshape(len(self._label_rows), len(ids))
+        ).reshape(shape)
+        laws = [row_laws for _, _, row_laws in self._label_rows.values()]
+        offset = np.array([[law.offset for law in row] for row in laws]).reshape(shape)
+        scale = np.array([[law.scale for law in row] for row in laws]).reshape(shape)
+        drawn = np.array(
+            [[law.draw is not None for law in row] for row in laws], dtype=bool
+        ).reshape(shape)
+        # Point-mass cells keep their offset as it is; every drawn cell, in
+        # tick then sensor order, is offset + scale * its standard draw.  A
+        # normal law near the float limit can overflow to inf here, silently,
+        # as numpy's scalar ``normal`` does.
+        rows = np.array(self._row_indices, dtype=np.intp)
+        values = offset[rows]
+        cells = drawn[rows]
+        with np.errstate(over="ignore"):
+            values[cells] += scale[rows][cells] * np.array(self._draws, dtype=float)
         return Trace(
             sensor_ids=ids,
-            values=np.array(self._value_rows, dtype=float).reshape(len(self._log), len(ids)),
-            codes=distinct[self._row_indices],
+            values=values,
+            codes=distinct[rows],
             label_tables=tables,
             subsystem_ids=self._sub_ids,
             log=tuple(self._log),

@@ -99,6 +99,121 @@ KNIFE_TRACE_DIGESTS = {
 }
 
 
+# Six sensors whose rows alternate uniform, normal and point-mass laws and
+# whose states change mid-run by rules, interventions and a fault.  Among the
+# laws: a point mass at -0.0, a uniform law 1e-10 wide and one 2e300 wide, and
+# a normal law with stddev 1e-3 around -1e6.
+MIXED_FAMILIES_YAML = """\
+name: mixed-families
+seed: 7
+horizon: 60
+sensors:
+- id: a_flow
+  initial: Low
+  states:
+  - label: Low
+    dist: uniform(-5, 5)
+  - label: High
+    dist: uniform(100, 250.5)
+- id: b_temp
+  initial: Cold
+  states:
+  - label: Cold
+    dist: normal(-3.5, 0.25)
+  - label: Hot
+    dist: normal(1000, 40)
+- id: c_valve
+  initial: Shut
+  states:
+  - label: Shut
+    dist: degenerate(-0)
+  - label: Open
+    dist: degenerate(2.5)
+- id: d_level
+  initial: Idle
+  states:
+  - label: Idle
+    dist: degenerate(7)
+  - label: Fine
+    dist: uniform(0.001, 0.0010000001)
+  - label: Wide
+    dist: uniform(-1e300, 1e300)
+- id: e_press
+  initial: Low
+  states:
+  - label: Low
+    dist: normal(-1e6, 1e-3)
+  - label: Flat
+    dist: degenerate(-1.5)
+- id: f_mode
+  initial: Auto
+  states:
+  - label: Auto
+    dist: degenerate(1)
+  - label: Manual
+    dist: degenerate(0)
+subsystems:
+- id: pump
+  kind: component
+  sensors: [c_valve, a_flow]
+  rules:
+  - when: {c_valve: Open}
+    then:
+    - {sensor: a_flow, state: High, delay: 2}
+  - when: {c_valve: Shut}
+    then:
+    - {sensor: a_flow, state: Low, delay: 1}
+- id: heater
+  kind: component
+  sensors: [a_flow, b_temp]
+  rules:
+  - when: {a_flow: High}
+    then:
+    - {sensor: b_temp, state: Hot, delay: 3}
+  - when: {a_flow: Low}
+    then:
+    - {sensor: b_temp, state: Cold, delay: 3}
+- id: tank
+  kind: component
+  sensors: [b_temp, d_level, e_press]
+  rules:
+  - when: {b_temp: Hot}
+    then:
+    - {sensor: d_level, state: Fine, delay: 1}
+    - {sensor: e_press, state: Flat, delay: 2}
+  - when: {b_temp: Cold}
+    then:
+    - {sensor: d_level, state: Wide, delay: 4}
+- id: plant
+  kind: module
+  sensors: [f_mode]
+  rules: []
+script:
+  interventions:
+  - {tick: 10, sensor: c_valve, state: Open}
+  - {tick: 30, sensor: f_mode, state: Manual}
+  - {tick: 40, sensor: c_valve, state: Shut}
+  faults:
+  - {component: heater, activation: 38, rules: []}
+"""
+
+
+# simulate and simulate --no-faults on MIXED_FAMILIES_YAML, by --seed (None:
+# the document's seed 7).  Recorded before the simulator drew standard
+# variates and applied each law's affine map itself, i.e. with numpy's
+# scalar ``normal(m, s)`` and ``uniform(lo, hi)`` calls.
+MIXED_TRACE_DIGESTS = {
+    None: {
+        "faulty.csv": "ad7496112087e4d2aaf20e8f3a7d6bad62526d6af37cfd4c4a60a22cf26334df",
+        "reference.csv": "a46cd491ac944934ca270f2e42b9a745edad21061ead99c03323fd10cb1cb52c",
+    },
+    3: {
+        "faulty.csv": "fe5e3f95f790c004eb469f975b2f9088d0693ad247e65acfd6bc557ed3f1ba05",
+        "reference.csv": "0d4ff7935f9862e5a826e170ad3c7ef673cf55ceffcb9f9d7c72e2113da8a343",
+    },
+}
+
+
 def knife_detect_digests(out_dir, seed, *detect_options):
     """Simulate the bundled knife scenario's faulty and fault-free runs at
     ``seed``, run detect on them with ``detect_options`` and return the sha256
@@ -204,6 +319,43 @@ class TestSimulate:
         assert main(argv) == 0
         digests = {path.name: digest(path) for path in (faulty, reference)}
         assert digests == KNIFE_TRACE_DIGESTS[seed]
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (("uniform(20, 30)", "uniform(-1e308, 1e308)"), "width"),
+            (("uniform(20, 30)", "uniform(-inf, 30)"), "lo"),
+            (("normal(800, 10)", "normal(nan, 2)"), "mean"),
+            (("normal(800, 10)", "normal(20, inf)"), "stddev"),
+            (("degenerate(2)", "degenerate(inf)"), "value"),
+        ],
+    )
+    def test_non_finite_law_parameter_exits_2(self, tmp_path, capsys, edit, field):
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace(*edit), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert f"{field} must be finite" in error["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_mixed_family_traces_keep_their_bytes(self, tmp_path, seed):
+        """Both trace CSVs of MIXED_FAMILIES_YAML have the bytes recorded
+        here (same assumptions as the seed-1 knife digests below)."""
+        scenario = tmp_path / "mixed.yaml"
+        scenario.write_text(MIXED_FAMILIES_YAML, encoding="utf-8")
+        options = [] if seed is None else ["--seed", str(seed)]
+        faulty, reference = tmp_path / "faulty.csv", tmp_path / "reference.csv"
+        assert main(["simulate", str(scenario), "--out", str(faulty), *options]) == 0
+        argv = ["simulate", str(scenario), "--out", str(reference), *options, "--no-faults"]
+        assert main(argv) == 0
+        assert ",c_valve,-0.0,Shut\n" in faulty.read_text(encoding="utf-8")
+        digests = {path.name: digest(path) for path in (faulty, reference)}
+        assert digests == MIXED_TRACE_DIGESTS[seed]
 
 
 class TestPipeline:

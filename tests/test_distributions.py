@@ -39,6 +39,24 @@ class TestDistributionTypes:
         with pytest.raises(ValueError, match="lo < hi"):
             Uniform(3, 1)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: Normal(math.nan, 2), "mean"),
+            (lambda: Normal(-math.inf, 2), "mean"),
+            (lambda: Normal(20, math.inf), "stddev"),
+            (lambda: Normal(20, math.nan), "stddev"),
+            (lambda: Uniform(-math.inf, 30), "lo"),
+            (lambda: Uniform(0, math.nan), "hi"),
+            (lambda: Uniform(-1e308, 1e308), "width"),
+            (lambda: Degenerate(math.inf), "value"),
+            (lambda: Degenerate(math.nan), "value"),
+        ],
+    )
+    def test_parameters_and_width_must_be_finite(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make()
+
 
 class TestSampling:
     def test_degenerate_returns_copies(self):

@@ -67,7 +67,16 @@ class TestDistributionSyntax:
             parse_distribution("normal(0, -1)")
 
     @pytest.mark.parametrize(
-        "dist", [Normal(20, 2), Uniform(-3, 3), Degenerate(0.5), Normal(1.25, 0.125)]
+        "dist",
+        [
+            Normal(20, 2),
+            Uniform(-3, 3),
+            Degenerate(0.5),
+            Normal(1.25, 0.125),
+            Normal(20.123456789, 2),
+            Uniform(0.1 + 0.2, 1),
+            Degenerate(1e-300),
+        ],
     )
     def test_format_parse_round_trip(self, dist):
         assert parse_distribution(format_distribution(dist)) == dist
@@ -220,6 +229,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize("fixture", [knife_fixture, chain_fixture, thermostat_fixture])
     def test_serialize_parse_identity(self, fixture):
         doc = fixture()
+        assert parse_scenario(serialize_scenario(doc)) == doc
+
+    def test_parameters_keep_every_digit(self):
+        text = REPO_KNIFE.read_text().replace("normal(800, 10)", "normal(20.123456789, 2)")
+        doc = parse_scenario(text)
+        assert doc.build().sensor("oven_temp").distribution("Hot") == Normal(20.123456789, 2)
         assert parse_scenario(serialize_scenario(doc)) == doc
 
     def test_double_round_trip_is_stable(self):

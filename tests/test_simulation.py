@@ -540,3 +540,92 @@ class TestOracleStepper:
                 )
         assert kinds == {EFFECT_APPLIED, INTERVENTION, FAULT_ACTIVATED, RULE_FIRED}
         assert laws == {Normal, Uniform, Degenerate}
+
+
+# Laws with negative, huge, tiny and subnormal means, widths and points.  The
+# last but one normal law overflows to inf now and then, silently, in numpy too.
+EXTREME_NORMALS = (
+    Normal(-3.5, 0.25),
+    Normal(-1e6, 1e-3),
+    Normal(1e300, 1e299),
+    Normal(1.7e308, 1e307),
+    Normal(-1e-300, 5e-324),
+    Normal(0.0, 1e-300),
+)
+EXTREME_UNIFORMS = (
+    Uniform(-5.0, 5.0),
+    Uniform(-1e300, 1e300),
+    Uniform(1e-3, 1e-3 + 1e-10),
+    Uniform(-2.5e-310, -1e-310),
+    Uniform(1e307, 1.7e308),
+)
+EXTREME_POINTS = (Degenerate(-0.0), Degenerate(7.0), Degenerate(-1e308), Degenerate(5e-324))
+
+
+def scalar_numpy_values(model, seed, trace):
+    """The values of ``trace``'s label rows drawn with numpy's own scalar
+    calls, ``rng.normal(m, s)`` and ``rng.uniform(lo, hi)``, in tick then
+    sensor order; a point mass is its value and makes no call."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(len(trace)):
+        row = []
+        for j, sensor in enumerate(model.sensors):
+            dist = sensor.distribution(trace.label_tables[j][trace.codes[t, j]])
+            if isinstance(dist, Normal):
+                row.append(rng.normal(dist.mean, dist.stddev))
+            elif isinstance(dist, Uniform):
+                row.append(rng.uniform(dist.lo, dist.hi))
+            else:
+                row.append(float(dist.value))
+        rows.append(row)
+    return rows
+
+
+class TestStandardDraws:
+    """The simulator draws standard variates and applies each law's affine
+    map itself; its values must equal numpy's scalar samplers bit for bit."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_equal_numpy_scalar_samplers(self):
+        horizon = 30
+        families, overflows = set(), 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            sensors = []
+            for i in range(5):
+                laws = [
+                    rng.choice(EXTREME_NORMALS),
+                    rng.choice(EXTREME_UNIFORMS),
+                    rng.choice(EXTREME_POINTS),
+                ]
+                rng.shuffle(laws)
+                states = tuple((f"S{k}", law) for k, law in enumerate(laws))
+                sensors.append(Sensor(f"s{i}", states, "S0"))
+            model = build_model(sensors, ())
+            script = [
+                ScriptedIntervention(tick, f"s{rng.randrange(5)}", f"S{rng.randrange(3)}")
+                for tick in sorted(rng.sample(range(1, horizon), 12))
+            ]
+            sim = Simulator(model, seed=seed)
+            stepped = []
+            for tick in range(horizon):
+                for item in script:
+                    if item.tick == tick:
+                        sim.intervene(item.sensor, item.state)
+                stepped.append(sim.step().values)
+            trace = sim.trace()
+            assert trace == run_script(model, seed, horizon, script)
+
+            got = [[value.hex() for value in row] for row in trace.values.tolist()]
+            expected = scalar_numpy_values(model, seed, trace)
+            assert got == [[value.hex() for value in row] for row in expected]
+            assert [[row[s.id].hex() for s in model.sensors] for row in stepped] == got
+            overflows += np.isinf(trace.values).sum()
+            families.update(
+                type(model.sensors[j].distribution(trace.label_tables[j][code]))
+                for row in trace.codes.tolist()
+                for j, code in enumerate(row)
+            )
+        assert families == {Normal, Uniform, Degenerate}
+        assert overflows > 0
