@@ -331,14 +331,19 @@ def _expand_joint_rules(
 ) -> tuple[Rule, ...]:
     """Joint rule table equivalent to applying ``first`` then ``second``.
 
-    One total-guard rule per joint state that matches either table, so the
-    result trivially satisfies the determinism invariant while preserving the
-    priority of ``first`` on conflicting same-tick effects.
+    One rule per joint state of the guard sensors (those of ``union`` that
+    some guard of either table reads) that matches either table.  Whether a
+    rule matches depends on those sensors only, and guards that are total
+    over one sensor set are pairwise disjoint, so the result satisfies the
+    determinism invariant while preserving the priority of ``first`` on
+    conflicting same-tick effects.
     """
-    domains = [model.sensor(sid).labels() for sid in union]
+    read = {sid for rule in first.rules + second.rules for sid in rule.guard}
+    guarded = [sid for sid in union if sid in read]
+    domains = [model.sensor(sid).labels() for sid in guarded]
     rules = []
     for combo in itertools.product(*domains):
-        assignment = dict(zip(union, combo))
+        assignment = dict(zip(guarded, combo))
         rule_a = _single_match(first.rules, assignment)
         rule_b = _single_match(second.rules, assignment)
         if rule_a is None and rule_b is None:
@@ -353,9 +358,10 @@ def compose(model: SystemModel, id_a: str, id_b: str, new_id: str) -> SystemMode
     """Replace two subsystems with one over their sensor union.
 
     When the plain union of both rule tables is already deterministic it is
-    kept as-is; otherwise the table is expanded over the joint state set with
-    ``id_a``'s effects taking priority on same-tick conflicts, so one tick of
-    the composed subsystem equals applying ``id_a``'s table then ``id_b``'s.
+    kept as-is; otherwise the table is expanded over the joint states of the
+    sensors its guards read, with ``id_a``'s effects taking priority on
+    same-tick conflicts, so one tick of the composed subsystem equals
+    applying ``id_a``'s table then ``id_b``'s.
     The new subsystem takes ``id_a``'s kind and the better (smaller) of the
     two priority positions.
     """

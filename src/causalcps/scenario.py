@@ -583,9 +583,18 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 
 def export_trace(trace: Trace) -> str:
     """Trace CSV: ``tick,sensor_id,value,state_label``, rows sorted by
-    (tick, sensor_id); float repr keeps the values bit-exact on re-import."""
+    (tick, sensor_id); float repr keeps the values bit-exact on re-import.
+
+    A non-finite value, which ``import_trace`` would refuse, is refused here
+    too: the error names the first one in row order and nothing is returned.
+    """
     order = sorted(range(len(trace.sensor_ids)), key=trace.sensor_ids.__getitem__)
     ids = [trace.sensor_ids[j] for j in order]
+    finite = np.isfinite(trace.values[:, order])
+    if not finite.all():
+        t, k = np.argwhere(~finite)[0].tolist()
+        value = trace.values[t, order[k]].item()
+        raise ScenarioError(f"trace tick {t}, sensor {ids[k]!r}: non-finite value {value!r}")
     # Row ends of all sensors' labels in one list, sensor j's codes offset by
     # the lengths of the tables before it.
     ends = [label + "\n" for j in order for label in trace.label_tables[j]]

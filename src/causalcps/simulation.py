@@ -22,13 +22,12 @@ trajectory (diagnosis) and can stop at the first tick that settles the
 question.  A full run keeps, per tick, what ``_advance`` returned as the raw
 event log, the index of its distinct label row and its standard draws.
 
-A ``Trace`` is columnar: a T x N float64 value matrix, a T x N matrix of
-integer label codes with one label table per sensor (the model's state
-order), and the raw log.  ``values_for`` and ``codes_for`` are column reads.
-``Event``s and the per-tick ``TickRecord`` view (``Trace.events``,
-``Trace.records``, ``Simulator.step``'s return value) are built from the log
-and the columns only when asked for, in the order and with the values a
-record-per-tick run would have had.
+A ``Trace`` is columnar, and it is the only form a run takes: a T x N
+float64 value matrix, a T x N matrix of integer label codes with one label
+table per sensor (the model's state order), and the raw log.  ``values_for``
+and ``codes_for`` are column reads.  ``Event``s are built from the log only
+when ``Trace.events`` is read.  ``Simulator.step`` executes one tick and
+returns nothing; values exist only once ``trace`` has built the matrix.
 
 Phase 2 does not test rules one by one.  Each rule table is compiled once, when
 the simulator is made and again when a fault swaps a table in, into one dict
@@ -47,8 +46,6 @@ draws into values with whole-array arithmetic, ``offset + scale * draw``,
 where the offset is the mean or ``lo`` and the scale the standard deviation
 or ``hi - lo`` of the cell's (sensor, state); a point-mass cell takes its
 value as it is, with no ``0.0 * draw`` term, so ``-0.0`` survives.
-``Simulator.step`` does the same two operations in Python for the row it
-has just drawn.
 
 The values are bit-identical to sampling with ``draw(dist, rng, 1)[0]``
 sensor by sensor.  Each zero-argument call consumes the same bits in the
@@ -108,14 +105,6 @@ class FaultSpec:
     activation: int
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    tick: int
-    values: dict[str, float]
-    labels: dict[str, str]
-    events: tuple[Event, ...]
-
-
 # What ``Simulator._advance`` returns for one tick: the tick, the queued
 # effects applied, the interventions applied, the faults activated and the
 # (subsystem index, rule index) of every rule that fired.
@@ -147,9 +136,11 @@ class Trace:
     ``values[t, j]`` is the value of sensor ``sensor_ids[j]`` at tick ``t`` and
     ``label_tables[j][codes[t, j]]`` its label.  ``log`` holds the raw output
     of ``Simulator._advance`` for every tick, and ``subsystem_ids`` names the
-    subsystem indices in it; a trace read from CSV has no log.  Events and
-    per-tick records are built from these only when asked for.  Two traces
-    are equal when their sensor ids and records are.
+    subsystem indices in it; a trace read from CSV has no log.  Events are
+    built from the log only when asked for.  Two traces are equal when their
+    lengths, sensor ids, every sensor's labels (not its codes, so the order
+    of a label table does not matter), their values (float ``==``) and their
+    events are.
     """
 
     sensor_ids: tuple[str, ...]
@@ -197,7 +188,15 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.sensor_ids == other.sensor_ids and self.records == other.records
+        # A trace is equal to itself even with a nan value, as the per-tick
+        # dicts it was once compared by were.
+        return self is other or (
+            len(self) == len(other)
+            and self.sensor_ids == other.sensor_ids
+            and all(self.labels_for(s) == other.labels_for(s) for s in self.sensor_ids)
+            and np.array_equal(self.values, other.values)
+            and list(self.events()) == list(other.events())
+        )
 
     @cached_property
     def _columns(self) -> dict[str, int]:
@@ -214,22 +213,6 @@ class Trace:
 
     def labels_for(self, sensor: str) -> list[str]:
         return list(map(self.label_table(sensor).__getitem__, self.codes_for(sensor).tolist()))
-
-    @cached_property
-    def records(self) -> tuple[TickRecord, ...]:
-        """One record per tick, built from the columns and the log on first use."""
-        ids = self.sensor_ids
-        labels = zip(*map(self.labels_for, ids))
-        if self.log:
-            events = (_tick_events(self.subsystem_ids, entry) for entry in self.log)
-        else:
-            events = ((),) * len(self)
-        return tuple(
-            TickRecord(t, dict(zip(ids, value_row)), dict(zip(ids, label_row)), tick_events)
-            for t, (value_row, label_row, tick_events) in enumerate(
-                zip(self.values.tolist(), labels, events)
-            )
-        )
 
     def events(self, kind: str | None = None) -> Iterator[Event]:
         for entry in self.log:
@@ -388,9 +371,7 @@ class Simulator:
             )
         self._faults.setdefault(fault.activation, []).append(fault)
 
-    def _advance(self) -> tuple[
-        int, list[_QueuedEffect], list[tuple[str, str]], list[FaultSpec], list[tuple[int, int]]
-    ]:
+    def _advance(self) -> _TickLog:
         """Phases 1-2 of the next tick: the only code that moves labels.
 
         Returns the tick executed, the queued effects applied, the
@@ -435,13 +416,13 @@ class Simulator:
                 break
         return t, applied, interventions, faults, fired
 
-    def _step(self) -> tuple[tuple[_Law, ...], list[float]]:
+    def step(self) -> None:
         """Execute the next tick and append its log entry, label-row index and
-        standard draws; returns the laws of its label row and its draws."""
+        standard draws; ``trace`` turns them into the run's columns."""
         self._log.append(self._advance())
 
         # Phase 3: one standard draw per random sensor, in sensor order.  The
-        # laws of a label row are looked up once, when the row first occurs.
+        # draw methods of a label row are looked up once, when it first occurs.
         labels = self._labels
         row = tuple(map(labels.__getitem__, self._sensor_ids))
         seen = self._label_rows.get(row)
@@ -449,34 +430,16 @@ class Simulator:
             laws = tuple(by_label[label] for by_label, label in zip(self._laws, row))
             samplers = tuple(law.draw for law in laws if law.draw is not None)
             seen = self._label_rows[row] = (len(self._label_rows), samplers, laws)
-        index, samplers, laws = seen
+        index, samplers, _ = seen
         self._row_indices.append(index)
-        draws = [draw() for draw in samplers]
-        self._draws += draws
-        return laws, draws
-
-    def step(self) -> TickRecord:
-        """Execute the next tick and return its record."""
-        laws, row_draws = self._step()
-        draws = iter(row_draws)
-        values = [
-            law.offset if law.draw is None else law.offset + law.scale * next(draws)
-            for law in laws
-        ]
-        ids = self._sensor_ids
-        return TickRecord(
-            self._log[-1][0],
-            dict(zip(ids, values)),
-            self.current_labels(),
-            _tick_events(self._sub_ids, self._log[-1]),
-        )
+        self._draws += [draw() for draw in samplers]
 
     def run(self, horizon: int) -> Trace:
         """Step until ``horizon`` ticks have executed; returns the full trace."""
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         while self._tick < horizon:
-            self._step()
+            self.step()
         return self.trace()
 
     def trace(self) -> Trace:
@@ -544,7 +507,7 @@ def run_script(
     """Run a model with scripted interventions and faults up to ``horizon``."""
     sim = Simulator(model, seed=seed)
     for _ in _script(sim, horizon, interventions, faults):
-        sim._step()
+        sim.step()
     return sim.trace()
 
 
@@ -556,7 +519,7 @@ def label_steps(
 ) -> Iterator[dict[str, str]]:
     """Yield the joint labels after each tick of the same run as run_script.
 
-    Runs phases 1-2 only: nothing is sampled and no record or event is kept,
+    Runs phases 1-2 only: nothing is sampled and no event is logged,
     so a consumer that has seen enough can stop early at no further cost.
     Labels never depend on the seed, so none is taken.  Errors surface as
     iteration reaches them, as in run_script: a bad horizon or fault on the

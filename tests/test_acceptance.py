@@ -34,6 +34,7 @@ from causalcps.scenario import (
 from causalcps.simulation import EFFECT_APPLIED, ScriptedIntervention, run_script
 
 from test_diagnosis import oracle_consistent_sets
+from test_model import label_columns
 from test_planning import brute_force_minimum
 
 
@@ -77,7 +78,7 @@ def test_criterion_1_requirements_checklist():
 
         # R4: the cyclic pair builds, runs 1000 ticks, and has period 4.
         thermo = thermostat_fixture().run(horizon=1000)
-        labels = [(r.labels["temp"], r.labels["valve"]) for r in thermo.records]
+        labels = list(zip(thermo.labels_for("temp"), thermo.labels_for("valve")))
         assert len(labels) == 1000
         assert all(labels[t] == labels[t + 4] for t in range(996))
         assert labels[0] != labels[1] or labels[1] != labels[2]
@@ -310,9 +311,7 @@ def test_criterion_7_composition_semantics():
                     composed = compose(model, ordering[0].id, ordering[1].id, "joint")
                     before = run_script(model, 0, 20)
                     after = run_script(composed, 0, 20)
-                    assert [r.labels for r in before.records] == [
-                        r.labels for r in after.records
-                    ]
+                    assert label_columns(before) == label_columns(after)
 
 
 def test_criterion_8_cli_determinism(tmp_path):

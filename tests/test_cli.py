@@ -342,6 +342,20 @@ class TestSimulate:
         assert f"{field} must be finite" in error["detail"]
         assert not out.exists()
 
+    def test_non_finite_value_is_not_written(self, tmp_path, capsys):
+        # A finite law whose draws can pass the float range: some Hot values
+        # of oven_temp overflow to inf, which import_trace would refuse.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count("normal(800, 10)") == 1
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace("normal(800, 10)", "normal(1.7e308, 1e307)"), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out), "--no-faults"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == "trace tick 10, sensor 'oven_temp': non-finite value inf"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [None, 3])
     def test_mixed_family_traces_keep_their_bytes(self, tmp_path, seed):
         """Both trace CSVs of MIXED_FAMILIES_YAML have the bytes recorded

@@ -34,6 +34,11 @@ def simple_model(*subsystems, n_sensors=3):
     return build_model(sensors, subsystems)
 
 
+def label_columns(trace):
+    """Each sensor's label trajectory, by sensor id."""
+    return {sensor: trace.labels_for(sensor) for sensor in trace.sensor_ids}
+
+
 def test_rule_matches_iff_guard_is_a_sub_assignment():
     rule = Rule(guard={"s0": "A", "s1": "B"}, effects=())
     assert rule.matches({"s0": "A", "s1": "B", "s2": "A"})
@@ -270,7 +275,7 @@ class TestCompose:
             after = run_script(
                 build_model(sensors, composed.subsystems), 0, 15
             )
-            assert [r.labels for r in before.records] == [r.labels for r in after.records]
+            assert label_columns(before) == label_columns(after)
 
     def test_zero_rule_partner_is_identity_on_behavior(self):
         alpha = Subsystem(
@@ -284,7 +289,7 @@ class TestCompose:
         composed = compose(model, "alpha", "beta", "joint")
         before = run_script(model, 0, 15)
         after = run_script(composed, 0, 15)
-        assert [r.labels for r in before.records] == [r.labels for r in after.records]
+        assert label_columns(before) == label_columns(after)
 
     def test_trace_equality_over_all_initial_states(self):
         base = self.disjoint_pair()
@@ -296,7 +301,7 @@ class TestCompose:
             composed = compose(model, "alpha", "beta", "joint")
             before = run_script(model, 0, 20)
             after = run_script(composed, 0, 20)
-            assert [r.labels for r in before.records] == [r.labels for r in after.records]
+            assert label_columns(before) == label_columns(after)
 
     def test_same_tick_conflict_priority(self):
         # alpha and beta write s1 in the same tick; the first argument wins.
@@ -316,11 +321,46 @@ class TestCompose:
         model_ba = build_model(model_ab.sensors, (beta, alpha))
         composed_ab = compose(model_ab, "alpha", "beta", "joint")
         composed_ba = compose(model_ba, "beta", "alpha", "joint")
-        assert run_script(composed_ab, 0, 3).records[1].labels["s1"] == "B"
-        assert run_script(composed_ba, 0, 3).records[1].labels["s1"] == "A"
+        assert run_script(composed_ab, 0, 3).labels_for("s1")[1] == "B"
+        assert run_script(composed_ba, 0, 3).labels_for("s1")[1] == "A"
         # and each matches its uncomposed model
-        assert run_script(model_ab, 0, 3).records[1].labels["s1"] == "B"
-        assert run_script(model_ba, 0, 3).records[1].labels["s1"] == "A"
+        assert run_script(model_ab, 0, 3).labels_for("s1")[1] == "B"
+        assert run_script(model_ba, 0, 3).labels_for("s1")[1] == "A"
+
+    def test_expansion_ranges_over_guard_sensors_only(self):
+        # Two 4-sensor subsystems of 3-state sensors, one single-sensor guard
+        # each: the guards overlap, so the table is expanded, over the 3 x 3
+        # states of w0 and w4 rather than the 3^8 states of the union.
+        alpha = Subsystem(
+            "alpha",
+            SubsystemKind.COMPONENT,
+            ("w0", "w1", "w2", "w3"),
+            (Rule({"w0": "S1"}, (Effect("w1", "S2", 1), Effect("out", "S1", 2))),),
+        )
+        beta = Subsystem(
+            "beta",
+            SubsystemKind.COMPONENT,
+            ("w4", "w5", "w6", "w7"),
+            (Rule({"w4": "S2"}, (Effect("w5", "S1", 1), Effect("out", "S2", 2))),),
+        )
+        sensors = [n_state(f"w{i}", 3) for i in range(8)] + [n_state("out", 3)]
+        model = build_model(sensors, (alpha, beta))
+        composed = compose(model, "alpha", "beta", "joint")
+        joint = composed.subsystem("joint")
+        assert joint.sensors == tuple(f"w{i}" for i in range(8))
+        assert len(joint.rules) == 5
+        assert all(set(rule.guard) == {"w0", "w4"} for rule in joint.rules)
+        both = next(r for r in joint.rules if r.guard == {"w0": "S1", "w4": "S2"})
+        assert both.effects == (
+            Effect("w1", "S2", 1),
+            Effect("out", "S1", 2),
+            Effect("w5", "S1", 1),
+        )
+        for w0, w4 in itertools.product(("S0", "S1", "S2"), repeat=2):
+            starts = [Sensor(s.id, s.states, {"w0": w0, "w4": w4}.get(s.id, "S0")) for s in sensors]
+            before = run_script(build_model(starts, (alpha, beta)), 0, 6)
+            after = run_script(build_model(starts, composed.subsystems), 0, 6)
+            assert label_columns(before) == label_columns(after)
 
     def test_union_covering_all_sensors_rejected(self):
         alpha = Subsystem("alpha", SubsystemKind.COMPONENT, ("s0", "s1"), ())

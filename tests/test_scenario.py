@@ -320,6 +320,23 @@ class TestTraceCsv:
             assert list(back.values_for(sensor)) == list(knife_reference.values_for(sensor))
             assert back.labels_for(sensor) == knife_reference.labels_for(sensor)
 
+    def test_export_names_the_first_non_finite_value_in_row_order(self):
+        from causalcps.simulation import Trace
+
+        inf = float("inf")
+        # Columns c, b, a; rows go by tick, then by sensor id: a, b, c.
+        for a, message in (
+            ([-inf, 0.0, 0.0], "trace tick 0, sensor 'a': non-finite value -inf"),
+            ([0.0, 0.0, -inf], "trace tick 1, sensor 'b': non-finite value inf"),
+        ):
+            trace = Trace.from_columns(
+                {"c": [0.0, math.nan, 0.0], "b": [0.0, inf, 0.0], "a": a},
+                {sensor: ["X"] * 3 for sensor in "cba"},
+            )
+            with pytest.raises(ScenarioError) as error:
+                export_trace(trace)
+            assert str(error.value) == message
+
     def test_export_is_byte_deterministic(self, knife_reference):
         assert export_trace(knife_reference) == export_trace(knife_reference)
 
@@ -401,9 +418,8 @@ def numbered_rows(text):
 
 def row_loop_import_trace(text, model=None):
     """The row-at-a-time trace CSV reader that the columnar ``import_trace``
-    replaced, kept as its oracle.  Returns (sensor ids, records)."""
-    from causalcps.simulation import TickRecord
-
+    replaced, kept as its oracle.  Returns the sensor ids and, per tick, a
+    dict of values and a dict of labels by sensor id."""
     rows = numbered_rows(text)
     _, header = next(rows, (1, None))
     if header != ["tick", "sensor_id", "value", "state_label"]:
@@ -447,11 +463,7 @@ def row_loop_import_trace(text, model=None):
         if len(values) != len(sensor_ids):
             missing = next(sid for sid in sensor_ids if sid not in values)
             raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
-    records = tuple(
-        TickRecord(tick=t, values=by_tick[t][0], labels=by_tick[t][1], events=())
-        for t in ticks
-    )
-    return tuple(sensor_ids), records
+    return tuple(sensor_ids), [by_tick[t] for t in ticks]
 
 
 TRACE_HEADER = "tick,sensor_id,value,state_label\n"
@@ -563,13 +575,16 @@ class TestImportAgreesWithRowLoop:
                     continue
                 accepted += 1
                 assert not isinstance(got, str), (name, model is not None, got)
-                sensor_ids, records = expected
+                sensor_ids, ticks = expected
                 assert got.sensor_ids == sensor_ids, name
-                assert got.records == records, name
-                for mine, theirs in zip(got.records, records):
-                    assert {s: v.hex() for s, v in mine.values.items()} == {
-                        s: v.hex() for s, v in theirs.values.items()
-                    }, name
+                assert len(got) == len(ticks), name
+                assert got.log == (), name
+                for sensor in sensor_ids:
+                    assert got.labels_for(sensor) == [labels[sensor] for _, labels in ticks], name
+                    mine = got.values_for(sensor).tolist()
+                    theirs = [values[sensor] for values, _ in ticks]
+                    assert mine == theirs, name
+                    assert [v.hex() for v in mine] == [v.hex() for v in theirs], name
         assert accepted >= 20 and checked - accepted >= 100
 
     @pytest.mark.parametrize("which", ["knife_reference", "knife_lid_fault_trace"])

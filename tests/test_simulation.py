@@ -15,6 +15,7 @@ from causalcps.model import (
     build_model,
     validate_rules,
 )
+from causalcps.scenario import export_trace, import_trace
 from causalcps.simulation import (
     EFFECT_APPLIED,
     FAULT_ACTIVATED,
@@ -33,12 +34,21 @@ def labels_series(trace, sensor):
     return trace.labels_for(sensor)
 
 
+def label_rows(trace):
+    """The joint labels of each tick, as ``label_steps`` yields them."""
+    ids = trace.sensor_ids
+    return [dict(zip(ids, row)) for row in zip(*map(trace.labels_for, ids))]
+
+
 class TestBasicStepping:
     def test_initial_states_at_tick_zero(self, oven_model):
         sim = Simulator(oven_model, seed=0)
-        record = sim.step()
-        assert record.tick == 0
-        assert record.labels == {"burner": "Off", "oven_temp": "Ambient", "spare": "Idle"}
+        sim.step()
+        assert sim.tick == 1
+        assert sim.current_labels() == {"burner": "Off", "oven_temp": "Ambient", "spare": "Idle"}
+        trace = sim.trace()
+        assert [entry[0] for entry in trace.log] == [0]
+        assert label_rows(trace) == [sim.current_labels()]
 
     def test_no_rules_means_constant_labels(self):
         sensors = (
@@ -58,15 +68,15 @@ class TestBasicStepping:
     def test_different_seed_same_labels_different_values(self, knife_doc):
         t1 = knife_doc.run(seed=1, include_faults=False)
         t2 = knife_doc.run(seed=2, include_faults=False)
-        assert [r.labels for r in t1.records] == [r.labels for r in t2.records]
-        assert any(
-            t1.records[i].values != t2.records[i].values for i in range(len(t1.records))
-        )
+        assert label_rows(t1) == label_rows(t2)
+        assert not np.array_equal(t1.values, t2.values)
 
     def test_run_horizon_counts_ticks(self, oven_model):
-        trace = Simulator(oven_model, seed=0).run(25)
+        sim = Simulator(oven_model, seed=0)
+        trace = sim.run(25)
         assert len(trace) == 25
-        assert trace.records[-1].tick == 24
+        assert sim.tick == 25
+        assert trace.log[-1][0] == 24
 
     def test_run_rejects_bad_horizon(self, oven_model):
         with pytest.raises(ValueError, match="horizon"):
@@ -95,7 +105,7 @@ class TestRuleApplication:
 
     def test_thermostat_cycle_has_period_four(self, thermostat_doc):
         trace = thermostat_doc.run(horizon=40)
-        pairs = [(r.labels["temp"], r.labels["valve"]) for r in trace.records]
+        pairs = list(zip(trace.labels_for("temp"), trace.labels_for("valve")))
         expected = [("Hot", "Open"), ("Hot", "Closed"), ("Cold", "Closed"), ("Cold", "Open")]
         assert pairs == expected * 10
 
@@ -108,9 +118,9 @@ class TestRuleApplication:
     def test_at_most_one_rule_fires_per_subsystem_per_tick(self, thermostat_doc, knife_doc):
         # Determinism bounds per-tick work even on cyclic rule structures.
         for trace in (thermostat_doc.run(horizon=200), knife_doc.run()):
-            for record in trace.records:
-                fired = [e.subsystem for e in record.events if e.kind == RULE_FIRED]
-                assert len(fired) == len(set(fired))
+            fired = [(e.tick, e.subsystem) for e in trace.events(RULE_FIRED)]
+            assert fired
+            assert len(fired) == len(set(fired))
 
 
 class TestInterventions:
@@ -118,9 +128,9 @@ class TestInterventions:
         sim = Simulator(oven_model, seed=0)
         sim.step()
         sim.intervene("burner", "Off")
-        record = sim.step()
-        assert record.labels["burner"] == "Off"
-        kinds = [e.kind for e in record.events]
+        sim.step()
+        assert sim.current_labels()["burner"] == "Off"
+        kinds = [e.kind for e in sim.trace().events() if e.tick == 1]
         assert INTERVENTION in kinds
 
     def test_downstream_effects_strictly_after_intervention(self, oven_model):
@@ -134,7 +144,7 @@ class TestInterventions:
         script = [ScriptedIntervention(4, "burner", "On")]
         t1 = run_script(oven_model, 0, 30, interventions=script)
         t2 = run_script(oven_model, 0, 30, interventions=script)
-        assert [r.labels for r in t1.records] == [r.labels for r in t2.records]
+        assert label_rows(t1) == label_rows(t2)
 
     def test_intervention_overrides_rule_effect_same_tick(self):
         # Rule pins s1=B every tick; intervention at tick 3 wins that tick.
@@ -172,8 +182,8 @@ class TestFaults:
         )
         faulted = run_script(oven_model, 7, 30, interventions=script, faults=[same_rules])
         # Identical behavior; the log additionally records the activation.
-        assert [r.labels for r in plain.records] == [r.labels for r in faulted.records]
-        assert [r.values for r in plain.records] == [r.values for r in faulted.records]
+        assert label_rows(plain) == label_rows(faulted)
+        assert np.array_equal(plain.values, faulted.values)
 
     def test_fault_activation_is_logged(self, oven_model):
         fault = FaultSpec(component="oven", replacement_rules=(), activation=3)
@@ -182,9 +192,8 @@ class TestFaults:
         assert len(events) == 1 and events[0].tick == 3 and events[0].subsystem == "oven"
 
     def test_lid_fault_keeps_oven_cold_and_knife_soft(self, knife_doc, knife_lid_fault_trace):
-        labels = [r.labels for r in knife_lid_fault_trace.records]
-        assert all(l["oven_temp"] == "Ambient" for l in labels)
-        assert all(l["lid_state"] == "Open" for l in labels)
+        assert all(l == "Ambient" for l in knife_lid_fault_trace.labels_for("oven_temp"))
+        assert all(l == "Open" for l in knife_lid_fault_trace.labels_for("lid_state"))
         assert knife_lid_fault_trace.final_labels()["knife_hardness"] == "Soft"
 
     def test_fault_free_knife_run_hardens(self, knife_reference):
@@ -196,7 +205,7 @@ class TestFaults:
         plain = run_script(oven_model, 0, 20, interventions=script)
         late = FaultSpec(component="oven", replacement_rules=(), activation=500)
         faulted = run_script(oven_model, 0, 20, interventions=script, faults=[late])
-        assert plain.records == faulted.records
+        assert plain == faulted
 
     def test_replacement_rules_are_validated(self, oven_model):
         bad = FaultSpec(
@@ -237,9 +246,9 @@ class TestConflictResolution:
             "second", SubsystemKind.COMPONENT, ("z",), (Rule({"z": "A"}, (Effect("y", "C", 1),)),)
         )
         model = build_model(self.three_sensors(), (first, second))
-        assert run_script(model, 0, 3).records[1].labels["y"] == "B"
+        assert run_script(model, 0, 3).labels_for("y")[1] == "B"
         swapped = build_model(self.three_sensors(), (second, first))
-        assert run_script(swapped, 0, 3).records[1].labels["y"] == "C"
+        assert run_script(swapped, 0, 3).labels_for("y")[1] == "C"
 
     def test_later_rule_in_table_wins_cross_tick_landing(self):
         # Rule 0 fires at t=0 with delay 2, rule 1 fires at t=1 with delay 1;
@@ -255,7 +264,7 @@ class TestConflictResolution:
         )
         model = build_model(self.three_sensors(), (sub,))
         trace = run_script(model, 0, 4)
-        assert trace.records[2].labels["y"] == "C"
+        assert trace.labels_for("y")[2] == "C"
 
     def test_later_effect_within_rule_wins(self):
         sub = Subsystem(
@@ -265,7 +274,7 @@ class TestConflictResolution:
             (Rule({"x": "A"}, (Effect("y", "B", 1), Effect("y", "C", 1))),),
         )
         model = build_model(self.three_sensors(), (sub,))
-        assert run_script(model, 0, 3).records[1].labels["y"] == "C"
+        assert run_script(model, 0, 3).labels_for("y")[1] == "C"
 
 
 class TestSampledValues:
@@ -286,13 +295,14 @@ class TestSampledValues:
         assert match_state(lo_window, states, 0.01) == "Lo"
         assert match_state(hi_window, states, 0.01) == "Hi"
 
-    def test_one_value_per_sensor_per_tick(self, knife_reference):
-        for record in knife_reference.records[:20]:
-            assert set(record.values) == set(knife_reference.sensor_ids)
+    def test_one_value_per_sensor_per_tick(self, knife_model, knife_reference):
+        sensor_ids = knife_model.sensor_ids()
+        assert knife_reference.sensor_ids == sensor_ids
+        assert knife_reference.values.shape == (len(knife_reference), len(sensor_ids))
 
 
 class TestColumnarTrace:
-    def test_columns_hold_the_records(self, knife_doc, knife_lid_fault_trace):
+    def test_columns_follow_the_model(self, knife_doc, knife_lid_fault_trace):
         trace = knife_lid_fault_trace
         model = knife_doc.build()
         assert trace.sensor_ids == model.sensor_ids()
@@ -300,17 +310,14 @@ class TestColumnarTrace:
         assert trace.values.dtype == np.float64
         assert np.issubdtype(trace.codes.dtype, np.integer)
         assert trace.label_tables == tuple(sensor.labels() for sensor in model.sensors)
-        for t, record in enumerate(trace.records):
-            assert record.tick == t
-            assert list(record.values) == list(trace.sensor_ids)
-            assert list(record.values.values()) == trace.values[t].tolist()
-            assert record.labels == {
-                s: table[code]
-                for s, table, code in zip(trace.sensor_ids, trace.label_tables, trace.codes[t])
-            }
+        assert [entry[0] for entry in trace.log] == list(range(knife_doc.horizon))
         for j, sensor in enumerate(trace.sensor_ids):
+            table = trace.label_tables[j]
+            assert trace.label_table(sensor) == table
             assert trace.values_for(sensor).tolist() == trace.values[:, j].tolist()
-            assert trace.labels_for(sensor) == [r.labels[sensor] for r in trace.records]
+            assert trace.codes_for(sensor).tolist() == trace.codes[:, j].tolist()
+            assert trace.labels_for(sensor) == [table[code] for code in trace.codes[:, j]]
+        assert label_rows(trace)[-1] == trace.final_labels()
 
     def test_columns_are_read_only(self, knife_reference):
         with pytest.raises(ValueError):
@@ -318,7 +325,7 @@ class TestColumnarTrace:
         with pytest.raises(ValueError):
             knife_reference.codes[0, 0] = 1
 
-    def test_run_builds_no_event_and_no_record(self, oven_model, monkeypatch):
+    def test_run_builds_no_event(self, oven_model, monkeypatch):
         import causalcps.simulation as simulation
 
         def refuse(*args, **kwargs):
@@ -326,19 +333,24 @@ class TestColumnarTrace:
 
         script = [ScriptedIntervention(4, "burner", "On")]
         monkeypatch.setattr(simulation, "Event", refuse)
-        monkeypatch.setattr(simulation, "TickRecord", refuse)
         trace = run_script(oven_model, 0, 12, interventions=script)
         with pytest.raises(AssertionError, match="built during the run"):
             list(trace.events())
         monkeypatch.undo()
         assert [e.kind for e in trace.events() if e.tick == 4] == [INTERVENTION, RULE_FIRED]
-        assert trace.records == run_script(oven_model, 0, 12, interventions=script).records
+        assert trace == run_script(oven_model, 0, 12, interventions=script)
 
-    def test_step_returns_the_record_of_the_trace(self, thermostat_doc):
-        sim = Simulator(thermostat_doc.build(), seed=5)
+    def test_each_step_extends_the_trace(self, thermostat_doc):
+        model = thermostat_doc.build()
+        script = [ScriptedIntervention(0, "temp", "Cold")]
+        sim = Simulator(model, seed=5)
         sim.intervene("temp", "Cold")
-        stepped = [sim.step() for _ in range(12)]
-        assert tuple(stepped) == sim.trace().records
+        for tick in range(12):
+            assert sim.step() is None
+            assert sim.tick == tick + 1
+            trace = sim.trace()
+            assert trace == run_script(model, 5, tick + 1, script)
+            assert trace.final_labels() == sim.current_labels()
 
     def test_equality_reads_values_labels_and_events(self, oven_model):
         script = [ScriptedIntervention(4, "burner", "On")]
@@ -348,6 +360,67 @@ class TestColumnarTrace:
         assert trace != run_script(oven_model, 1, 10)
         late = FaultSpec("oven", oven_model.subsystem("oven").rules, 8)
         assert trace != run_script(oven_model, 1, 10, interventions=script, faults=[late])
+
+    def test_import_with_and_without_model_compare_equal(self, knife_model, knife_reference):
+        text = export_trace(knife_reference)
+        with_model = import_trace(text, knife_model)
+        without = import_trace(text)
+        assert with_model.label_tables != without.label_tables
+        assert with_model == without
+        assert without == with_model
+
+    def test_different_lengths_compare_unequal(self, oven_model):
+        long = run_script(oven_model, 1, 10)
+        short = run_script(oven_model, 1, 9)
+        assert long != short
+        assert short != long
+
+    def test_csv_round_trip_drops_the_events(self, oven_model):
+        trace = run_script(oven_model, 1, 10, [ScriptedIntervention(4, "burner", "On")])
+        copy = import_trace(export_trace(trace), oven_model)
+        assert np.array_equal(copy.values, trace.values)
+        assert label_rows(copy) == label_rows(trace)
+        assert copy != trace
+        assert copy == import_trace(export_trace(trace))
+
+    def test_equality_agrees_with_per_tick_records(self, oven_model):
+        def record_view(trace):
+            """(sensor ids, one (tick, values, labels, events) tuple per tick)."""
+            events = {}
+            for event in trace.events():
+                events.setdefault(event.tick, []).append(event)
+            rows = zip(trace.values.tolist(), label_rows(trace))
+            return trace.sensor_ids, [
+                (t, dict(zip(trace.sensor_ids, values)), labels, tuple(events.get(t, ())))
+                for t, (values, labels) in enumerate(rows)
+            ]
+
+        script = [ScriptedIntervention(4, "burner", "On")]
+        late = FaultSpec("oven", oven_model.subsystem("oven").rules, 8)
+        simulated = [
+            run_script(oven_model, 1, 10, script),
+            run_script(oven_model, 1, 10, script),
+            run_script(oven_model, 2, 10, script),
+            run_script(oven_model, 1, 10),
+            run_script(oven_model, 1, 9, script),
+            run_script(oven_model, 1, 10, script, [late]),
+        ]
+        text = export_trace(simulated[0])
+        traces = [
+            *simulated,
+            import_trace(text, oven_model),
+            import_trace(text),
+            Trace.from_columns(
+                {s: simulated[0].values_for(s) for s in reversed(simulated[0].sensor_ids)},
+                {s: simulated[0].labels_for(s) for s in reversed(simulated[0].sensor_ids)},
+            ),
+        ]
+        verdicts = set()
+        for a in traces:
+            for b in traces:
+                verdicts.add(a == b)
+                assert (a == b) == (record_view(a) == record_view(b))
+        assert verdicts == {True, False}
 
     def test_from_columns_sorts_each_label_table(self):
         trace = Trace.from_columns(
@@ -360,7 +433,7 @@ class TestColumnarTrace:
         assert trace.labels_for("b") == ["Z", "A", "Z"]
         assert trace.final_labels() == {"b": "Z", "a": "M"}
         assert list(trace.events()) == []
-        assert [r.events for r in trace.records] == [(), (), ()]
+        assert trace.log == ()
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -375,7 +448,7 @@ class TestLabelSteps:
         for faults in (doc.faults, ()):
             trace = run_script(model, doc.seed, doc.horizon, doc.interventions, faults)
             steps = list(label_steps(model, doc.horizon, doc.interventions, faults))
-            assert steps == [record.labels for record in trace.records]
+            assert steps == label_rows(trace)
 
     def test_cycle_with_scripted_intervention_and_fault(self, thermostat_doc):
         model = thermostat_doc.build()
@@ -383,7 +456,7 @@ class TestLabelSteps:
         faults = [FaultSpec("plant", (), 50), FaultSpec("controller", (), 70)]
         trace = run_script(model, 3, 120, script, faults)
         steps = list(label_steps(model, 120, script, faults))
-        assert steps == [record.labels for record in trace.records]
+        assert steps == label_rows(trace)
         assert len({tuple(labels.values()) for labels in steps}) > 1
 
     def test_is_lazy_and_yields_independent_dicts(self, oven_model):
@@ -526,18 +599,18 @@ class TestOracleStepper:
             model, interventions, faults = random_scenario(rng, horizon)
             trace = run_script(model, case, horizon, interventions, faults)
             expected = list(reference_run(model, case, horizon, interventions, faults))
-            assert len(trace.records) == len(expected) == horizon
-            for record, (labels, values, events) in zip(trace.records, expected):
-                assert record.labels == labels
-                assert record.values == values
-                assert all(
-                    a.hex() == b.hex() for a, b in zip(record.values.values(), values.values())
-                )
-                assert record.events == tuple(events)
-                kinds.update(event.kind for event in record.events)
+            assert len(trace) == len(expected) == horizon
+            assert label_rows(trace) == [labels for labels, _, _ in expected]
+            for row, (labels, values, _) in zip(trace.values.tolist(), expected):
+                assert dict(zip(trace.sensor_ids, row)) == values
+                assert [a.hex() for a in row] == [b.hex() for b in values.values()]
                 laws.update(
                     type(model.sensor(sid).distribution(label)) for sid, label in labels.items()
                 )
+            # Every event names its tick, so one flat list holds the per-tick split.
+            events = list(trace.events())
+            assert events == [event for _, _, tick_events in expected for event in tick_events]
+            kinds.update(event.kind for event in events)
         assert kinds == {EFFECT_APPLIED, INTERVENTION, FAULT_ACTIVATED, RULE_FIRED}
         assert laws == {Normal, Uniform, Degenerate}
 
@@ -586,7 +659,6 @@ class TestStandardDraws:
     """The simulator draws standard variates and applies each law's affine
     map itself; its values must equal numpy's scalar samplers bit for bit."""
 
-    @pytest.mark.filterwarnings("error")
     def test_values_equal_numpy_scalar_samplers(self):
         horizon = 30
         families, overflows = set(), 0
@@ -608,19 +680,17 @@ class TestStandardDraws:
                 for tick in sorted(rng.sample(range(1, horizon), 12))
             ]
             sim = Simulator(model, seed=seed)
-            stepped = []
             for tick in range(horizon):
                 for item in script:
                     if item.tick == tick:
                         sim.intervene(item.sensor, item.state)
-                stepped.append(sim.step().values)
+                sim.step()
             trace = sim.trace()
             assert trace == run_script(model, seed, horizon, script)
 
             got = [[value.hex() for value in row] for row in trace.values.tolist()]
             expected = scalar_numpy_values(model, seed, trace)
             assert got == [[value.hex() for value in row] for row in expected]
-            assert [[row[s.id].hex() for s in model.sensors] for row in stepped] == got
             overflows += np.isinf(trace.values).sum()
             families.update(
                 type(model.sensors[j].distribution(trace.label_tables[j][code]))
