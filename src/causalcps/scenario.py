@@ -41,9 +41,10 @@ Distributions are written ``normal(mean, stddev)``, ``uniform(lo, hi)`` or
 ``degenerate(value)``.  Unknown fields are rejected; semantic errors are
 raised by model validation.
 
-The knife-hardening scenario ships as package data in
-``causalcps/scenarios/knife.yaml``, its only definition; ``knife_fixture``
-parses that file.  The chain and thermostat fixtures are built in Python.
+The bundled fixtures ship as package data, one file each in
+``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
+``thermostat.yaml``), their only definition; each fixture function parses
+its file.
 
 Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
 log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
@@ -881,6 +882,11 @@ def export_plan(plan: Plan, functionalities: Sequence[Functionality]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _bundled_scenario(file_name: str) -> ScenarioDocument:
+    path = importlib.resources.files(__package__) / "scenarios" / file_name
+    return parse_scenario(path.read_text(encoding="utf-8"))
+
+
 def knife_fixture() -> ScenarioDocument:
     """Knife-hardening line: gas oven with a lid, heat transfer to the knife,
     and a quench bath that hardens a hot blade.
@@ -892,125 +898,24 @@ def knife_fixture() -> ScenarioDocument:
 
     The scenario is defined once, in the package's ``scenarios/knife.yaml``.
     """
-    path = importlib.resources.files(__package__) / "scenarios" / "knife.yaml"
-    return parse_scenario(path.read_text(encoding="utf-8"))
+    return _bundled_scenario("knife.yaml")
 
 
 def chain_fixture() -> ScenarioDocument:
     """Three-sensor drive chain used to tell a broken sensor from a broken
-    component.
+    component, defined in the package's ``scenarios/chain.yaml``.
 
     src drives mid, mid drives dst.  The scripted fault freezes the mid
     reading at an off-schedule state from tick 150 on while dst keeps its last
     commanded state, which is exactly the signature of a failed sensor: the
     reading goes wrong but nothing downstream reacts.
     """
-    sensors = (
-        Sensor(
-            id="src",
-            states=(("Lo", Degenerate(0.0)), ("Hi", Degenerate(1.0))),
-            initial_state="Lo",
-        ),
-        Sensor(
-            id="mid",
-            states=(
-                ("Lo", Normal(10.0, 1.0)),
-                ("Hi", Normal(30.0, 1.0)),
-                ("Stuck", Normal(70.0, 1.0)),
-            ),
-            initial_state="Lo",
-        ),
-        Sensor(
-            id="dst",
-            states=(("Lo", Degenerate(0.0)), ("Hi", Degenerate(1.0))),
-            initial_state="Lo",
-        ),
-    )
-    c_drive = Subsystem(
-        id="c_drive",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("src", "mid"),
-        rules=(
-            Rule(guard={"src": "Hi"}, effects=(Effect(target="mid", state="Hi", delay=1),)),
-            Rule(guard={"src": "Lo"}, effects=(Effect(target="mid", state="Lo", delay=1),)),
-        ),
-    )
-    c_relay = Subsystem(
-        id="c_relay",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("mid", "dst"),
-        rules=(
-            Rule(guard={"mid": "Hi"}, effects=(Effect(target="dst", state="Hi", delay=1),)),
-            Rule(guard={"mid": "Lo"}, effects=(Effect(target="dst", state="Lo", delay=1),)),
-        ),
-    )
-    sensor_fault = FaultSpec(
-        component="c_drive",
-        replacement_rules=(
-            Rule(guard={}, effects=(Effect(target="mid", state="Stuck", delay=1),)),
-        ),
-        activation=150,
-    )
-    return ScenarioDocument(
-        name="sensor-fault-chain",
-        seed=11,
-        horizon=300,
-        window=DEFAULT_WINDOW,
-        stride=DEFAULT_STRIDE,
-        alpha=DEFAULT_ALPHA,
-        sensors=sensors,
-        subsystems=(c_drive, c_relay),
-        functionalities=(),
-        interventions=(ScriptedIntervention(tick=60, sensor="src", state="Hi"),),
-        faults=(sensor_fault,),
-    )
+    return _bundled_scenario("chain.yaml")
 
 
 def thermostat_fixture() -> ScenarioDocument:
     """Closed-loop pair: the controller shuts the valve when it reads hot, the
     plant cools while the valve is shut.  The causal graph is a two-cycle and
-    the label trajectory has period four."""
-    sensors = (
-        Sensor(
-            id="temp",
-            states=(("Cold", Normal(15.0, 1.0)), ("Hot", Normal(85.0, 1.0))),
-            initial_state="Hot",
-        ),
-        Sensor(
-            id="valve",
-            states=(("Open", Degenerate(1.0)), ("Closed", Degenerate(0.0))),
-            initial_state="Open",
-        ),
-        Sensor(id="room", states=(("Quiet", Degenerate(0.0)),), initial_state="Quiet"),
-    )
-    controller = Subsystem(
-        id="controller",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("temp", "valve"),
-        rules=(
-            Rule(guard={"temp": "Hot"}, effects=(Effect(target="valve", state="Closed", delay=1),)),
-            Rule(guard={"temp": "Cold"}, effects=(Effect(target="valve", state="Open", delay=1),)),
-        ),
-    )
-    plant = Subsystem(
-        id="plant",
-        kind=SubsystemKind.COMPONENT,
-        sensors=("valve", "temp"),
-        rules=(
-            Rule(guard={"valve": "Closed"}, effects=(Effect(target="temp", state="Cold", delay=1),)),
-            Rule(guard={"valve": "Open"}, effects=(Effect(target="temp", state="Hot", delay=1),)),
-        ),
-    )
-    return ScenarioDocument(
-        name="thermostat",
-        seed=5,
-        horizon=1000,
-        window=DEFAULT_WINDOW,
-        stride=DEFAULT_STRIDE,
-        alpha=DEFAULT_ALPHA,
-        sensors=sensors,
-        subsystems=(controller, plant),
-        functionalities=(),
-        interventions=(),
-        faults=(),
-    )
+    the label trajectory has period four.  Defined in the package's
+    ``scenarios/thermostat.yaml``."""
+    return _bundled_scenario("thermostat.yaml")

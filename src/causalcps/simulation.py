@@ -22,6 +22,29 @@ trajectory (diagnosis) and can stop at the first tick that settles the
 question.  A full run keeps, per tick, what ``_advance`` returned as the raw
 event log, the index of its distinct label row and its standard draws.
 
+Phases 1-2 are a memoized transition.  The labels are one row tuple in model
+sensor order, and the queue holds, per landing tick, ids of effect groups: a
+group is the tuple of queued effects that one tick fires with one delay,
+interned by content, so the same group always has the same id.  The
+transition's key is (the row before the tick, the ids of the due groups in
+queue order, the tuple of pending interventions); its value is (the row
+after, the effects applied, the rules fired, the (delay, group id) pairs to
+queue).  ``Simulator._transition`` computes a value only on a miss, and only
+a miss consults the rule tables; every tick is still executed and logged on
+its own, so the log, the values and the events are those of a tick-by-tick
+run.  The groups of a landing tick concatenate to its due effects in the
+order they fired, so the stable rank sort and its tie-breaks are unchanged.
+
+Why the memo is sound: between fault activations, phase 1 reads only the
+due effects, the interventions and the labels, and phase 2 reads only the
+labels after phase 1 and the compiled rule tables.  The key holds the first
+three, and the labels after phase 1 follow from them.  Tables change only
+when a fault activates, after phase 1 and before phase 2 of its tick, so
+the cache is cleared right there; as phase 1 reads no table, ``_advance``
+activates a tick's faults before the lookup.  A model's state repeats for
+long stretches between set-point changes, so a run computes few
+transitions: 5 for the 1,000 ticks of the thermostat fixture.
+
 A ``Trace`` is columnar, and it is the only form a run takes: a T x N
 float64 value matrix, a T x N matrix of integer label codes with one label
 table per sensor (the model's state order), and the raw log.  ``values_for``
@@ -109,7 +132,11 @@ class FaultSpec:
 # effects applied, the interventions applied, the faults activated and the
 # (subsystem index, rule index) of every rule that fired.
 _TickLog = tuple[
-    int, list["_QueuedEffect"], list[tuple[str, str]], list["FaultSpec"], list[tuple[int, int]]
+    int,
+    Sequence["_QueuedEffect"],
+    Sequence[tuple[str, str]],
+    Sequence["FaultSpec"],
+    Sequence[tuple[int, int]],
 ]
 
 
@@ -255,6 +282,16 @@ class _QueuedEffect(NamedTuple):
 
 _rank = itemgetter(0)
 
+# A memoized tick: the labels after it, the queued effects applied, the
+# (subsystem index, rule index) of every rule fired and the (delay, effect
+# group id) pairs to queue.
+_Transition = tuple[
+    tuple[str, ...],
+    tuple[_QueuedEffect, ...],
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int], ...],
+]
+
 
 def _no_key(labels: Mapping[str, str]) -> tuple[()]:
     return ()
@@ -302,15 +339,24 @@ class Simulator:
     def __init__(self, model: SystemModel, seed: int = 0):
         self._model = model
         self._seed = seed
-        self._labels = model.initial_labels()
+        self._sensor_ids = model.sensor_ids()
+        # The joint labels, in model sensor order.
+        self._row = tuple(sensor.initial_state for sensor in model.sensors)
         self._tick = 0
-        self._queue: dict[int, list[_QueuedEffect]] = {}
+        # Landing tick -> ids of the effect groups due then, in the order queued.
+        self._queue: dict[int, list[int]] = {}
         self._pending_interventions: list[tuple[str, str]] = []
         self._faults: dict[int, list[FaultSpec]] = {}
         self._sub_ids = tuple(sub.id for sub in model.subsystems)
         self._sub_index = {sub_id: i for i, sub_id in enumerate(self._sub_ids)}
         self._lookups = [_compile_table(i, sub.rules) for i, sub in enumerate(model.subsystems)]
-        self._sensor_ids = model.sensor_ids()
+        # Effect groups interned by content: group -> id, and id -> group.
+        self._group_ids: dict[tuple[_QueuedEffect, ...], int] = {}
+        self._groups: list[tuple[_QueuedEffect, ...]] = []
+        # (row before, due group ids, interventions) -> _Transition.
+        self._transitions: dict[
+            tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[str, str], ...]], _Transition
+        ] = {}
         self._log: list[_TickLog] = []
         # The standard draws of every tick, in tick then sensor order, and
         # each tick's label-row index.
@@ -353,7 +399,7 @@ class Simulator:
         return self._tick
 
     def current_labels(self) -> dict[str, str]:
-        return dict(self._labels)
+        return dict(zip(self._sensor_ids, self._row))
 
     def intervene(self, sensor: str, state: str) -> None:
         """Force a sensor's state at the next executed tick, before rules run."""
@@ -377,33 +423,64 @@ class Simulator:
         Returns the tick executed, the queued effects applied, the
         interventions applied, the faults activated and the (subsystem
         index, rule index) of every rule that fired, each in event order.
+        The labels and the effects to queue come from the memoized
+        transition of (labels, due groups, interventions); ``_transition``
+        computes one the first time it is needed.
         """
         t = self._tick
         self._tick += 1
-
-        # Phase 1: due effects, losers resolved away before anything is applied.
-        # The stable sort keeps effects of equal rank in the order they fired.
-        due = self._queue.pop(t, [])
-        winners: dict[str, _QueuedEffect] = {}
-        for queued in sorted(due, key=_rank):
-            winners[queued.target] = queued
-        interventions, self._pending_interventions = self._pending_interventions, []
-        intervened = {sensor for sensor, _ in interventions}
-        applied = [winners[target] for target in sorted(winners) if target not in intervened]
-        for queued in applied:
-            self._labels[queued.target] = queued.state
-        for sensor, state in interventions:
-            self._labels[sensor] = state
-        faults = self._faults.pop(t, [])
+        # Phase 1 reads no rule table, so the tick's faults may swap theirs
+        # in before it as well as after it; every transition cached so far
+        # read the old tables.
+        faults = self._faults.pop(t, ())
         for fault in faults:
             sub_index = self._sub_index[fault.component]
             self._lookups[sub_index] = _compile_table(sub_index, fault.replacement_rules)
+        if faults:
+            self._transitions.clear()
+
+        due = self._queue.pop(t, None)
+        pending = self._pending_interventions
+        if pending:
+            self._pending_interventions = []
+        interventions = tuple(pending)
+        key = (self._row, tuple(due) if due else (), interventions)
+        transition = self._transitions.get(key)
+        if transition is None:
+            transition = self._transitions[key] = self._transition(*key)
+        self._row, applied, fired, queued = transition
+        queue = self._queue
+        for delay, group in queued:
+            queue.setdefault(t + delay, []).append(group)
+        return t, applied, interventions, faults, fired
+
+    def _transition(
+        self,
+        row: tuple[str, ...],
+        due_groups: tuple[int, ...],
+        interventions: tuple[tuple[str, str], ...],
+    ) -> _Transition:
+        """Phases 1-2 from the labels ``row`` with the current rule tables."""
+        labels = dict(zip(self._sensor_ids, row))
+
+        # Phase 1: due effects, losers resolved away before anything is applied.
+        # The groups concatenate to the due effects in the order they fired,
+        # and the stable sort keeps effects of equal rank in that order.
+        due = [queued for group in due_groups for queued in self._groups[group]]
+        winners: dict[str, _QueuedEffect] = {}
+        for queued in sorted(due, key=_rank):
+            winners[queued.target] = queued
+        intervened = {sensor for sensor, _ in interventions}
+        applied = tuple(winners[target] for target in sorted(winners) if target not in intervened)
+        for queued in applied:
+            labels[queued.target] = queued.state
+        for sensor, state in interventions:
+            labels[sensor] = state
 
         # Phase 2: look the updated joint state up in every rule table.  At
         # most one rule of a validated table matches, so the first hit is it.
-        labels = self._labels
-        queue = self._queue
         fired: list[tuple[int, int]] = []
+        by_delay: dict[int, list[_QueuedEffect]] = {}
         for lookup in self._lookups:
             for key_of, rules in lookup:
                 hit = rules.get(key_of(labels))
@@ -412,9 +489,18 @@ class Simulator:
                 fired_rule, effects = hit
                 fired.append(fired_rule)
                 for queued in effects:
-                    queue.setdefault(t + queued.delay, []).append(queued)
+                    by_delay.setdefault(queued.delay, []).append(queued)
                 break
-        return t, applied, interventions, faults, fired
+        groups = []
+        for delay, effects in by_delay.items():
+            group = tuple(effects)
+            group_id = self._group_ids.get(group)
+            if group_id is None:
+                group_id = self._group_ids[group] = len(self._groups)
+                self._groups.append(group)
+            groups.append((delay, group_id))
+        row = tuple(map(labels.__getitem__, self._sensor_ids))
+        return row, applied, tuple(fired), tuple(groups)
 
     def step(self) -> None:
         """Execute the next tick and append its log entry, label-row index and
@@ -423,8 +509,7 @@ class Simulator:
 
         # Phase 3: one standard draw per random sensor, in sensor order.  The
         # draw methods of a label row are looked up once, when it first occurs.
-        labels = self._labels
-        row = tuple(map(labels.__getitem__, self._sensor_ids))
+        row = self._row
         seen = self._label_rows.get(row)
         if seen is None:
             laws = tuple(by_label[label] for by_label, label in zip(self._laws, row))

@@ -257,6 +257,22 @@ class TestRoundTrip:
         assert knife_fixture() == "parsed"
         assert parsed == [PACKAGED_KNIFE.read_text(encoding="utf-8")]
 
+    @pytest.mark.parametrize(
+        "fixture, file_name",
+        [(chain_fixture, "chain.yaml"), (thermostat_fixture, "thermostat.yaml")],
+    )
+    def test_fixture_loads_its_packaged_file(self, monkeypatch, fixture, file_name):
+        parsed = []
+
+        def spy(text):
+            parsed.append(text)
+            return "parsed"
+
+        monkeypatch.setattr(scenario_module, "parse_scenario", spy)
+        assert fixture() == "parsed"
+        packaged = importlib.resources.files("causalcps") / "scenarios" / file_name
+        assert parsed == [packaged.read_text(encoding="utf-8")]
+
     def test_repo_scenario_path_links_to_the_packaged_file(self):
         assert REPO_KNIFE.is_symlink()
         assert REPO_KNIFE.read_bytes() == PACKAGED_KNIFE.read_bytes()

@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from causalcps.model import (
     build_model,
     validate_rules,
 )
-from causalcps.scenario import export_trace, import_trace
+from causalcps.scenario import export_trace, import_trace, parse_scenario
 from causalcps.simulation import (
     EFFECT_APPLIED,
     FAULT_ACTIVATED,
@@ -613,6 +616,124 @@ class TestOracleStepper:
             kinds.update(event.kind for event in events)
         assert kinds == {EFFECT_APPLIED, INTERVENTION, FAULT_ACTIVATED, RULE_FIRED}
         assert laws == {Normal, Uniform, Degenerate}
+
+
+def memo_scenario(rng, horizon, first_swap):
+    """A random model over a horizon long enough to go quiescent, with a
+    script aimed at the tick memo.  One intervention repeats for ten ticks in
+    a row, so that it lands on rows it does not change, and again later.  A
+    random component is swapped out at ``first_swap`` and back in later.  A
+    ``pulse`` component fires every tick on sensor ``p``; its swap shortens
+    the delay and changes the state, so two effects of equal rank land on
+    ``p`` the tick after it, and a later swap restores it."""
+    sensors = [Sensor("p", (("P0", Degenerate(0.0)), ("P1", Degenerate(1.0))), "P0")]
+    for i in range(rng.randint(3, 4)):
+        states = tuple((f"S{k}", random_state(rng, k)) for k in range(rng.randint(1, 3)))
+        sensors.append(Sensor(f"s{i}", states, "S0"))
+    ids = [s.id for s in sensors]
+    bare = [
+        Subsystem(f"c{j}", SubsystemKind.COMPONENT, tuple(rng.sample(ids, rng.randint(1, 2))), ())
+        for j in range(rng.randint(2, 3))
+    ]
+    probe = build_model(sensors, bare)
+    subsystems = [Subsystem(s.id, s.kind, s.sensors, random_table(rng, probe, s)) for s in bare]
+    slow = (Rule({}, (Effect("p", "P0", 2),)),)
+    fast = (Rule({}, (Effect("p", "P1", 1),)),)
+    subsystems.insert(
+        rng.randint(0, len(subsystems)), Subsystem("pulse", SubsystemKind.COMPONENT, ("p",), slow)
+    )
+    model = build_model(sensors, subsystems)
+
+    interventions = [
+        ScriptedIntervention(tick, sensor.id, rng.choice(sensor.labels()))
+        for tick, sensor in zip(sorted(rng.sample(range(horizon), 6)), rng.choices(sensors, k=6))
+    ]
+    sensor = rng.choice(sensors)
+    label, start = rng.choice(sensor.labels()), rng.randrange(horizon // 2)
+    for tick in [*range(start, start + 10), start + horizon // 3]:
+        interventions.append(ScriptedIntervention(tick, sensor.id, label))
+    interventions.sort(key=lambda item: item.tick)
+
+    target = rng.choice(bare)
+    swap_back, short = rng.randint(first_swap + 1, horizon - 1), rng.randint(1, horizon - 3)
+    faults = [
+        FaultSpec(target.id, random_table(rng, model, target), first_swap),
+        FaultSpec(target.id, model.subsystem(target.id).rules, swap_back),
+        FaultSpec("pulse", fast, short),
+        FaultSpec("pulse", slow, rng.randint(short + 2, horizon - 1)),
+    ]
+    return model, interventions, faults
+
+
+class TestOracleMemo:
+    """The tick memo against the oracle stepper, on scripts that revisit
+    labels, due effects and interventions across fault swaps."""
+
+    def test_run_script_matches_reference_stepper_on_quiescent_runs(self):
+        rng = random.Random(20261018)
+        horizon = 200
+        repeated = fired_equal_ranks = 0
+        for case in range(40):
+            model, interventions, faults = memo_scenario(rng, horizon, rng.choice([0, 0, 25]))
+            trace = run_script(model, case, horizon, interventions, faults)
+            expected = list(reference_run(model, case, horizon, interventions, faults))
+            assert label_rows(trace) == [labels for labels, _, _ in expected]
+            got = [[value.hex() for value in row] for row in trace.values.tolist()]
+            assert got == [[value.hex() for value in v.values()] for _, v, _ in expected]
+            assert list(trace.events()) == [e for _, _, tick_events in expected for e in tick_events]
+            assert list(label_steps(model, horizon, interventions, faults)) == label_rows(trace)
+
+            # What the corpus must hold: an intervention on a row it leaves
+            # as it was, and the pulse's equal-rank landing, won by the
+            # effect fired later.
+            rows = [model.initial_labels()] + label_rows(trace)
+            forced = {item.tick for item in interventions}
+            repeated += sum(rows[t] == rows[t + 1] for t in forced)
+            short = faults[2].activation
+            landed = [e for e in trace.events(EFFECT_APPLIED) if e.tick == short + 1]
+            fired_equal_ranks += any(e.sensor == "p" and e.fire_tick == short for e in landed)
+        assert repeated >= 100
+        assert fired_equal_ranks >= 25
+
+
+def load_perfbench_generators():
+    """The benchmark's scenario generators, loaded from their file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTransitionMemo:
+    """A run computes each distinct (labels, due effects, interventions)
+    transition once; every other tick is a lookup."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        count = [0]
+        miss = Simulator._transition
+
+        def counting(self, *key):
+            count[0] += 1
+            return miss(self, *key)
+
+        monkeypatch.setattr(Simulator, "_transition", counting)
+        return count
+
+    def test_thermostat_computes_few_transitions(self, thermostat_doc, computed):
+        assert len(thermostat_doc.run()) == 1000
+        assert computed[0] <= 8
+        computed[0] = 0
+        assert len(list(label_steps(thermostat_doc.build(), 1000))) == 1000
+        assert computed[0] <= 8
+
+    def test_plant_monitor_computes_few_transitions(self, computed):
+        doc = parse_scenario(load_perfbench_generators().plant_monitor(5).yaml_text())
+        assert len(doc.run()) == 1200
+        assert computed[0] <= 64
 
 
 # Laws with negative, huge, tiny and subnormal means, widths and points.  The
