@@ -107,8 +107,7 @@ class _ConsistencyChecker:
         }
         # The fault-free labels, one column per sensor (label_steps yields
         # each tick's labels in model sensor order).
-        steps = label_steps(model, horizon, interventions=self.interventions)
-        columns = zip(*(labels.values() for labels in steps))
+        columns = zip(*label_steps(model, horizon, interventions=self.interventions))
         self.reference = dict(zip(model.sensor_ids(), map(list, columns)))
         self.component_sensors = {
             sub.id: tuple(sub.sensors) for sub in model.subsystems
@@ -226,7 +225,9 @@ class _ConsistencyChecker:
             interventions.extend(self._reference_changes(sensor))
         predicted = label_steps(replay, self.horizon, interventions=interventions)
         expected = zip(*(self.reference[sensor] for sensor in checked))
-        return all(tuple(map(p.__getitem__, checked)) == e for p, e in zip(predicted, expected))
+        order = replay.sensor_ids()
+        positions = [order.index(sensor) for sensor in checked]
+        return all(tuple(map(p.__getitem__, positions)) == e for p, e in zip(predicted, expected))
 
     def _reference_changes(self, sensor: str) -> list[ScriptedIntervention]:
         """One intervention per tick on which ``sensor``'s reference label

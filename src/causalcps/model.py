@@ -8,13 +8,15 @@ can match at once, so the table always defines a deterministic transformation.
 Two guards can both match iff they agree on every sensor they share, so the
 check compares guards pairwise instead of enumerating the joint state set.
 
+Composition, too, builds its joint table from pairwise guard merges on one
+path, with no joint state enumerated (see ``compose``).
+
 Models are immutable after construction; every modifying operation (compose)
 returns a new model.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -310,13 +312,6 @@ def build_model(
     return model
 
 
-def _single_match(rules: Sequence[Rule], assignment: Mapping[str, str]) -> Rule | None:
-    for rule in rules:
-        if rule.matches(assignment):
-            return rule
-    return None
-
-
 def _merge_effects(first: Sequence[Effect], second: Sequence[Effect]) -> tuple[Effect, ...]:
     # Effects of the prioritized table shadow same-target effects landing on
     # the same tick; different delays land on different ticks and both apply.
@@ -326,42 +321,42 @@ def _merge_effects(first: Sequence[Effect], second: Sequence[Effect]) -> tuple[E
     return tuple(merged)
 
 
-def _expand_joint_rules(
-    model: SystemModel, first: Subsystem, second: Subsystem, union: Sequence[str]
-) -> tuple[Rule, ...]:
-    """Joint rule table equivalent to applying ``first`` then ``second``.
-
-    One rule per joint state of the guard sensors (those of ``union`` that
-    some guard of either table reads) that matches either table.  Whether a
-    rule matches depends on those sensors only, and guards that are total
-    over one sensor set are pairwise disjoint, so the result satisfies the
-    determinism invariant while preserving the priority of ``first`` on
-    conflicting same-tick effects.
+def _unmatched(model: SystemModel, rule: Rule, table: Sequence[Rule]) -> list[Rule]:
+    """``rule`` on the part of its guard that no rule of ``table`` matches,
+    split into disjoint guards by subtracting each overlapping guard in turn
+    (the disjoint sharp of two-level logic minimisation): fix the other
+    guard's sensors one at a time and branch on the other labels of each.
     """
-    read = {sid for rule in first.rules + second.rules for sid in rule.guard}
-    guarded = [sid for sid in union if sid in read]
-    domains = [model.sensor(sid).labels() for sid in guarded]
-    rules = []
-    for combo in itertools.product(*domains):
-        assignment = dict(zip(guarded, combo))
-        rule_a = _single_match(first.rules, assignment)
-        rule_b = _single_match(second.rules, assignment)
-        if rule_a is None and rule_b is None:
-            continue
-        effects_a = rule_a.effects if rule_a else ()
-        effects_b = rule_b.effects if rule_b else ()
-        rules.append(Rule(guard=assignment, effects=_merge_effects(effects_a, effects_b)))
-    return tuple(rules)
+    pieces = [rule.guard]
+    for other in table:
+        rest = []
+        for piece in pieces:
+            if not guards_overlap(piece, other.guard):
+                rest.append(piece)
+                continue
+            fixed = dict(piece)
+            for sensor_id, label in other.guard.items():
+                if sensor_id not in fixed:
+                    rest.extend(
+                        fixed | {sensor_id: branch}
+                        for branch in model.sensor(sensor_id).labels()
+                        if branch != label
+                    )
+                    fixed[sensor_id] = label
+        pieces = rest
+    return [Rule(guard=piece, effects=rule.effects) for piece in pieces]
 
 
 def compose(model: SystemModel, id_a: str, id_b: str, new_id: str) -> SystemModel:
     """Replace two subsystems with one over their sensor union.
 
-    When the plain union of both rule tables is already deterministic it is
-    kept as-is; otherwise the table is expanded over the joint states of the
-    sensors its guards read, with ``id_a``'s effects taking priority on
-    same-tick conflicts, so one tick of the composed subsystem equals
-    applying ``id_a``'s table then ``id_b``'s.
+    The joint table is built from pairwise guard merges.  Each pair of
+    overlapping guards gives one rule on their union whose effects are both
+    rules' effects, with ``id_a``'s taking priority on same-tick conflicts.
+    Each rule of either table keeps its own effects on the part of its guard
+    that no rule of the other table matches, split into disjoint guards.  So
+    one tick of the composed subsystem equals applying ``id_a``'s table then
+    ``id_b``'s, and when no guards overlap the table is the plain union.
     The new subsystem takes ``id_a``'s kind and the better (smaller) of the
     two priority positions.
     """
@@ -380,18 +375,17 @@ def compose(model: SystemModel, id_a: str, id_b: str, new_id: str) -> SystemMode
             f"a subsystem must be a proper subset"
         )
 
-    plain = Subsystem(id=new_id, kind=sub_a.kind, sensors=union, rules=sub_a.rules + sub_b.rules)
-    probe = SystemModel(sensors=model.sensors, subsystems=(plain,))
-    try:
-        validate_rules(probe, new_id, plain.rules)
-        composed = plain
-    except ModelError:
-        composed = Subsystem(
-            id=new_id,
-            kind=sub_a.kind,
-            sensors=union,
-            rules=_expand_joint_rules(model, sub_a, sub_b, union),
+    rules: list[Rule] = []
+    for rule_a in sub_a.rules:
+        rules.extend(_unmatched(model, rule_a, sub_b.rules))
+        rules.extend(
+            Rule(rule_a.guard | rule_b.guard, _merge_effects(rule_a.effects, rule_b.effects))
+            for rule_b in sub_b.rules
+            if guards_overlap(rule_a.guard, rule_b.guard)
         )
+    for rule_b in sub_b.rules:
+        rules.extend(_unmatched(model, rule_b, sub_a.rules))
+    composed = Subsystem(id=new_id, kind=sub_a.kind, sensors=union, rules=tuple(rules))
 
     indices = {s.id: i for i, s in enumerate(model.subsystems)}
     insert_at = min(indices[id_a], indices[id_b])

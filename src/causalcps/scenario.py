@@ -229,6 +229,21 @@ def _get_str(node: Mapping, key: str, where: str) -> str:
     return value
 
 
+_CSV_UNSAFE = re.compile('[,"\r\n]')
+
+
+def _get_name(node: Mapping, key: str, where: str) -> str:
+    """A nonempty string that the CSV artifacts write as one unquoted field,
+    so it may hold no comma, double quote, CR or LF."""
+    value = _get_str(node, key, where)
+    if _CSV_UNSAFE.search(value):
+        raise ScenarioError(
+            f"{where}.{key}: {value!r} holds a comma, double quote, CR or LF, "
+            f"which would break the CSV artifacts"
+        )
+    return value
+
+
 def _get_int(
     node: Mapping, key: str, where: str, default: int | None = None, minimum: int | None = None
 ) -> int:
@@ -257,13 +272,13 @@ def _parse_label_map(node: Any, where: str) -> dict[str, str]:
 def _parse_sensor(node: Any, where: str) -> Sensor:
     mapping = _expect_mapping(node, where)
     _reject_unknown(mapping, {"id", "initial", "states"}, where)
-    sensor_id = _get_str(mapping, "id", where)
+    sensor_id = _get_name(mapping, "id", where)
     states = []
     for i, state_node in enumerate(_expect_list(mapping.get("states"), f"{where}.states")):
         state_where = f"{where}.states[{i}]"
         state_map = _expect_mapping(state_node, state_where)
         _reject_unknown(state_map, {"label", "dist"}, state_where)
-        label = _get_str(state_map, "label", state_where)
+        label = _get_name(state_map, "label", state_where)
         dist = parse_distribution(_get_str(state_map, "dist", state_where), f"{state_where}.dist")
         states.append((label, dist))
     return Sensor(
@@ -310,7 +325,7 @@ def _parse_subsystem(node: Any, where: str) -> Subsystem:
         for i, rule_node in enumerate(_expect_list(mapping.get("rules", []), f"{where}.rules"))
     )
     return Subsystem(
-        id=_get_str(mapping, "id", where), kind=kind, sensors=tuple(sensors), rules=rules
+        id=_get_name(mapping, "id", where), kind=kind, sensors=tuple(sensors), rules=rules
     )
 
 
@@ -337,13 +352,16 @@ def _parse_functionality(node: Any, where: str) -> Functionality:
                 effect=_parse_label_map(entry_map.get("then", {}), f"{entry_where}.then"),
             )
         )
+    module = _get_name(mapping, "module", where)
+    name = _get_name(mapping, "name", where)
+    duration = _get_int(mapping, "duration", where)
     try:
         return Functionality(
-            module=_get_str(mapping, "module", where),
-            name=_get_str(mapping, "name", where),
+            module=module,
+            name=name,
             parameter_domain=tuple(float(p) for p in params),
             transitions=tuple(transitions),
-            duration=_get_int(mapping, "duration", where),
+            duration=duration,
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None

@@ -601,8 +601,9 @@ def label_steps(
     horizon: int,
     interventions: Sequence[ScriptedIntervention] = (),
     faults: Sequence[FaultSpec] = (),
-) -> Iterator[dict[str, str]]:
-    """Yield the joint labels after each tick of the same run as run_script.
+) -> Iterator[tuple[str, ...]]:
+    """Yield the joint labels after each tick of the same run as run_script,
+    as one tuple in model sensor order.
 
     Runs phases 1-2 only: nothing is sampled and no event is logged,
     so a consumer that has seen enough can stop early at no further cost.
@@ -613,4 +614,4 @@ def label_steps(
     sim = Simulator(model)
     for _ in _script(sim, horizon, interventions, faults):
         sim._advance()
-        yield sim.current_labels()
+        yield sim._row

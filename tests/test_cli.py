@@ -308,6 +308,30 @@ class TestSimulate:
         assert f"document.detection.{field}: must be >= 1" in error["detail"]
         assert not out.exists()
 
+    def test_sensor_id_with_a_comma_exits_2(self, tmp_path, capsys):
+        # Written unquoted, the id "a,b" would give its trace rows five
+        # columns, which detect would then refuse.
+        bad = tmp_path / "comma.yaml"
+        bad.write_text(
+            "horizon: 5\n"
+            "sensors:\n"
+            "- id: 'a,b'\n"
+            "  initial: Lo\n"
+            "  states:\n"
+            "  - {label: Lo, dist: 'uniform(0, 1)'}\n"
+            "- id: c\n"
+            "  initial: Lo\n"
+            "  states:\n"
+            "  - {label: Lo, dist: 'uniform(0, 1)'}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"].startswith("sensors[0].id: 'a,b' holds a comma")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", sorted(KNIFE_TRACE_DIGESTS))
     def test_knife_traces_keep_their_bytes(self, tmp_path, seed):
         """Both trace CSVs of the bundled knife scenario at ``seed`` have the

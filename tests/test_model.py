@@ -15,11 +15,13 @@ from causalcps.model import (
     Sensor,
     Subsystem,
     SubsystemKind,
+    _merge_effects,
     build_model,
     causal_ancestors,
     causal_descendants,
     compose,
     derive_causal_graph,
+    guards_overlap,
     validate_rules,
 )
 from causalcps.simulation import run_script
@@ -361,6 +363,82 @@ class TestCompose:
             before = run_script(build_model(starts, (alpha, beta)), 0, 6)
             after = run_script(build_model(starts, composed.subsystems), 0, 6)
             assert label_columns(before) == label_columns(after)
+
+    def test_random_tables_agree_with_applying_both(self):
+        # At every joint state, at most one composed rule matches, and its
+        # effects are each table's own match merged with the first's
+        # priority; no rule matches where neither table has one.
+        rng = random.Random(20221019)
+        merged = 0
+        for _ in range(150):
+            owned = [n_state(f"x{i}", rng.randint(1, 3)) for i in range(rng.randint(2, 5))]
+            sensors = (*owned, n_state("out", 3))
+            ids = [s.id for s in owned]
+            tables = []
+            for sub_id in ("alpha", "beta"):
+                own = rng.sample(owned, rng.randint(1, len(owned)))
+                rules = []
+                for _ in range(rng.randint(0, 4)):
+                    guard = {s.id: rng.choice(s.labels()) for s in own if rng.random() < 0.6}
+                    if any(guards_overlap(guard, rule.guard) for rule in rules):
+                        continue
+                    effects = tuple(
+                        Effect(target.id, rng.choice(target.labels()), delay)
+                        for target, delay in zip(rng.sample(sensors, 2), (1, rng.randint(1, 2)))
+                        if rng.random() < 0.7
+                    )
+                    rules.append(Rule(guard, effects))
+                tables.append(
+                    Subsystem(sub_id, SubsystemKind.COMPONENT, tuple(s.id for s in own), tuple(rules))
+                )
+            alpha, beta = tables
+            model = build_model(sensors, tables)
+            joint = compose(model, "alpha", "beta", "joint").subsystem("joint")
+            matched = set()
+            read = [sid for sid in ids if any(sid in r.guard for r in alpha.rules + beta.rules)]
+            for combo in itertools.product(*(model.sensor(sid).labels() for sid in ids)):
+                assignment = dict(zip(ids, combo))
+                own_a = next((r.effects for r in alpha.rules if r.matches(assignment)), None)
+                own_b = next((r.effects for r in beta.rules if r.matches(assignment)), None)
+                found = [r.effects for r in joint.rules if r.matches(assignment)]
+                if own_a is None and own_b is None:
+                    assert found == []
+                else:
+                    assert found == [_merge_effects(own_a or (), own_b or ())]
+                    matched.add(tuple(assignment[sid] for sid in read))
+            # Each rule holds a joint state of the guard sensors, and no two
+            # hold the same one: never more rules than matched joint states.
+            assert len(joint.rules) <= len(matched)
+            merged += any(
+                guards_overlap(a.guard, b.guard) for a in alpha.rules for b in beta.rules
+            )
+        assert merged > 50
+
+    def test_wide_guards_compose_to_pairwise_merges(self):
+        # Two single-rule tables over 6 three-state guard sensors each: their
+        # guard sensors have 3^12 joint states, 1,457 of them matched.  The
+        # merged table holds the pair's rule plus each guard with one partner
+        # sensor fixed to another label: 1 + 2 * 6 * 2 rules.
+        left = tuple(f"x{i:02d}" for i in range(6))
+        right = tuple(f"x{i:02d}" for i in range(6, 12))
+        alpha = Subsystem(
+            "alpha",
+            SubsystemKind.COMPONENT,
+            left,
+            (Rule(dict.fromkeys(left, "S1"), (Effect("out", "S1", 1),)),),
+        )
+        beta = Subsystem(
+            "beta",
+            SubsystemKind.COMPONENT,
+            right,
+            (Rule(dict.fromkeys(right, "S2"), (Effect("out", "S2", 1),)),),
+        )
+        sensors = [n_state(sid, 3) for sid in left + right] + [n_state("out", 3)]
+        joint = compose(build_model(sensors, (alpha, beta)), "alpha", "beta", "joint")
+        rules = joint.subsystem("joint").rules
+        assert len(rules) <= 25
+        both = dict.fromkeys(left, "S1") | dict.fromkeys(right, "S2")
+        assert Rule(both, (Effect("out", "S1", 1),)) in rules
 
     def test_union_covering_all_sensors_rejected(self):
         alpha = Subsystem("alpha", SubsystemKind.COMPONENT, ("s0", "s1"), ())

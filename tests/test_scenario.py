@@ -1,6 +1,7 @@
 import csv
 import importlib.resources
 import io
+import json
 import math
 import random
 from pathlib import Path
@@ -111,6 +112,37 @@ class TestParseScenario:
         text = text.replace(quench, quench.replace("param: 1.0", "param: true"))
         with pytest.raises(ScenarioError, match=r"transitions\[0\]\.param: expected a number"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("- id: burner_cmd\n", r"sensors\[0\]\.id"),
+            ("  - label: C0\n", r"sensors\[0\]\.states\[0\]\.label"),
+            ("- id: burner\n", r"subsystems\[0\]\.id"),
+            ("- module: oven\n", r"functionalities\[0\]\.module"),
+            ("  name: heat\n", r"functionalities\[0\]\.name"),
+        ],
+    )
+    def test_name_that_would_break_a_csv_field_rejected(self, line, field, char):
+        # Ids and labels are written to the CSV artifacts as unquoted fields.
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        key, value = line.rstrip("\n").split(": ")
+        # A JSON string is a YAML double-quoted scalar, escapes included.
+        text = text.replace(line, f"{key}: {json.dumps(value + char + 'x')}\n")
+        with pytest.raises(ScenarioError, match=field + ": .* would break the CSV artifacts"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("line", ["  name: heat\n", "  duration: 8\n"])
+    def test_missing_functionality_field_is_named_once(self, line):
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        key = line.split(":")[0].strip()
+        text = text.replace(line, "")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"functionalities[0]: missing required field {key!r}"
 
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(ScenarioError, match="invalid YAML"):
