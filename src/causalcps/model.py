@@ -43,8 +43,13 @@ class Sensor:
     states: tuple[tuple[str, Distribution], ...]
     initial_state: str
 
-    def labels(self) -> tuple[str, ...]:
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.states)
+
+    def labels(self) -> tuple[str, ...]:
+        """The state labels in state order, one tuple built once per sensor."""
+        return self._labels
 
     def distribution(self, label: str) -> Distribution:
         for state_label, dist in self.states:

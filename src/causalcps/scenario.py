@@ -41,6 +41,13 @@ Distributions are written ``normal(mean, stddev)``, ``uniform(lo, hi)`` or
 ``degenerate(value)``.  Unknown fields are rejected; semantic errors are
 raised by model validation.
 
+The text is composed into a YAML node graph by ``_YAML_LOADER`` (PyYAML's
+libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without libyaml).
+``_construct`` builds the data from the nodes in one iterative pass: plain
+scalars, lists and dicts directly, every other node through the loader's own
+constructors, so the data are those of ``yaml.load`` with the same loader,
+and so is the error when one node is at fault.
+
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
 ``thermostat.yaml``), their only definition; each fixture function parses
@@ -92,8 +99,17 @@ from .planning import Functionality, Plan, PlanningProblem, TransitionEntry
 from .simulation import FaultSpec, ScriptedIntervention, Trace, run_script
 
 
-# libyaml's C parser when PyYAML was built with it; same documents, same types.
+# Its composer builds the node graph: libyaml's C parser when PyYAML was
+# built with it, else the pure-Python one; same documents, same nodes.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+# Scalar tags whose constructor returns a finished value at once.
+_PLAIN_TAGS = frozenset(
+    f"tag:yaml.org,2002:{kind}" for kind in ("str", "int", "float", "bool", "null")
+)
 
 
 class ScenarioError(ValueError):
@@ -244,6 +260,18 @@ def _get_name(node: Mapping, key: str, where: str) -> str:
     return value
 
 
+def _get_id(node: Mapping, key: str, where: str) -> str:
+    """A sensor or subsystem id: a name that may also hold no ``+`` or ``|``,
+    which the diagnosis CSV puts between ids and between causal paths."""
+    value = _get_name(node, key, where)
+    if "+" in value or "|" in value:
+        raise ScenarioError(
+            f"{where}.{key}: {value!r} holds a '+' or '|', "
+            f"which join ids and paths in the diagnosis CSV"
+        )
+    return value
+
+
 def _get_int(
     node: Mapping, key: str, where: str, default: int | None = None, minimum: int | None = None
 ) -> int:
@@ -272,7 +300,7 @@ def _parse_label_map(node: Any, where: str) -> dict[str, str]:
 def _parse_sensor(node: Any, where: str) -> Sensor:
     mapping = _expect_mapping(node, where)
     _reject_unknown(mapping, {"id", "initial", "states"}, where)
-    sensor_id = _get_name(mapping, "id", where)
+    sensor_id = _get_id(mapping, "id", where)
     states = []
     for i, state_node in enumerate(_expect_list(mapping.get("states"), f"{where}.states")):
         state_where = f"{where}.states[{i}]"
@@ -325,7 +353,7 @@ def _parse_subsystem(node: Any, where: str) -> Subsystem:
         for i, rule_node in enumerate(_expect_list(mapping.get("rules", []), f"{where}.rules"))
     )
     return Subsystem(
-        id=_get_name(mapping, "id", where), kind=kind, sensors=tuple(sensors), rules=rules
+        id=_get_id(mapping, "id", where), kind=kind, sensors=tuple(sensors), rules=rules
     )
 
 
@@ -415,6 +443,84 @@ def _parse_script(
     return tuple(interventions), tuple(faults)
 
 
+def _load_yaml(text: str) -> Any:
+    """The data of the one YAML document in ``text``, None if it has none.
+
+    The loader, and with it the node graph, is freed on return, before the
+    caller validates the data."""
+    loader = _YAML_LOADER(text)
+    try:
+        return _construct(loader, loader.get_single_node())
+    finally:
+        loader.dispose()
+
+
+def _construct(loader: Any, node: yaml.Node | None) -> Any:
+    """The data of the document ``node``, as ``loader.construct_document``
+    would build it.
+
+    A ``str`` scalar is its text; an int, float, bool or null scalar goes to
+    the loader's constructor for its tag.  A sequence becomes a list, and a
+    mapping whose keys are all such scalars a dict, filled in node order, so
+    a later duplicate key wins.  Each list and dict is made empty when its
+    node is first met and filled in turn from a work list, not by recursion,
+    so nesting depth costs no stack; memoized by node, an alias gives the
+    same object and a recursive alias a recursive structure.  Every other
+    node (merge ``<<`` and value ``=`` keys, non-scalar keys, ``!!set``,
+    ``!!omap``, ``!!pairs``, timestamps, ``!!binary``, unknown tags) goes to
+    ``loader.construct_object``, its pending fill-ins run at once as
+    ``construct_document`` runs them, and its object or error is PyYAML's.
+    The memo is the loader's own, so both sides see each other's objects.
+    With two faulty nodes the error raised may be the other one's, since
+    PyYAML fills every container, delegated or not, in the order met.
+    """
+    if node is None:
+        return None
+    constructors = loader.yaml_constructors
+    memo = loader.constructed_objects
+    unfilled: list[yaml.Node] = []
+
+    def build(node: yaml.Node) -> Any:
+        tag = node.tag
+        if tag in _PLAIN_TAGS and isinstance(node, yaml.ScalarNode):
+            return node.value if tag == _STR_TAG else constructors[tag](loader, node)
+        if node in memo:
+            return memo[node]
+        if tag == _SEQ_TAG and isinstance(node, yaml.SequenceNode):
+            data = memo[node] = []
+        elif (
+            tag == _MAP_TAG
+            and isinstance(node, yaml.MappingNode)
+            and all(
+                key.tag in _PLAIN_TAGS and isinstance(key, yaml.ScalarNode)
+                for key, _ in node.value
+            )
+        ):
+            data = memo[node] = {}
+        else:
+            data = loader.construct_object(node)
+            while loader.state_generators:
+                generators, loader.state_generators = loader.state_generators, []
+                for generator in generators:
+                    for _ in generator:
+                        pass
+            return data
+        unfilled.append(node)
+        return data
+
+    root = build(node)
+    # The loop also reaches the containers that filling appends.
+    for container in unfilled:
+        data = memo[container]
+        if isinstance(data, list):
+            data.extend(map(build, container.value))
+        else:
+            for key_node, value_node in container.value:
+                key = build(key_node)
+                data[key] = build(value_node)
+    return root
+
+
 _TOP_LEVEL_FIELDS = {
     "name",
     "seed",
@@ -435,7 +541,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     raised by model validation.
     """
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is None:

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from causalcps.cli import main
 from causalcps.scenario import knife_fixture, serialize_scenario
@@ -331,6 +332,30 @@ class TestSimulate:
         assert error["reason"] == "INVALID_INPUT"
         assert error["detail"].startswith("sensors[0].id: 'a,b' holds a comma")
         assert not out.exists()
+
+    def test_component_id_with_a_plus_exits_2(self, tmp_path, capsys):
+        # The diagnosis CSV would write the component "lid+actuator" as the
+        # pair {lid, actuator}.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert "lid_actuator" in text
+        bad = tmp_path / "plus.yaml"
+        bad.write_text(text.replace("lid_actuator", "lid+actuator"), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"].startswith("subsystems[1].id: 'lid+actuator' holds a '+'")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
+        # The data is built from a work list, so nesting depth costs no stack.
+        depth = 20_000
+        bad = tmp_path / "deep.yaml"
+        bad.write_text("horizon: 5\nsensors: " + "[" * depth + "]" * depth + "\n", encoding="utf-8")
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["detail"] == "sensors[0]: expected a mapping, got list"
 
     @pytest.mark.parametrize("seed", sorted(KNIFE_TRACE_DIGESTS))
     def test_knife_traces_keep_their_bytes(self, tmp_path, seed):

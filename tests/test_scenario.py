@@ -4,6 +4,8 @@ import io
 import json
 import math
 import random
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -144,6 +146,19 @@ class TestParseScenario:
             parse_scenario(text)
         assert str(info.value) == f"functionalities[0]: missing required field {key!r}"
 
+    @pytest.mark.parametrize("char", ["+", "|"])
+    @pytest.mark.parametrize(
+        "line, field",
+        [("- id: burner_cmd\n", r"sensors\[0\]\.id"), ("- id: burner\n", r"subsystems\[0\]\.id")],
+    )
+    def test_id_that_would_join_in_the_diagnosis_csv_rejected(self, line, field, char):
+        # The diagnosis CSV joins components and sensors with "+", paths with "|".
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        text = text.replace(line, line[:-1] + char + "x\n")
+        with pytest.raises(ScenarioError, match=field + r": .* holds a '\+' or '\|'"):
+            parse_scenario(text)
+
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(ScenarioError, match="invalid YAML"):
             parse_scenario("horizon: [unclosed")
@@ -255,6 +270,189 @@ class TestYamlLoader:
         with_libyaml = parse_scenario(text)
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
         assert parse_scenario(text) == with_libyaml
+
+
+LOADERS = [
+    yaml.SafeLoader,
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml"),
+    ),
+]
+LOADER_IDS = ["SafeLoader", "CSafeLoader"]
+
+
+def construct(text, loader):
+    """``scenario._construct`` over the node graph that ``loader`` composes."""
+    instance = loader(text)
+    try:
+        return scenario_module._construct(instance, instance.get_single_node())
+    finally:
+        instance.dispose()
+
+
+def built_or_raised(build):
+    """The data ``build()`` returns, or the type and text of what it raises."""
+    try:
+        return "data", build()
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def assert_same_graph(ours, theirs):
+    """Equal data with the same sharing: the containers of the two sides
+    pair off one to one, aliases and cycles included."""
+    paired: dict[int, int] = {}
+    stack = [(ours, theirs)]
+    while stack:
+        a, b = stack.pop()
+        assert type(a) is type(b)
+        if isinstance(a, (list, dict, set)):
+            if id(a) in paired or id(b) in paired.values():
+                assert paired.get(id(a)) == id(b)
+                continue
+            paired[id(a)] = id(b)
+        if isinstance(a, (list, tuple)):
+            assert len(a) == len(b)
+            stack.extend(zip(a, b))
+        elif isinstance(a, dict):
+            assert list(a) == list(b)
+            stack.extend(zip(a.values(), b.values()))
+        else:
+            assert a == b
+
+
+def generated_scenario_texts():
+    from test_simulation import load_perfbench_generators
+
+    generators = load_perfbench_generators()
+    return {
+        "relay-diagnose": generators.relay_diagnose(1).yaml_text(),
+        "plant-monitor": generators.plant_monitor(1).yaml_text(),
+    }
+
+
+EDGE_DOCUMENTS = {
+    "scalars": (
+        "s: [text, 'quoted', '12', !!str 12, '']\n"
+        "i: [12, -0x1F, 0o17, 017, 1_000, 190:20:30, !!int '7']\n"
+        "f: [1.5, -.inf, .INF, 6.8523015e+5, 190:20:30.15, !!float 3]\n"
+        "b: [true, False, yes, off]\n"
+        "n: [~, null, '', !!null '']\n"
+    ),
+    "keys of every plain kind": "{a: 1, 2: b, 3.5: c, true: d, ~: e, 1.0: f}\n",
+    "duplicate keys": "{a: 1, b: 2, a: 3}\n",
+    "merge keys": (
+        "base: &base {x: 1, y: 2}\n"
+        "more: &more {z: 3}\n"
+        "one: {<<: *base, y: 5}\n"
+        "many: {<<: [*base, *more], w: 0}\n"
+        "chain: &chain {<<: *base, c: 1}\n"
+        "over: {<<: *chain, d: 2}\n"
+    ),
+    "value key": "v: {=: 7, unit: s}\n",
+    "set": "s: !!set {a, b, 3}\n",
+    "omap": "o: !!omap [{b: 1}, {a: [2]}]\n",
+    "pairs": "p: !!pairs [{a: 1}, {a: 2}]\n",
+    "timestamps": "t: [2001-12-14t21:59:43.10-05:00, 2002-12-14, 2001-12-15 2:59:43.1Z]\n",
+    "timestamp key": "{2002-12-14: day, x: 1}\n",
+    "binary": "b: !!binary aGVsbG8gd29ybGQ=\n",
+    "explicit seq and map tags": "!!map {a: !!seq [1, 2], b: !!map {c: d}}\n",
+    "aliases": "a: &l [1, {k: v}]\nb: *l\nc: &m {x: *l}\nd: [*m, *m]\n",
+    "aliases across a delegated node": "l: &l [1]\no: !!omap [{k: *l}, {j: &n [2]}]\nn: *n\n",
+    "recursive seq alias": "&a [1, *a, [*a]]\n",
+    "recursive map alias": "&m {self: *m, x: [*m]}\n",
+    "recursion through a merge": "&m {<<: {a: 1}, self: *m}\n",
+    "unhashable key": "a: 1\n? [1, 2]\n: x\n",
+    "unknown tag": "a: [1, !custom 2]\n",
+    "str tag on a sequence": "a: !!str [1]\n",
+    "bad merge": "a: {<<: [1], b: 2}\n",
+    "bad int": "a: !!int abc\n",
+    "empty document": "",
+    "only a comment": "# nothing\n",
+    "two documents": "a: 1\n---\nb: 2\n",
+    "plain scalar root": "just text\n",
+}
+
+
+class TestConstruct:
+    """``_construct`` returns what ``yaml.load`` returns with the same
+    loader, and raises what it raises."""
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_bundled_and_generated_scenarios(self, loader):
+        fixtures = importlib.resources.files("causalcps") / "scenarios"
+        texts = [
+            (fixtures / name).read_text(encoding="utf-8")
+            for name in ("knife.yaml", "chain.yaml", "thermostat.yaml")
+        ]
+        texts += generated_scenario_texts().values()
+        for text in texts:
+            assert_same_graph(construct(text, loader), yaml.load(text, Loader=loader))
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
+    def test_edge_document(self, loader, name):
+        text = EDGE_DOCUMENTS[name]
+        ours = built_or_raised(lambda: construct(text, loader))
+        theirs = built_or_raised(lambda: yaml.load(text, Loader=loader))
+        if ours[0] == "data" == theirs[0]:
+            assert_same_graph(ours[1], theirs[1])
+        else:
+            assert ours == theirs
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize("name", ["unhashable key", "unknown tag"])
+    def test_constructor_error_text_is_unchanged(self, monkeypatch, loader, name):
+        text = EDGE_DOCUMENTS[name]
+        with pytest.raises(yaml.YAMLError) as loaded:
+            yaml.load(text, Loader=loader)
+        mark = loaded.value.problem_mark
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError) as parsed:
+            parse_scenario(text)
+        assert str(parsed.value) == f"line {mark.line + 1}: invalid YAML: {loaded.value}"
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_alias_gives_the_same_object(self, loader):
+        data = construct("a: &l [1, 2]\nb: *l\nc: {d: *l}\n", loader)
+        assert data["a"] is data["b"] is data["c"]["d"]
+        looped = construct("&a [1, *a]\n", loader)
+        assert looped[1] is looped
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_node_graph_is_freed_before_validation(self, monkeypatch, loader):
+        # Kept alive through build_model, the graph's thousands of nodes
+        # would be promoted to the collector's oldest generation.
+        loaders = []
+
+        class Recording(loader):
+            def __init__(self, stream):
+                super().__init__(stream)
+                loaders.append(weakref.ref(self))
+
+        alive = []
+        real_build_model = scenario_module.build_model
+
+        def build_model(*args):
+            alive.extend(ref() is not None for ref in loaders)
+            return real_build_model(*args)
+
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", Recording)
+        monkeypatch.setattr(scenario_module, "build_model", build_model)
+        parse_scenario(PACKAGED_KNIFE.read_text(encoding="utf-8"))
+        assert alive == [False]
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_alias_doubling_stays_linear(self, monkeypatch, loader):
+        # Level k holds 2**k leaves; built once per node, 40 levels are 41 lists.
+        lines = ["horizon: 5", "sensors:", "- &l0 [x, x]"]
+        lines += [f"- &l{k} [*l{k - 1}, *l{k - 1}]" for k in range(1, 41)]
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match=r"^sensors\[0\]: expected a mapping"):
+            parse_scenario("\n".join(lines) + "\n")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRoundTrip:
