@@ -73,7 +73,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             f"reference: there is no window to test"
         )
     deviations = expected_state_check(
-        trace, reference, model, window=window, stride=stride, alpha=alpha
+        trace, reference, model, window=window, stride=stride, alpha=alpha, scan=report
     )
     Path(args.out).write_text(export_anomaly_report(report), encoding="utf-8")
     if args.deviations_out:
@@ -107,7 +107,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if not hypotheses:
         _fail("NO_CONSISTENT_HYPOTHESIS")
         return 1
-    paths = {h.components: explain(model, h, deviations) for h in hypotheses}
+    # Each hypothesis explains the deviations on observed sensors only.
+    paths = {
+        h.components: explain(model, h, [d for d in deviations if d.sensor in h.explained])
+        for h in hypotheses
+    }
     Path(args.out).write_text(export_diagnosis(hypotheses, paths), encoding="utf-8")
     top = "+".join(hypotheses[0].sorted_components())
     print(f"wrote {args.out}: {len(hypotheses)} consistent hypotheses, top {top}")

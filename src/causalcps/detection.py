@@ -15,6 +15,11 @@ once, and every state's law is tested over the whole block with
 window by window; each verdict is chosen from them by ``select_state``.  Both
 functions reject a bad window, stride or alpha on entry, even when there is
 no window to test.
+
+A window that both functions cover is tested once when the check is handed
+the scan's report (``scan=``): ``gof_block`` works row by row, so a window's
+p-values, and hence its verdict, do not depend on the other windows of its
+block.
 """
 
 from __future__ import annotations
@@ -178,6 +183,8 @@ def expected_state_check(
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
     alpha: float = DEFAULT_ALPHA,
+    *,
+    scan: AnomalyReport | None = None,
 ) -> list[Deviation]:
     """Compare a trace against the time-dependent expectations of a reference run.
 
@@ -186,6 +193,12 @@ def expected_state_check(
     values are matched against the sensor's state set; a deviation is emitted
     whenever the matched state differs from the reference label or is
     ANOMALOUS.
+
+    ``scan`` may be ``scan_anomalies``'s report on the same trace with the
+    same window, stride and alpha (else ValueError): a window it judged takes
+    its verdict and is not tested again.  The deviations are the same, since
+    a window's p-values do not depend on which other windows are tested
+    with it.
     """
     _check_window(window, stride)
     check_alpha(alpha)
@@ -195,18 +208,30 @@ def expected_state_check(
         )
     if set(trace.sensor_ids) != set(reference.sensor_ids):
         raise ValueError("trace and reference cover different sensor sets")
+    judged: dict[str, dict[int, str]] = {}
+    if scan is not None:
+        if (scan.window, scan.stride, scan.alpha) != (window, stride, alpha):
+            raise ValueError(
+                f"scan has window {scan.window}, stride {scan.stride}, alpha {scan.alpha}; "
+                f"the check has window {window}, stride {stride}, alpha {alpha}"
+            )
+        for verdict in scan.verdicts:
+            judged.setdefault(verdict.sensor, {})[verdict.start] = verdict.matched
     deviations = []
     for sensor_id in trace.sensor_ids:
         table = reference.label_table(sensor_id)
         windows = list(constant_label_windows(reference.codes_for(sensor_id), window, stride))
-        starts = [start for start, _ in windows]
+        matched = judged.get(sensor_id, {})
+        untested = [start for start, _ in windows if start not in matched]
         states = model.sensor(sensor_id).states
-        p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
-        for (start, code), window_p in zip(windows, p_values):
-            expected = table[code]
-            matched = select_state(window_p, alpha)
-            if matched != expected:
+        p_values = _window_p_values(trace.values_for(sensor_id), untested, window, states)
+        matched.update(
+            (start, select_state(window_p, alpha)) for start, window_p in zip(untested, p_values)
+        )
+        for start, code in windows:
+            expected, state = table[code], matched[start]
+            if state != expected:
                 deviations.append(
-                    Deviation(sensor=sensor_id, start=start, expected=expected, matched=matched)
+                    Deviation(sensor=sensor_id, start=start, expected=expected, matched=state)
                 )
     return deviations

@@ -55,11 +55,12 @@ its file.
 
 Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
 log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
-``export_trace`` builds all rows from the value and label-code matrices in
-bulk, values written with ``repr``.  ``import_trace`` splits the text once
-and converts whole columns with ``int`` and ``float``; only when some row is
-bad, repeated or missing does it walk the rows one by one, to name the first
-bad row in file order.
+``export_trace`` fills the slots of all rows from the value and label-code
+matrices and joins them once, values written with ``repr``.  ``import_trace``
+splits the text once and converts the value column with ``float``; rows in
+export's own layout are read by column, rows in any other order placed cell
+by cell.  Only when some row is bad, repeated or missing does it walk the
+rows one by one, to name the first bad row in file order.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator, Mapping, NoReturn, Sequence
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 import yaml
@@ -724,11 +726,20 @@ def export_trace(trace: Trace) -> str:
     # the lengths of the tables before it.
     ends = [label + "\n" for j in order for label in trace.label_tables[j]]
     offsets = np.cumsum([0] + [len(trace.label_tables[j]) for j in order[:-1]], dtype=np.intp)
-    ticks = [str(t) for t in range(len(trace)) for _ in ids]
-    values = map(repr, trace.values[:, order].ravel().tolist())
-    states = map(ends.__getitem__, (trace.codes[:, order] + offsets).ravel().tolist())
-    rows = map(",".join, zip(ticks, ids * len(trace), values, states))
-    return "tick,sensor_id,value,state_label\n" + "".join(rows)
+    # The header, then 7 slots per row: tick, ",", id, ",", value, ",", label + "\n".
+    parts = [","] * (1 + 7 * len(trace) * len(ids))
+    parts[0] = "tick,sensor_id,value,state_label\n"
+    parts[1::7] = _tick_strings(len(trace), len(ids))
+    parts[3::7] = ids * len(trace)
+    parts[5::7] = map(repr, trace.values[:, order].ravel().tolist())
+    parts[7::7] = map(ends.__getitem__, (trace.codes[:, order] + offsets).ravel().tolist())
+    return "".join(parts)
+
+
+def _tick_strings(horizon: int, width: int) -> list[str]:
+    """The tick column of a trace CSV in export's layout: ``str(t)`` for
+    ``t`` in ``0..horizon-1``, each ``width`` times."""
+    return list(chain.from_iterable(map(repeat, map(str, range(horizon)), repeat(width))))
 
 
 _TRACE_HEADER = ["tick", "sensor_id", "value", "state_label"]
@@ -760,9 +771,13 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
     it, a sensor's table lists the labels it shows, sorted.  Columns follow
     the order in which sensors first appear in the file.
 
-    The whole text is split once and each column converted in bulk.  If any
-    row breaks a rule, ``_raise_trace_error`` walks the rows in file order
-    to name the first one.
+    The whole text is split once and the value column converted in bulk.
+    Rows in the layout that ``export_trace`` writes (ticks ``0..T-1`` in
+    order, each listing the same sensors in the same order) are recognised
+    by two list comparisons and read by column, with no per-row tick parse
+    or cell placement; rows in any other order are placed cell by cell.  If
+    any row breaks a rule, ``_raise_trace_error`` walks the rows in file
+    order to name the first one.
     """
     rows = _csv_rows(text, "trace")
     _, header = next(rows, (1, None))
@@ -781,7 +796,7 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 def _trace_columns(
     text: str, reader: Iterator[tuple[int, list[str]]]
-) -> tuple[Sequence[str], Sequence[str], Sequence[str], Sequence[str]] | None:
+) -> tuple[list[str], list[str], list[str], list[str]] | None:
     """The tick, sensor, value and label columns of the rows after the
     header, blank rows skipped, or None if a row does not have four fields
     or cannot be read.
@@ -796,13 +811,13 @@ def _trace_columns(
             return None
         if any(len(row) != 4 for row in rows):
             return None
-        return tuple(zip(*rows)) if rows else ((), (), (), ())
+        return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
     body = text.partition("\n")[2]
     if body.startswith("\n") or "\n\n" in body:
         body = "\n".join(filter(None, body.split("\n")))
     body = body.removesuffix("\n")
     if not body:
-        return (), (), (), ()
+        return [], [], [], []
     # Four fields in every row iff the separators, in order, are ",,,\n" per
     # row.  Neither byte occurs inside a multi-byte UTF-8 character.
     rows = body.count("\n") + 1
@@ -813,28 +828,82 @@ def _trace_columns(
     return fields[0::4], fields[1::4], fields[2::4], fields[3::4]
 
 
+def _export_layout_width(ticks: list[str], sensors: list[str]) -> int:
+    """The number of sensors per tick if the rows are in export's layout:
+    ticks ``0..T-1`` written as ``str`` writes them, in order, each listing
+    the same distinct sensors in the same order.  Otherwise 0."""
+    if not ticks or ticks[0] != "0":
+        return 0
+    try:
+        width = ticks.index("1")
+    except ValueError:
+        width = len(ticks)
+    horizon, rest = divmod(len(ticks), width)
+    ids = sensors[:width]
+    if rest or len(set(ids)) != width:
+        return 0
+    if sensors != ids * horizon or ticks != _tick_strings(horizon, width):
+        return 0
+    return width
+
+
 def _positions(column: Sequence[str], distinct: Sequence[str]) -> np.ndarray:
     """The position in ``distinct`` of every entry of ``column``."""
     position = {item: i for i, item in enumerate(distinct)}
     return np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
 
 
+def _label_tables(
+    sensor_ids: Sequence[str], shown: Iterable[Iterable[str]], model: SystemModel | None
+) -> tuple[tuple[str, ...], ...] | None:
+    """Each sensor's label table: the model's, or without a model the labels
+    ``shown`` for it, sorted.  None if the model lacks one of the sensors."""
+    if model is None:
+        return tuple(tuple(sorted(labels)) for labels in shown)
+    known = {sensor.id: sensor.labels() for sensor in model.sensors}
+    if any(sensor not in known for sensor in sensor_ids):
+        return None
+    return tuple(known[sensor] for sensor in sensor_ids)
+
+
 def _trace_from_columns(
-    ticks: Sequence[str],
-    sensors: Sequence[str],
-    values: Sequence[str],
-    labels: Sequence[str],
+    ticks: list[str],
+    sensors: list[str],
+    values: list[str],
+    labels: list[str],
     model: SystemModel | None,
 ) -> Trace | None:
     """The trace that the columns of a trace CSV describe, or None if any row
     is bad, missing or repeated."""
     n = len(ticks)
     try:
-        tick_col = np.fromiter(map(int, ticks), dtype=np.int64, count=n)
         value_col = np.fromiter(map(float, values), dtype=np.float64, count=n)
     except (ValueError, OverflowError):
         return None
     if not np.isfinite(value_col).all():
+        return None
+
+    width = _export_layout_width(ticks, sensors)
+    if width:
+        # Sensor j's labels are every width-th entry from j: code them with
+        # that sensor's table, one column at a time.
+        sensor_ids = tuple(sensors[:width])
+        columns = [labels[j::width] for j in range(width)]
+        tables = _label_tables(sensor_ids, map(set, columns), model)
+        if tables is None:
+            return None
+        code_matrix = np.empty((n // width, width), dtype=np.intp)
+        for j, (column, table) in enumerate(zip(columns, tables)):
+            code = {label: k for k, label in enumerate(table)}
+            try:
+                code_matrix[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
+            except KeyError:
+                return None
+        return Trace(sensor_ids, value_col.reshape(code_matrix.shape), code_matrix, tables)
+
+    try:
+        tick_col = np.fromiter(map(int, ticks), dtype=np.int64, count=n)
+    except (ValueError, OverflowError):
         return None
     sensor_ids = tuple(dict.fromkeys(sensors))
     label_ids = tuple(dict.fromkeys(labels))
@@ -845,16 +914,12 @@ def _trace_from_columns(
         sensor_col * len(label_ids) + _positions(labels, label_ids), return_inverse=True
     )
     pairs = [divmod(pair, len(label_ids)) for pair in pair_ids.tolist()]
-    if model is None:
-        shown: dict[int, list[str]] = {}
-        for j, k in pairs:
-            shown.setdefault(j, []).append(label_ids[k])
-        tables = tuple(tuple(sorted(shown[j])) for j in range(len(sensor_ids)))
-    else:
-        known = {sensor.id: sensor.labels() for sensor in model.sensors}
-        if any(sensor not in known for sensor in sensor_ids):
-            return None
-        tables = tuple(known[sensor] for sensor in sensor_ids)
+    shown: dict[int, list[str]] = {}
+    for j, k in pairs:
+        shown.setdefault(j, []).append(label_ids[k])
+    tables = _label_tables(sensor_ids, (shown[j] for j in range(len(sensor_ids))), model)
+    if tables is None:
+        return None
     codes = [{label: code for code, label in enumerate(table)} for table in tables]
     pair_codes = np.array([codes[j].get(label_ids[k], -1) for j, k in pairs], dtype=np.intp)
     if (pair_codes < 0).any():

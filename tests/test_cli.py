@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,52 @@ class TestPipeline:
             args += ["--observe", sensor]
         assert main(args) == 0
         assert out.read_text().splitlines()[1].startswith("1,lid_actuator,")
+
+    def test_observing_one_sensor_explains_only_its_deviations(self, tmp_path):
+        """Deviations on unobserved sensors (here lid_state, which no
+        oven_temp hypothesis reaches) are left out of the paths column."""
+        s = str(BUNDLED_KNIFE)
+        faulty, reference = tmp_path / "faulty.csv", tmp_path / "reference.csv"
+        deviations, out = tmp_path / "deviations.csv", tmp_path / "diagnosis.csv"
+        for argv in (
+            ["simulate", s, "--out", str(faulty), "--seed", "1"],
+            ["simulate", s, "--out", str(reference), "--seed", "1", "--no-faults"],
+            [
+                "detect", s, "--trace", str(faulty), "--reference", str(reference),
+                "--out", str(tmp_path / "report.csv"), "--deviations-out", str(deviations),
+            ],
+        ):
+            assert main(argv) == 0, argv
+        rows = csv.DictReader(deviations.read_text().splitlines())
+        assert {"oven_temp", "lid_state"} <= {row["sensor_id"] for row in rows}
+        argv = ["diagnose", s, "--deviations", str(deviations), "--out", str(out)]
+        assert main(argv + ["--observe", "oven_temp"]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows
+        for row in rows:
+            assert row["explained"] == "oven_temp"
+            ends = [path.split(" -> ")[-1].split("[")[0] for path in row["paths"].split("|")]
+            assert ends == ["oven_temp"], row
+
+    def test_detect_on_shuffled_rows_writes_the_same_bytes(self, tmp_path):
+        """A trace whose rows are not in export order is read the same.  The
+        first tick's rows stay first: sensors are reported in the order in
+        which the trace first lists them."""
+        s = str(BUNDLED_KNIFE)
+        in_order = knife_detect_digests(tmp_path, 1)
+        faulty = tmp_path / "faulty.csv"
+        header, *rows = faulty.read_text().splitlines(keepends=True)
+        first_tick = sum(row.startswith("0,") for row in rows)
+        later = rows[first_tick:]
+        random.Random(7).shuffle(later)
+        faulty.write_text(header + "".join(rows[:first_tick] + later))
+        argv = [
+            "detect", s, "--trace", str(faulty), "--reference", str(tmp_path / "reference.csv"),
+            "--out", str(tmp_path / "report.csv"),
+            "--deviations-out", str(tmp_path / "deviations.csv"),
+        ]
+        assert main(argv) == 0
+        assert {name: digest(tmp_path / name) for name in in_order} == in_order
 
     def test_nothing_to_diagnose_exits_1(self, tmp_path, knife_yaml, capsys):
         empty = tmp_path / "none.csv"

@@ -209,6 +209,33 @@ class TestExpectedStateCheck:
             n * len(knife_model.sensor(s).states) for s, n in windows.items()
         )
 
+    def test_windows_the_scan_judged_are_not_tested_again(
+        self, knife_model, knife_reference, knife_lid_fault_trace, monkeypatch
+    ):
+        trace, ref = knife_lid_fault_trace, knife_reference
+        scan = scan_anomalies(trace, knife_model)
+        scanned = {(v.sensor, v.start) for v in scan.verdicts}
+        untested = {
+            (s, start)
+            for s in ref.sensor_ids
+            for start, _ in constant_label_windows(ref.labels_for(s), 50, 25)
+        } - scanned
+        assert scanned and untested
+        tested = count_block_rows(monkeypatch)
+        expected_state_check(trace, ref, knife_model, scan=scan)
+        assert len(tested) == sum(len(knife_model.sensor(s).states) for s, _ in untested)
+
+    @pytest.mark.parametrize("setting,value", [("window", 40), ("stride", 20), ("alpha", 0.05)])
+    def test_scan_with_other_settings_rejected(
+        self, knife_model, knife_reference, knife_lid_fault_trace, setting, value
+    ):
+        settings = {"window": 50, "stride": 25, "alpha": 0.01}
+        scan = scan_anomalies(knife_lid_fault_trace, knife_model, **{**settings, setting: value})
+        with pytest.raises(ValueError, match="scan has"):
+            expected_state_check(
+                knife_lid_fault_trace, knife_reference, knife_model, **settings, scan=scan
+            )
+
     def test_rejects_bad_parameters_with_no_window_to_test(self, knife_model, knife_reference):
         ref = knife_reference
         with pytest.raises(ValueError, match="alpha"):
@@ -353,6 +380,19 @@ class TestBlockOracle:
                 deviations = expected_state_check(trace, ref, knife_model, window, stride, alpha)
                 expected = reference_check(trace, ref, knife_model, window, stride, alpha)
                 assert deviations == expected
+
+    def test_check_with_the_scan_equals_the_plain_check(
+        self, knife_model, knife_reference, knife_lid_fault_trace
+    ):
+        ref = knife_reference
+        for trace in (knife_reference, knife_lid_fault_trace):
+            for window, stride, alpha in self.settings(trace, ref):
+                scan = scan_anomalies(trace, knife_model, window, stride, alpha)
+                plain = expected_state_check(trace, ref, knife_model, window, stride, alpha)
+                shared = expected_state_check(
+                    trace, ref, knife_model, window, stride, alpha, scan=scan
+                )
+                assert shared == plain
 
     def test_settings_cover_non_empty_and_empty_cases(
         self, knife_model, knife_reference, knife_lid_fault_trace

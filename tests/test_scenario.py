@@ -8,6 +8,7 @@ import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -712,6 +713,58 @@ def row_loop_import_trace(text, model=None):
     return tuple(sensor_ids), [by_tick[t] for t in ticks]
 
 
+def row_join_export_trace(trace):
+    """The trace CSV writer that joined each row on its own, which the
+    slot-filling ``export_trace`` replaced, kept as its oracle."""
+    order = sorted(range(len(trace.sensor_ids)), key=trace.sensor_ids.__getitem__)
+    ids = [trace.sensor_ids[j] for j in order]
+    finite = np.isfinite(trace.values[:, order])
+    if not finite.all():
+        t, k = np.argwhere(~finite)[0].tolist()
+        value = trace.values[t, order[k]].item()
+        raise ScenarioError(f"trace tick {t}, sensor {ids[k]!r}: non-finite value {value!r}")
+    ends = [label + "\n" for j in order for label in trace.label_tables[j]]
+    offsets = np.cumsum([0] + [len(trace.label_tables[j]) for j in order[:-1]], dtype=np.intp)
+    ticks = [str(t) for t in range(len(trace)) for _ in ids]
+    values = map(repr, trace.values[:, order].ravel().tolist())
+    states = map(ends.__getitem__, (trace.codes[:, order] + offsets).ravel().tolist())
+    rows = map(",".join, zip(ticks, ids * len(trace), values, states))
+    return "tick,sensor_id,value,state_label\n" + "".join(rows)
+
+
+class TestExportAgreesWithRowJoin:
+    def test_same_bytes(self, knife_reference, knife_lid_fault_trace, chain_doc, thermostat_doc):
+        from causalcps.simulation import Trace
+
+        edge_values = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2]
+        traces = {
+            "knife reference": knife_reference,
+            "knife faulty": knife_lid_fault_trace,
+            "chain": chain_doc.run(),
+            "thermostat": thermostat_doc.run(),
+            "empty": Trace.from_columns({}, {}),
+            "no ticks": Trace.from_columns({"a": []}, {"a": []}),
+            "one sensor": Trace.from_columns({"only": [1.5, -2.0, 3.25]}, {"only": ["B", "A", "B"]}),
+            "unicode ids": Trace.from_columns(
+                {"t\u00e9mp": [1.0, 2.0], "\u6e29\u5ea6": [3.0, 4.0]},
+                {"t\u00e9mp": ["\u00c9t\u00e9", "Hiver"], "\u6e29\u5ea6": ["\u9ad8", "\u9ad8"]},
+            ),
+            "edge values": Trace.from_columns(
+                {"z": edge_values, "a": edge_values[::-1]},
+                {"z": ["X"] * 5, "a": ["Y", "X", "Y", "X", "Y"]},
+            ),
+        }
+        for name, trace in traces.items():
+            assert export_trace(trace) == row_join_export_trace(trace), name
+        assert export_trace(traces["edge values"]).splitlines()[1:6] == [
+            "0,a,0.30000000000000004,Y",
+            "0,z,-0.0,X",
+            "1,a,1e-05,X",
+            "1,z,5e-324,X",
+            "2,a,1e+16,Y",
+        ]
+
+
 TRACE_HEADER = "tick,sensor_id,value,state_label\n"
 
 
@@ -766,6 +819,21 @@ def trace_csv_corpus(valid_texts):
             for edit, row in edits.items():
                 edited = rows[:at] + [row] + rows[at + 1 :]
                 yield f"{name} {edit} at row {at + 2}", header + "".join(edited)
+        # Rows that keep or break export's layout (ticks 0..T-1 in order, each
+        # listing the same distinct sensors in the same order).
+        width = sum(row.startswith("0,") for row in rows)
+        ticks = [rows[i : i + width] for i in range(0, len(rows), width)]
+        middle = len(ticks) // 2
+        reordered = [tick[k] for tick in ticks for k in reversed(range(width))]
+        yield f"{name} same unsorted sensor order on every tick", header + "".join(reordered)
+        swapped = [row for tick in ticks for row in tick]
+        at = middle * width
+        swapped[at : at + 2] = swapped[at + 1], swapped[at]
+        yield f"{name} two rows of one tick swapped", header + "".join(swapped)
+        padded = [f"0{row}" if t == middle else row for t, tick in enumerate(ticks) for row in tick]
+        yield f"{name} zero-padded tick", header + "".join(padded)
+        repeated = [row for tick in ticks for row in (tick[0], *tick[1:width - 1], tick[0])]
+        yield f"{name} sensor repeated within every tick", header + "".join(repeated)
         # A short row and a long row whose fields would line up again.
         misaligned = rows[:]
         misaligned[1] = misaligned[1].rstrip("\n").rsplit(",", 1)[0] + "\n"
@@ -832,6 +900,25 @@ class TestImportAgreesWithRowLoop:
                     assert mine == theirs, name
                     assert [v.hex() for v in mine] == [v.hex() for v in theirs], name
         assert accepted >= 20 and checked - accepted >= 100
+
+    @pytest.mark.parametrize(
+        "variant,by_column",
+        [
+            ("", True),
+            (" same unsorted sensor order on every tick", True),
+            (" shuffled", False),
+            (" two rows of one tick swapped", False),
+            (" zero-padded tick", False),
+            (" sensor repeated within every tick", False),
+        ],
+    )
+    def test_layout_check_takes_export_order_only(self, knife_reference, variant, by_column):
+        """Export's own rows, and the same unsorted sensor order on every
+        tick, are read by column; every other order is placed row by row."""
+        texts = dict(trace_csv_corpus([("knife", export_trace(knife_reference))]))
+        ticks, sensors, *_ = scenario_module._trace_columns(texts["knife" + variant], iter(()))
+        width = len(knife_reference.sensor_ids) if by_column else 0
+        assert scenario_module._export_layout_width(ticks, sensors) == width
 
     @pytest.mark.parametrize("which", ["knife_reference", "knife_lid_fault_trace"])
     def test_export_of_import_keeps_the_bytes(self, request, knife_model, which):
