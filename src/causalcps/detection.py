@@ -153,11 +153,12 @@ def scan_anomalies(
     """Match every constant-label window of every sensor against its state set.
 
     Each window's goodness-of-fit tests run once; the verdict is chosen from
-    their p-values."""
+    their p-values.  Sensors are taken in sorted id order, whatever the order
+    of the trace's columns."""
     _check_window(window, stride)
     check_alpha(alpha)
     verdicts = []
-    for sensor_id in trace.sensor_ids:
+    for sensor_id in sorted(trace.sensor_ids):
         codes = trace.codes_for(sensor_id)
         starts = [start for start, _ in constant_label_windows(codes, window, stride)]
         states = model.sensor(sensor_id).states
@@ -192,7 +193,7 @@ def expected_state_check(
     For every window in which the reference holds a constant label, the trace's
     values are matched against the sensor's state set; a deviation is emitted
     whenever the matched state differs from the reference label or is
-    ANOMALOUS.
+    ANOMALOUS.  Sensors are taken in sorted id order.
 
     ``scan`` may be ``scan_anomalies``'s report on the same trace with the
     same window, stride and alpha (else ValueError): a window it judged takes
@@ -218,7 +219,7 @@ def expected_state_check(
         for verdict in scan.verdicts:
             judged.setdefault(verdict.sensor, {})[verdict.start] = verdict.matched
     deviations = []
-    for sensor_id in trace.sensor_ids:
+    for sensor_id in sorted(trace.sensor_ids):
         table = reference.label_table(sensor_id)
         windows = list(constant_label_windows(reference.codes_for(sensor_id), window, stride))
         matched = judged.get(sensor_id, {})

@@ -11,12 +11,28 @@ behavior.  It is consistent with the observations when
       deviate, exactly the state-label trajectory of the fault-free run.
 
 Consistency is judged on state labels alone, which never depend on the seed,
-so both the fault-free reference and the re-runs in (b) come from
+so both the fault-free reference and any re-run in (b) come from
 ``simulation.label_steps``: it samples no values and logs no events, and a
-check stops at the first tick on which a nominal sensor's predicted label
+re-run stops at the first tick on which a nominal sensor's predicted label
 differs from the reference.
 
-Causality is known by construction, so (b) re-simulates only what a
+A verdict is reached by the first of these that applies, cheapest first.
+
+1. Cone: the candidate cannot change any nominal sensor (below): consistent.
+2. Cache: the same component group was judged before.
+3. First divergence, read from the reference run with no simulation (as in
+   concurrent fault simulation, which follows a faulty machine only where
+   it differs from the good one).  Up to the first tick t0 at which the run
+   without the group leaves the reference, every other subsystem sees
+   reference labels and so queues its reference effects.  At t0 a sensor
+   therefore takes the highest-ranked due effect of a subsystem outside the
+   group, an intervention, or its previous label.  Only phase 1's contests
+   (``simulation``) whose winner is in the group can differ; the reference
+   run records them, indexed by winning subsystem when first needed.  No
+   divergence: consistent.  A nominal sensor diverges at t0: inconsistent.
+4. Otherwise the group's cone is re-simulated.
+
+Causality is known by construction, so (4) re-simulates only what a
 candidate can change (the cone-of-influence reduction of model checking).
 The cone of a component set S holds the effect targets of S's rules and is
 closed under one step: a subsystem outside S whose guards read a cone sensor
@@ -43,7 +59,9 @@ noticed anything, so the reading itself is suspect.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .detection import Deviation
@@ -100,15 +118,18 @@ class _ConsistencyChecker:
         self.interventions = tuple(interventions)
         self.horizon = horizon
         self.deviating = deviating
-        self.nominal = sorted(observed - deviating)
+        self.nominal = frozenset(observed - deviating)
         graph = derive_causal_graph(model)
         self.reach = {
             sid: causal_descendants(graph, sid) for sid in model.sensor_ids()
         }
         # The fault-free labels, one column per sensor (label_steps yields
-        # each tick's labels in model sensor order).
-        columns = zip(*label_steps(model, horizon, interventions=self.interventions))
-        self.reference = dict(zip(model.sensor_ids(), map(list, columns)))
+        # each tick's labels in model sensor order), and each tick's contests.
+        self.contests: list[tuple[int, tuple]] = []
+        steps = label_steps(model, horizon, self.interventions, contests=self.contests)
+        self.reference = dict(zip(model.sensor_ids(), map(list, zip(*steps))))
+        self.initial = {sensor.id: sensor.initial_state for sensor in model.sensors}
+        self.sub_index = {sub.id: i for i, sub in enumerate(model.subsystems)}
         self.component_sensors = {
             sub.id: tuple(sub.sensors) for sub in model.subsystems
         }
@@ -192,17 +213,64 @@ class _ConsistencyChecker:
 
     def group_predicts_nominal(self, group: frozenset[str]) -> bool:
         """Whether removing ``group``'s tables leaves every nominal sensor on
-        its reference labels, re-simulating only the group's cone."""
+        its reference labels.  A cone without nominal sensors says yes, a
+        cached verdict is reused, the first divergence settles most groups,
+        and a replay of the group's cone decides the rest."""
+        if self.nominal.isdisjoint(self.cone(group)):
+            return True
         verdict = self.verdicts.get(group)
         if verdict is None:
-            verdict = self.verdicts[group] = self._replay_cone(group)
+            divergence = self.first_divergence(group)
+            if divergence is None:
+                verdict = True
+            elif divergence[1] & self.nominal:
+                verdict = False
+            else:
+                verdict = self._replay_cone(group)
+            self.verdicts[group] = verdict
         return verdict
+
+    @cached_property
+    def contests_by_winner(self) -> dict[int, list]:
+        """The reference run's (tick, contest) pairs, by the subsystem index
+        of the contest's winner, in tick order."""
+        index: dict[int, list] = {}
+        for tick, contests in self.contests:
+            for ranked in contests:
+                index.setdefault(ranked[0].sub_index, []).append((tick, ranked))
+        return index
+
+    def first_divergence(self, group: frozenset[str]) -> tuple[int, frozenset[str]] | None:
+        """The first tick at which the run without ``group``'s tables leaves
+        the reference, and the sensors that leave it then; None if it never
+        does.  Read from the reference run's contests, with no simulation.
+
+        Up to that tick every other subsystem sees reference labels, so it
+        queues its reference effects: a contested sensor whose reference
+        winner is in ``group`` takes the highest-ranked due effect of a
+        subsystem outside it, else keeps its previous label.
+        """
+        members = {self.sub_index[component] for component in group}
+        by_winner = self.contests_by_winner
+        contests = sorted(
+            chain.from_iterable(by_winner.get(m, ()) for m in members), key=itemgetter(0)
+        )
+        first, moved = None, set()
+        for tick, ranked in contests:
+            if first is not None and tick > first:
+                break
+            target = ranked[0].target
+            label = next((q.state for q in ranked if q.sub_index not in members), None)
+            if label is None:
+                label = self.reference[target][tick - 1] if tick else self.initial[target]
+            if label != ranked[0].state:
+                first = tick
+                moved.add(target)
+        return None if first is None else (first, frozenset(moved))
 
     def _replay_cone(self, group: frozenset[str]) -> bool:
         cone = self.cone(group)
-        checked = [sensor for sensor in self.nominal if sensor in cone]
-        if not checked:
-            return True
+        checked = sorted(self.nominal & cone)
         # Only subsystems that write into the cone are advanced, with their
         # effects outside it dropped.  Every other sensor they read replays
         # its reference labels as interventions: labels never depend on the
@@ -235,7 +303,7 @@ class _ConsistencyChecker:
         changes = self.changes.get(sensor)
         if changes is None:
             changes = self.changes[sensor] = []
-            previous = self.model.sensor(sensor).initial_state
+            previous = self.initial[sensor]
             for tick, label in enumerate(self.reference[sensor]):
                 if label != previous:
                     previous = label

@@ -29,9 +29,12 @@ interned by content, so the same group always has the same id.  The
 transition's key is (the row before the tick, the ids of the due groups in
 queue order, the tuple of pending interventions); its value is (the row
 after, the effects applied, the rules fired, the (delay, group id) pairs to
-queue).  ``Simulator._transition`` computes a value only on a miss, and only
-a miss consults the rule tables; every tick is still executed and logged on
-its own, so the log, the values and the events are those of a tick-by-tick
+queue, the contests).  A contest is phase 1's choice on one target that
+removing some due effects could change: its winning effect is applied and
+not every due effect on it carries its label before the tick.
+``Simulator._transition`` computes a value only on a miss, and only a miss
+consults the rule tables; every tick is still executed and logged on its
+own, so the log, the values and the events are those of a tick-by-tick
 run.  The groups of a landing tick concatenate to its due effects in the
 order they fired, so the stable rank sort and its tie-breaks are unchanged.
 
@@ -282,14 +285,19 @@ class _QueuedEffect(NamedTuple):
 
 _rank = itemgetter(0)
 
+# A tick's contests: per contested target, the due effects on it, highest
+# rank (the winner) first.
+_Contests = tuple[tuple[_QueuedEffect, ...], ...]
+
 # A memoized tick: the labels after it, the queued effects applied, the
-# (subsystem index, rule index) of every rule fired and the (delay, effect
-# group id) pairs to queue.
+# (subsystem index, rule index) of every rule fired, the (delay, effect
+# group id) pairs to queue and its contests (see ``Simulator._transition``).
 _Transition = tuple[
     tuple[str, ...],
     tuple[_QueuedEffect, ...],
     tuple[tuple[int, int], ...],
     tuple[tuple[int, int], ...],
+    _Contests,
 ]
 
 
@@ -342,6 +350,8 @@ class Simulator:
         self._sensor_ids = model.sensor_ids()
         # The joint labels, in model sensor order.
         self._row = tuple(sensor.initial_state for sensor in model.sensors)
+        # The contests of the last executed tick.
+        self._contests: _Contests = ()
         self._tick = 0
         # Landing tick -> ids of the effect groups due then, in the order queued.
         self._queue: dict[int, list[int]] = {}
@@ -448,7 +458,7 @@ class Simulator:
         transition = self._transitions.get(key)
         if transition is None:
             transition = self._transitions[key] = self._transition(*key)
-        self._row, applied, fired, queued = transition
+        self._row, applied, fired, queued, self._contests = transition
         queue = self._queue
         for delay, group in queued:
             queue.setdefault(t + delay, []).append(group)
@@ -467,11 +477,18 @@ class Simulator:
         # The groups concatenate to the due effects in the order they fired,
         # and the stable sort keeps effects of equal rank in that order.
         due = [queued for group in due_groups for queued in self._groups[group]]
+        ranked = sorted(due, key=_rank)
         winners: dict[str, _QueuedEffect] = {}
-        for queued in sorted(due, key=_rank):
+        for queued in ranked:
             winners[queued.target] = queued
         intervened = {sensor for sensor, _ in interventions}
         applied = tuple(winners[target] for target in sorted(winners) if target not in intervened)
+        moved = {queued.target for queued in due if queued.state != labels[queued.target]}
+        contested: dict[str, list[_QueuedEffect]] = {t: [] for t in sorted(moved - intervened)}
+        for queued in reversed(ranked):
+            if queued.target in contested:
+                contested[queued.target].append(queued)
+        contests = tuple(map(tuple, contested.values()))
         for queued in applied:
             labels[queued.target] = queued.state
         for sensor, state in interventions:
@@ -500,7 +517,7 @@ class Simulator:
                 self._groups.append(group)
             groups.append((delay, group_id))
         row = tuple(map(labels.__getitem__, self._sensor_ids))
-        return row, applied, tuple(fired), tuple(groups)
+        return row, applied, tuple(fired), tuple(groups), contests
 
     def step(self) -> None:
         """Execute the next tick and append its log entry, label-row index and
@@ -601,6 +618,7 @@ def label_steps(
     horizon: int,
     interventions: Sequence[ScriptedIntervention] = (),
     faults: Sequence[FaultSpec] = (),
+    contests: list[tuple[int, _Contests]] | None = None,
 ) -> Iterator[tuple[str, ...]]:
     """Yield the joint labels after each tick of the same run as run_script,
     as one tuple in model sensor order.
@@ -609,9 +627,13 @@ def label_steps(
     so a consumer that has seen enough can stop early at no further cost.
     Labels never depend on the seed, so none is taken.  Errors surface as
     iteration reaches them, as in run_script: a bad horizon or fault on the
-    first tick, a bad intervention on its own tick.
+    first tick, a bad intervention on its own tick.  When ``contests`` is a
+    list, each tick that has contests (``Simulator._transition``) appends
+    (the tick, its contests) to it before its labels are yielded.
     """
     sim = Simulator(model)
-    for _ in _script(sim, horizon, interventions, faults):
+    for tick in _script(sim, horizon, interventions, faults):
         sim._advance()
+        if contests is not None and sim._contests:
+            contests.append((tick, sim._contests))
         yield sim._row

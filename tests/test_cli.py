@@ -474,8 +474,7 @@ class TestPipeline:
 
     def test_detect_on_shuffled_rows_writes_the_same_bytes(self, tmp_path):
         """A trace whose rows are not in export order is read the same.  The
-        first tick's rows stay first: sensors are reported in the order in
-        which the trace first lists them."""
+        first tick's rows stay first, so the columns keep export order."""
         s = str(BUNDLED_KNIFE)
         in_order = knife_detect_digests(tmp_path, 1)
         faulty = tmp_path / "faulty.csv"
@@ -486,6 +485,28 @@ class TestPipeline:
         faulty.write_text(header + "".join(rows[:first_tick] + later))
         argv = [
             "detect", s, "--trace", str(faulty), "--reference", str(tmp_path / "reference.csv"),
+            "--out", str(tmp_path / "report.csv"),
+            "--deviations-out", str(tmp_path / "deviations.csv"),
+        ]
+        assert main(argv) == 0
+        assert {name: digest(tmp_path / name) for name in in_order} == in_order
+
+    def test_detect_on_fully_shuffled_traces_writes_the_same_bytes(self, tmp_path):
+        """Both traces with every row shuffled, the first tick's too, so the
+        columns follow no order: detect still reports sensors in id order."""
+        s = str(BUNDLED_KNIFE)
+        in_order = knife_detect_digests(tmp_path, 1)
+        rng = random.Random(11)
+        for name in ("faulty.csv", "reference.csv"):
+            path = tmp_path / name
+            header, *rows = path.read_text().splitlines(keepends=True)
+            first = rows[: sum(row.startswith("0,") for row in rows)]
+            while rows[: len(first)] == first:
+                rng.shuffle(rows)
+            path.write_text(header + "".join(rows))
+        argv = [
+            "detect", s, "--trace", str(tmp_path / "faulty.csv"),
+            "--reference", str(tmp_path / "reference.csv"),
             "--out", str(tmp_path / "report.csv"),
             "--deviations-out", str(tmp_path / "deviations.csv"),
         ]

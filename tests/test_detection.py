@@ -314,9 +314,10 @@ class TestExpectedStateCheck:
 
 
 def reference_scan(trace, model, window, stride, alpha):
-    """scan_anomalies, one window and one state_p_values call at a time."""
+    """scan_anomalies, one window and one state_p_values call at a time,
+    sensors in id order."""
     verdicts = []
-    for sensor_id in trace.sensor_ids:
+    for sensor_id in sorted(trace.sensor_ids):
         states = model.sensor(sensor_id).states
         values = trace.values_for(sensor_id)
         for start, _ in constant_label_windows(trace.labels_for(sensor_id), window, stride):
@@ -329,9 +330,10 @@ def reference_scan(trace, model, window, stride, alpha):
 
 
 def reference_check(trace, reference, model, window, stride, alpha):
-    """expected_state_check, one window and one match_state call at a time."""
+    """expected_state_check, one window and one match_state call at a time,
+    sensors in id order."""
     deviations = []
-    for sensor_id in trace.sensor_ids:
+    for sensor_id in sorted(trace.sensor_ids):
         states = model.sensor(sensor_id).states
         values = trace.values_for(sensor_id)
         expected_labels = reference.labels_for(sensor_id)

@@ -4,6 +4,7 @@ from itertools import chain, combinations
 
 import pytest
 
+from causalcps import diagnosis
 from causalcps.cli import main
 from causalcps.detection import Deviation, expected_state_check
 from causalcps.diagnosis import SENSOR_FAULT_PREFIX, _ConsistencyChecker, diagnose, explain
@@ -560,6 +561,147 @@ def test_cone_verdicts_equal_full_runs_on_random_models():
     ):
         assert seen[feature] >= 10, (feature, seen)
     assert seen["verdict True"] >= 200 and seen["verdict False"] >= 200, seen
+
+
+def cone_corpus(horizon):
+    """The random-model corpus of the test above, drawn from the same seed in
+    the same order: per model, (model, interventions, observed, deviating,
+    candidates in checking order)."""
+    rng = random.Random(20261018)
+    for case in range(100):
+        model, interventions = random_cone_model(rng, horizon)
+        ids = model.sensor_ids()
+        observed = set(rng.sample(ids, rng.randint(2, len(ids))))
+        deviating = set(rng.sample(sorted(observed), rng.randint(0, 2)))
+        components = sorted(model.component_ids())
+        candidates = [c for k in (1, 2, 3) for c in combinations(components, k)]
+        if case % 2:
+            rng.shuffle(candidates)
+        yield model, interventions, observed, deviating, candidates
+
+
+def due_effects(model, trace):
+    """(tick, target) -> the effects due then in the run of ``trace``, as
+    (subsystem index, delay, state), highest rank (the phase-1 winner)
+    first, rebuilt from its RULE_FIRED events."""
+    index = {sub.id: i for i, sub in enumerate(model.subsystems)}
+    due = {}
+    for event in trace.events("RULE_FIRED"):
+        i = index[event.subsystem]
+        rule = model.subsystems[i].rules[event.rule_index]
+        for k, effect in enumerate(rule.effects):
+            rank = (-i, event.rule_index, k)
+            entry = (rank, (i, effect.delay, effect.state))
+            due.setdefault((event.tick + effect.delay, effect.target), []).append(entry)
+    return {key: [e for _, e in sorted(entries, reverse=True)] for key, entries in due.items()}
+
+
+def label_rows(trace, ids):
+    """The joint labels of each tick of ``trace``, sensors in ``ids`` order."""
+    return list(zip(*(trace.labels_for(sensor) for sensor in ids)))
+
+
+def test_first_divergence_equals_full_runs_on_random_models():
+    """For every candidate of the random-model corpus, ``first_divergence``
+    gives the first tick at which a full ``run_script`` without the
+    candidate's tables differs from the reference, and the sensors that
+    differ then (None when no tick differs)."""
+    horizon = 30
+    seen = Counter()
+    for model, interventions, observed, deviating, candidates in cone_corpus(horizon):
+        ids = model.sensor_ids()
+        checker = _ConsistencyChecker(model, interventions, horizon, deviating, observed)
+        reference = run_script(model, 0, horizon, interventions)
+        rows = label_rows(reference, ids)
+        due = due_effects(model, reference)
+        intervened = {(item.tick, item.sensor) for item in interventions}
+        for candidate in candidates:
+            faults = [FaultSpec(c, (), 0) for c in candidate]
+            full = label_rows(run_script(model, 0, horizon, interventions, faults), ids)
+            first = next((t for t in range(horizon) if full[t] != rows[t]), None)
+            expected = None
+            if first is not None:
+                moved = {s for s, a, b in zip(ids, full[first], rows[first]) if a != b}
+                expected = (first, frozenset(moved))
+            assert checker.first_divergence(frozenset(candidate)) == expected, (candidate,)
+
+            if first is None:
+                seen["never diverges"] += 1
+                continue
+            members = {i for i, sub in enumerate(model.subsystems) if sub.id in candidate}
+            for (tick, target), effects in due.items():
+                if tick != first:
+                    continue
+                if (tick, target) in intervened and any(i in members for i, _, _ in effects):
+                    seen["intervention on a target of the candidate"] += 1
+                elif len(effects) > 1 and {effects[0][0], effects[1][0]} <= members:
+                    seen["candidate holds winner and runner-up"] += 1
+                if target in expected[1] and effects[0][1] > 1:
+                    seen["winner delayed more than one tick"] += 1
+    for feature in (
+        "never diverges",
+        "intervention on a target of the candidate",
+        "candidate holds winner and runner-up",
+        "winner delayed more than one tick",
+    ):
+        assert seen[feature] >= 10, (feature, seen)
+
+
+def relay_chain(stages, faulted):
+    """Relay s00 -> ... with point-mass Lo/Hi stages: component cNN copies
+    s[NN-1] into sNN one tick later, s00 turns Hi at tick 20, and ``faulted``
+    has its table emptied from tick 0.  Horizon 300."""
+    ids = [f"s{i:02d}" for i in range(stages)]
+    sensors = [
+        Sensor(sid, (("Lo", Degenerate(10.0 * i)), ("Hi", Degenerate(10.0 * i + 5))), "Lo")
+        for i, sid in enumerate(ids)
+    ]
+    subsystems = [
+        Subsystem(
+            f"c{i:02d}",
+            SubsystemKind.COMPONENT,
+            (ids[i - 1], ids[i]),
+            tuple(Rule({ids[i - 1]: x}, (Effect(ids[i], x, 1),)) for x in ("Lo", "Hi")),
+        )
+        for i in range(1, stages)
+    ]
+    return ScenarioDocument(
+        name="relay-chain",
+        seed=1,
+        horizon=300,
+        window=50,
+        stride=25,
+        alpha=0.01,
+        sensors=tuple(sensors),
+        subsystems=tuple(subsystems),
+        functionalities=(),
+        interventions=(ScriptedIntervention(20, ids[0], "Hi"),),
+        faults=(FaultSpec(faulted, (), 0),),
+    )
+
+
+def test_relay_chain_diagnosis_runs_only_the_reference(monkeypatch):
+    """On the 20-stage relay chain with c10 emptied, every candidate up to
+    cardinality 3 is settled by its first divergence: ``diagnose`` makes one
+    label run, the reference."""
+    doc = relay_chain(20, "c10")
+    model = doc.build()
+    deviations = expected_state_check(
+        doc.run(seed=1), doc.run(seed=2, include_faults=False), model
+    )
+    calls = []
+    steps = diagnosis.label_steps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return steps(*args, **kwargs)
+
+    monkeypatch.setattr(diagnosis, "label_steps", counting)
+    found = diagnose(
+        model, doc.interventions, doc.horizon, deviations, model.sensor_ids(), max_cardinality=3
+    )
+    assert len(calls) == 1
+    assert {h.components for h in found} == {frozenset({"c10"}), frozenset({"c11"})}
 
 
 # ---------------------------------------------------------------------------
