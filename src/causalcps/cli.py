@@ -125,7 +125,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise ScenarioError(f"--goal expects sensor=State, got {item!r}")
         sensor, _, state = item.partition("=")
-        goal[sensor] = state
+        if goal.setdefault(sensor, state) != state:
+            raise ScenarioError(f"--goal sets {sensor!r} to both {goal[sensor]!r} and {state!r}")
     problem = doc.planning_problem(goal)
     result = find_plan(problem)
     if result is None:

@@ -57,10 +57,11 @@ Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
 log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
 ``export_trace`` fills the slots of all rows from the value and label-code
 matrices and joins them once, values written with ``repr``.  ``import_trace``
-splits the text once and converts the value column with ``float``; rows in
-export's own layout are read by column, rows in any other order placed cell
-by cell.  Only when some row is bad, repeated or missing does it walk the
-rows one by one, to name the first bad row in file order.
+reads text in export's own layout by column: it splits the text once and
+converts the value column with ``float``.  Every other text it accepts
+(another row order, blank lines, quoted fields, CRLF line ends) is read row
+by row, and so is a text with a bad, repeated or missing row, to name the
+first bad row in file order.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Any, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -771,86 +772,82 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
     it, a sensor's table lists the labels it shows, sorted.  Columns follow
     the order in which sensors first appear in the file.
 
-    The whole text is split once and the value column converted in bulk.
-    Rows in the layout that ``export_trace`` writes (ticks ``0..T-1`` in
-    order, each listing the same sensors in the same order) are recognised
-    by two list comparisons and read by column, with no per-row tick parse
-    or cell placement; rows in any other order are placed cell by cell.  If
-    any row breaks a rule, ``_raise_trace_error`` walks the rows in file
-    order to name the first one.
+    Text in the layout that ``export_trace`` writes (ticks ``0..T-1`` in
+    order, each listing the same sensors in the same order) is split once
+    and read by column, its value column converted in bulk.  Every other
+    text that is accepted (another row order, blank lines, quoted fields,
+    CRLF line ends) is read row by row, and so is every text with a bad,
+    repeated or missing row, whose error names the first bad row in file
+    order.
     """
     rows = _csv_rows(text, "trace")
     _, header = next(rows, (1, None))
     if header != _TRACE_HEADER:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
-    columns = _trace_columns(text, rows)
-    trace = None if columns is None else _trace_from_columns(*columns, model)
-    if trace is None:
-        _raise_trace_error(text, model)
-    return trace
+    trace = _trace_by_column(text, model)
+    return _trace_by_row(rows, model) if trace is None else trace
 
 
 # Every byte but the field and row separators, for ``bytes.translate`` to delete.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
-def _trace_columns(
-    text: str, reader: Iterator[tuple[int, list[str]]]
-) -> tuple[list[str], list[str], list[str], list[str]] | None:
-    """The tick, sensor, value and label columns of the rows after the
-    header, blank rows skipped, or None if a row does not have four fields
-    or cannot be read.
+def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
+    """The trace of a trace CSV in export's layout, read by column, or None
+    if the text has any other layout or a cell is bad.
 
-    Without quotes and with bare-newline row ends, a row is a line and its
-    fields are split by commas, as ``csv.reader`` splits them; the text after
-    the header is then split once.  Anything else is left to ``reader``."""
+    Export's layout has no quote, CR, NUL or blank line, so a row is a line
+    and its fields are split by commas, as ``csv.reader`` splits them; its
+    ticks are ``0..T-1``, written as ``str`` writes them, in order, each
+    listing the same distinct sensors in the same order."""
     if '"' in text or "\r" in text or "\0" in text:
-        try:
-            rows = [row for _, row in reader if row]
-        except ScenarioError:
-            return None
-        if any(len(row) != 4 for row in rows):
-            return None
-        return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
-    body = text.partition("\n")[2]
-    if body.startswith("\n") or "\n\n" in body:
-        body = "\n".join(filter(None, body.split("\n")))
-    body = body.removesuffix("\n")
-    if not body:
-        return [], [], [], []
+        return None
+    body = text.partition("\n")[2].removesuffix("\n")
     # Four fields in every row iff the separators, in order, are ",,,\n" per
-    # row.  Neither byte occurs inside a multi-byte UTF-8 character.
+    # row: a field count alone would accept a short row followed by a long
+    # one.  A blank line breaks the pattern too.  Neither byte occurs inside
+    # a multi-byte UTF-8 character.
     rows = body.count("\n") + 1
     separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
     if separators != b",,,\n" * (rows - 1) + b",,,":
         return None
     fields = body.replace("\n", ",").split(",")
-    return fields[0::4], fields[1::4], fields[2::4], fields[3::4]
-
-
-def _export_layout_width(ticks: list[str], sensors: list[str]) -> int:
-    """The number of sensors per tick if the rows are in export's layout:
-    ticks ``0..T-1`` written as ``str`` writes them, in order, each listing
-    the same distinct sensors in the same order.  Otherwise 0."""
-    if not ticks or ticks[0] != "0":
-        return 0
+    ticks, sensors, values, labels = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    if ticks[0] != "0":
+        return None
     try:
         width = ticks.index("1")
     except ValueError:
-        width = len(ticks)
-    horizon, rest = divmod(len(ticks), width)
-    ids = sensors[:width]
-    if rest or len(set(ids)) != width:
-        return 0
-    if sensors != ids * horizon or ticks != _tick_strings(horizon, width):
-        return 0
-    return width
-
-
-def _positions(column: Sequence[str], distinct: Sequence[str]) -> np.ndarray:
-    """The position in ``distinct`` of every entry of ``column``."""
-    position = {item: i for i, item in enumerate(distinct)}
-    return np.fromiter(map(position.__getitem__, column), dtype=np.intp, count=len(column))
+        width = rows
+    horizon, rest = divmod(rows, width)
+    sensor_ids = tuple(sensors[:width])
+    if (
+        rest
+        or len(set(sensor_ids)) != width
+        or sensors != sensors[:width] * horizon
+        or ticks != _tick_strings(horizon, width)
+    ):
+        return None
+    try:
+        value_col = np.fromiter(map(float, values), dtype=np.float64, count=rows)
+    except ValueError:
+        return None
+    if not np.isfinite(value_col).all():
+        return None
+    # Sensor j's labels are every width-th entry from j: code them with that
+    # sensor's table, one column at a time.
+    columns = [labels[j::width] for j in range(width)]
+    tables = _label_tables(sensor_ids, map(set, columns), model)
+    if tables is None:
+        return None
+    codes = np.empty((horizon, width), dtype=np.intp)
+    for j, (column, table) in enumerate(zip(columns, tables)):
+        code = {label: k for k, label in enumerate(table)}
+        try:
+            codes[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, horizon)
+        except KeyError:
+            return None
+    return Trace(sensor_ids, value_col.reshape(horizon, width), codes, tables)
 
 
 def _label_tables(
@@ -866,90 +863,13 @@ def _label_tables(
     return tuple(known[sensor] for sensor in sensor_ids)
 
 
-def _trace_from_columns(
-    ticks: list[str],
-    sensors: list[str],
-    values: list[str],
-    labels: list[str],
-    model: SystemModel | None,
-) -> Trace | None:
-    """The trace that the columns of a trace CSV describe, or None if any row
-    is bad, missing or repeated."""
-    n = len(ticks)
-    try:
-        value_col = np.fromiter(map(float, values), dtype=np.float64, count=n)
-    except (ValueError, OverflowError):
-        return None
-    if not np.isfinite(value_col).all():
-        return None
-
-    width = _export_layout_width(ticks, sensors)
-    if width:
-        # Sensor j's labels are every width-th entry from j: code them with
-        # that sensor's table, one column at a time.
-        sensor_ids = tuple(sensors[:width])
-        columns = [labels[j::width] for j in range(width)]
-        tables = _label_tables(sensor_ids, map(set, columns), model)
-        if tables is None:
-            return None
-        code_matrix = np.empty((n // width, width), dtype=np.intp)
-        for j, (column, table) in enumerate(zip(columns, tables)):
-            code = {label: k for k, label in enumerate(table)}
-            try:
-                code_matrix[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, len(column))
-            except KeyError:
-                return None
-        return Trace(sensor_ids, value_col.reshape(code_matrix.shape), code_matrix, tables)
-
-    try:
-        tick_col = np.fromiter(map(int, ticks), dtype=np.int64, count=n)
-    except (ValueError, OverflowError):
-        return None
-    sensor_ids = tuple(dict.fromkeys(sensors))
-    label_ids = tuple(dict.fromkeys(labels))
-    sensor_col = _positions(sensors, sensor_ids)
-
-    # Label tables, then the code of every (sensor, label) pair that occurs.
-    pair_ids, pair_of_row = np.unique(
-        sensor_col * len(label_ids) + _positions(labels, label_ids), return_inverse=True
-    )
-    pairs = [divmod(pair, len(label_ids)) for pair in pair_ids.tolist()]
-    shown: dict[int, list[str]] = {}
-    for j, k in pairs:
-        shown.setdefault(j, []).append(label_ids[k])
-    tables = _label_tables(sensor_ids, (shown[j] for j in range(len(sensor_ids))), model)
-    if tables is None:
-        return None
-    codes = [{label: code for code, label in enumerate(table)} for table in tables]
-    pair_codes = np.array([codes[j].get(label_ids[k], -1) for j, k in pairs], dtype=np.intp)
-    if (pair_codes < 0).any():
-        return None
-
-    # Every (tick, sensor) cell of ticks 0..T-1 exactly once.
-    horizon = int(tick_col.max()) + 1 if n else 0
-    if n and (tick_col.min() < 0 or horizon * len(sensor_ids) != n):
-        return None
-    cells = tick_col * len(sensor_ids) + sensor_col
-    filled = np.zeros(n, dtype=bool)
-    filled[cells] = True
-    if not filled.all():
-        return None
-    value_matrix = np.empty(n)
-    value_matrix[cells] = value_col
-    code_matrix = np.empty(n, dtype=np.intp)
-    code_matrix[cells] = pair_codes[pair_of_row]
-    shape = (horizon, len(sensor_ids))
-    return Trace(sensor_ids, value_matrix.reshape(shape), code_matrix.reshape(shape), tables)
-
-
-def _raise_trace_error(text: str, model: SystemModel | None) -> NoReturn:
-    """Raise the ScenarioError for the first problem of a trace CSV that
-    ``import_trace`` refused: the first bad row in file order, else
-    non-contiguous ticks, else the first tick that misses a sensor."""
-    rows = _csv_rows(text, "trace")
-    next(rows)
+def _trace_by_row(rows: Iterator[tuple[int, list[str]]], model: SystemModel | None) -> Trace:
+    """The trace of the rows after a trace CSV's header, each row checked and
+    stored in file order, blank rows skipped.  Raises the ScenarioError for
+    the first problem: the first bad row in file order, else non-contiguous
+    ticks, else the first tick that misses a sensor."""
     states = None if model is None else {s.id: s.labels() for s in model.sensors}
-    by_tick: dict[int, set[str]] = {}
+    by_tick: dict[int, dict[str, tuple[float, str]]] = {}
     sensor_ids: dict[str, None] = {}
     for row_number, row in rows:
         if not row:
@@ -971,20 +891,30 @@ def _raise_trace_error(text: str, model: SystemModel | None) -> NoReturn:
                 else f"unknown sensor id {sensor_id!r}"
             )
             raise ScenarioError(f"trace CSV row {row_number}: {problem}")
-        seen = by_tick.setdefault(tick, set())
-        if sensor_id in seen:
+        cells = by_tick.setdefault(tick, {})
+        if sensor_id in cells:
             raise ScenarioError(
                 f"trace CSV row {row_number}: second row for tick {tick}, sensor {sensor_id!r}"
             )
-        seen.add(sensor_id)
+        cells[sensor_id] = value, label
         sensor_ids.setdefault(sensor_id)
-    if sorted(by_tick) != list(range(len(by_tick))):
+    horizon = len(by_tick)
+    if sorted(by_tick) != list(range(horizon)):
         raise ScenarioError("trace CSV ticks are not contiguous from 0")
-    for t in range(len(by_tick)):
+    for t in range(horizon):
         if len(by_tick[t]) != len(sensor_ids):
             missing = next(sid for sid in sensor_ids if sid not in by_tick[t])
             raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
-    raise AssertionError("trace CSV refused but no problem found")
+    ids = tuple(sensor_ids)
+    columns = [[by_tick[t][sensor] for t in range(horizon)] for sensor in ids]
+    tables = _label_tables(ids, ({label for _, label in column} for column in columns), model)
+    values = np.empty((horizon, len(ids)))
+    codes = np.empty((horizon, len(ids)), dtype=np.intp)
+    for j, (column, table) in enumerate(zip(columns, tables)):
+        code = {label: k for k, label in enumerate(table)}
+        values[:, j] = [value for value, _ in column]
+        codes[:, j] = [code[label] for _, label in column]
+    return Trace(ids, values, codes, tables)
 
 
 def export_anomaly_report(report: AnomalyReport) -> str:

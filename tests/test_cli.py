@@ -721,6 +721,21 @@ class TestPlanCommand:
         code = main(["plan", str(knife_yaml), "--goal", "no-equals", "--out", str(tmp_path / "p.csv")])
         assert code == 2
 
+    def test_conflicting_goal_states_exit_2(self, tmp_path, knife_yaml, capsys):
+        out = tmp_path / "p.csv"
+        goals = ["--goal", "knife_temp=Hot", "--goal", "knife_temp=Cold"]
+        code = main(["plan", str(knife_yaml), *goals, "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["reason"] == "INVALID_INPUT"
+        assert not out.exists()
+
+    def test_repeated_goal_plans_as_one(self, tmp_path, knife_yaml):
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        goal = ["--goal", "knife_hardness=Hard"]
+        assert main(["plan", str(knife_yaml), *goal, "--out", str(once)]) == 0
+        assert main(["plan", str(knife_yaml), *goal, *goal, "--out", str(twice)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_unknown_goal_sensor_exits_2(self, tmp_path, knife_yaml):
         code = main(
             ["plan", str(knife_yaml), "--goal", "oven_temp=Hot", "--out", str(tmp_path / "p.csv")]

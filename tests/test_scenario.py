@@ -891,6 +891,12 @@ class TestImportAgreesWithRowLoop:
                 assert not isinstance(got, str), (name, model is not None, got)
                 sensor_ids, ticks = expected
                 assert got.sensor_ids == sensor_ids, name
+                if model is None:
+                    tables = [tuple(sorted({labels[s] for _, labels in ticks})) for s in sensor_ids]
+                else:
+                    known = {sensor.id: sensor.labels() for sensor in model.sensors}
+                    tables = [known[s] for s in sensor_ids]
+                assert got.label_tables == tuple(tables), name
                 assert len(got) == len(ticks), name
                 assert got.log == (), name
                 for sensor in sensor_ids:
@@ -910,15 +916,19 @@ class TestImportAgreesWithRowLoop:
             (" two rows of one tick swapped", False),
             (" zero-padded tick", False),
             (" sensor repeated within every tick", False),
+            (" blank lines", False),
+            (" CRLF", False),
+            (" quoted fields", False),
+            (" no final newline", True),
         ],
     )
     def test_layout_check_takes_export_order_only(self, knife_reference, variant, by_column):
-        """Export's own rows, and the same unsorted sensor order on every
-        tick, are read by column; every other order is placed row by row."""
+        """Export's own rows, with or without a final newline, and the same
+        unsorted sensor order on every tick, are read by column; every other
+        text is read row by row."""
         texts = dict(trace_csv_corpus([("knife", export_trace(knife_reference))]))
-        ticks, sensors, *_ = scenario_module._trace_columns(texts["knife" + variant], iter(()))
-        width = len(knife_reference.sensor_ids) if by_column else 0
-        assert scenario_module._export_layout_width(ticks, sensors) == width
+        trace = scenario_module._trace_by_column(texts["knife" + variant], None)
+        assert (trace is not None) == by_column
 
     @pytest.mark.parametrize("which", ["knife_reference", "knife_lid_fault_trace"])
     def test_export_of_import_keeps_the_bytes(self, request, knife_model, which):
