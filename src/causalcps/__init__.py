@@ -45,7 +45,7 @@ from .detection import (
     expected_state_check,
     scan_anomalies,
 )
-from .diagnosis import FaultHypothesis, CausalPath, diagnose, explain
+from .diagnosis import FaultHypothesis, CausalPath, NothingToDiagnose, diagnose, explain
 from .planning import (
     Functionality,
     Plan,

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .detection import constant_label_windows, expected_state_check, scan_anomalies
-from .diagnosis import diagnose, explain
+from .diagnosis import NothingToDiagnose, diagnose, explain
 from .model import ModelError
 from .planning import plan as find_plan
 from .scenario import (
@@ -99,11 +99,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             observed,
             max_cardinality=args.max_card,
         )
-    except ValueError as exc:
-        if "nothing to diagnose" in str(exc):
-            _fail("NOTHING_TO_DIAGNOSE", str(exc))
-            return 1
-        raise
+    except NothingToDiagnose as exc:
+        _fail("NOTHING_TO_DIAGNOSE", str(exc))
+        return 1
     if not hypotheses:
         _fail("NO_CONSISTENT_HYPOTHESIS")
         return 1

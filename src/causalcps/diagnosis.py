@@ -34,21 +34,24 @@ A verdict is reached by the first of these that applies, cheapest first.
 
 Causality is known by construction, so (4) re-simulates only what a
 candidate can change (the cone-of-influence reduction of model checking).
-The cone of a component set S holds the effect targets of S's rules and is
-closed under one step: a subsystem outside S whose guards read a cone sensor
-adds all of its effect targets.  No other sensor can leave its reference
-labels, since every effect on it comes from a subsystem that sees only
-reference labels.  A cone with no nominal sensor predicts the reference on
-every nominal sensor without a run.  Otherwise only the subsystems that write
-into the cone are advanced, their effects outside it dropped, and every other
-sensor they read replays its reference labels as scripted interventions.
+The cone of a component holds its rules' effect targets and is closed under
+one step: any other subsystem whose guards read a cone sensor adds all of
+its effect targets.  No other sensor can leave its reference labels, since
+every effect on it comes from a subsystem that sees only reference labels.
+A group's cone is the union of its members' cones, each walked once: the
+union is closed under every subsystem outside the group.  A cone with no
+nominal sensor predicts the reference on every nominal sensor without a run.
+Otherwise only the subsystems that write into the cone are advanced, their
+effects outside it dropped, and every other sensor they read replays its
+reference labels as scripted interventions.
 
 Candidates are composed, too.  A candidate is split into groups such that no
 member's cone meets the cone of a member of another group; the groups then
 change disjoint sets of sensors, so the candidate's verdict is the AND of the
-groups' verdicts.  Each group's verdict is cached under its component set,
-and cached refutations are checked first, so a pair of far-apart components
-costs no run once each alone has been checked.
+groups' verdicts.  Each group carries its cone from the split and caches its
+verdict under its component set, and cached refutations are checked first,
+so a pair of far-apart components costs no run once each alone has been
+checked.
 
 Only normal behavior is modeled; no fault modes are enumerated.  A deviating
 sensor whose observed causal descendants are all nominal additionally yields a
@@ -79,6 +82,10 @@ from .simulation import ScriptedIntervention, label_steps
 from .simulation import run_script  # noqa: F401  (perfbench/tracing.py wraps diagnosis.run_script)
 
 SENSOR_FAULT_PREFIX = "sensor-fault:"
+
+
+class NothingToDiagnose(ValueError):
+    """No deviation lies on an observed sensor."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +137,14 @@ class _ConsistencyChecker:
         self.reference = dict(zip(model.sensor_ids(), map(list, zip(*steps))))
         self.initial = {sensor.id: sensor.initial_state for sensor in model.sensors}
         self.sub_index = {sub.id: i for i, sub in enumerate(model.subsystems)}
-        self.component_sensors = {
-            sub.id: tuple(sub.sensors) for sub in model.subsystems
+        # What a fault of each candidate component can explain: the sensors
+        # it owns and their causal descendants.
+        self.explains = {
+            sub.id: frozenset(sub.sensors).union(*map(self.reach.__getitem__, sub.sensors))
+            for sub in model.subsystems
         }
+        for sid, below in self.reach.items():
+            self.explains[SENSOR_FAULT_PREFIX + sid] = frozenset(below) | {sid}
         # What each subsystem's rules read (guard sensors) and write (effect targets).
         self.reads = {
             sub.id: frozenset(sensor for rule in sub.rules for sensor in rule.guard)
@@ -146,51 +158,42 @@ class _ConsistencyChecker:
         for sub in model.subsystems:
             for sensor in self.reads[sub.id]:
                 self.readers.setdefault(sensor, []).append(sub.id)
-        self.cones: dict[frozenset[str], frozenset[str]] = {}
+        self.cones: dict[str, frozenset[str]] = {}
         self.verdicts: dict[frozenset[str], bool] = {}
         self.changes: dict[str, list[ScriptedIntervention]] = {}
 
-    def sensors_of(self, component: str) -> tuple[str, ...]:
-        if component.startswith(SENSOR_FAULT_PREFIX):
-            return (component[len(SENSOR_FAULT_PREFIX) :],)
-        return self.component_sensors[component]
-
     def covers(self, components: Sequence[str]) -> bool:
-        covered: set[str] = set()
-        for component in components:
-            for sensor in self.sensors_of(component):
-                covered.add(sensor)
-                covered.update(self.reach[sensor])
-        return self.deviating <= covered
+        return self.deviating <= frozenset().union(*map(self.explains.__getitem__, components))
 
-    def cone(self, components: frozenset[str]) -> frozenset[str]:
-        """The sensors whose labels removing ``components``' tables can change.
+    def cone(self, component: str) -> frozenset[str]:
+        """The sensors whose labels removing ``component``'s table can change.
 
-        It holds their rules' effect targets and is closed under one step:
-        when a subsystem outside ``components`` has a guard that reads a cone
-        sensor, all of that subsystem's effect targets are in the cone too.
+        It holds the table's effect targets and is closed under one step:
+        when another subsystem has a guard that reads a cone sensor, all of
+        that subsystem's effect targets are in the cone too.
         """
-        cone = self.cones.get(components)
+        cone = self.cones.get(component)
         if cone is None:
             found: set[str] = set()
-            todo = [target for c in components for target in self.writes[c]]
+            todo = list(self.writes[component])
             while todo:
                 sensor = todo.pop()
                 if sensor in found:
                     continue
                 found.add(sensor)
                 for reader in self.readers.get(sensor, ()):
-                    if reader not in components:
+                    if reader != component:
                         todo.extend(self.writes[reader])
-            cone = self.cones[components] = frozenset(found)
+            cone = self.cones[component] = frozenset(found)
         return cone
 
-    def groups(self, components: frozenset[str]) -> list[frozenset[str]]:
+    def groups(self, components: frozenset[str]) -> list[tuple[frozenset[str], frozenset[str]]]:
         """``components`` split into the fewest groups such that no single
-        component's cone meets the cone of a component in another group."""
+        component's cone meets the cone of a component in another group,
+        each with its cone: the union of its members' cones."""
         groups: list[tuple[frozenset[str], frozenset[str]]] = []
         for component in sorted(components):
-            members, sensors = frozenset({component}), self.cone(frozenset({component}))
+            members, sensors = frozenset({component}), self.cone(component)
             apart = []
             for group in groups:
                 if group[1] & sensors:
@@ -198,7 +201,7 @@ class _ConsistencyChecker:
                 else:
                     apart.append(group)
             groups = apart + [(members, sensors)]
-        return [members for members, _ in groups]
+        return groups
 
     def predicts_nominal(self, components: Sequence[str]) -> bool:
         real = frozenset(c for c in components if not c.startswith(SENSOR_FAULT_PREFIX))
@@ -208,15 +211,15 @@ class _ConsistencyChecker:
             return True
         # Groups whose cones do not meet change disjoint sensor sets, so the
         # verdict is the AND of theirs; a cached refutation settles it first.
-        groups = sorted(self.groups(real), key=lambda group: self.verdicts.get(group, True))
-        return all(self.group_predicts_nominal(group) for group in groups)
+        groups = sorted(self.groups(real), key=lambda group: self.verdicts.get(group[0], True))
+        return all(self.group_predicts_nominal(*group) for group in groups)
 
-    def group_predicts_nominal(self, group: frozenset[str]) -> bool:
+    def group_predicts_nominal(self, group: frozenset[str], cone: frozenset[str]) -> bool:
         """Whether removing ``group``'s tables leaves every nominal sensor on
-        its reference labels.  A cone without nominal sensors says yes, a
+        its reference labels.  A ``cone`` without nominal sensors says yes, a
         cached verdict is reused, the first divergence settles most groups,
         and a replay of the group's cone decides the rest."""
-        if self.nominal.isdisjoint(self.cone(group)):
+        if self.nominal.isdisjoint(cone):
             return True
         verdict = self.verdicts.get(group)
         if verdict is None:
@@ -226,7 +229,7 @@ class _ConsistencyChecker:
             elif divergence[1] & self.nominal:
                 verdict = False
             else:
-                verdict = self._replay_cone(group)
+                verdict = self._replay_cone(group, cone)
             self.verdicts[group] = verdict
         return verdict
 
@@ -268,8 +271,7 @@ class _ConsistencyChecker:
                 moved.add(target)
         return None if first is None else (first, frozenset(moved))
 
-    def _replay_cone(self, group: frozenset[str]) -> bool:
-        cone = self.cone(group)
+    def _replay_cone(self, group: frozenset[str], cone: frozenset[str]) -> bool:
         checked = sorted(self.nominal & cone)
         # Only subsystems that write into the cone are advanced, with their
         # effects outside it dropped.  Every other sensor they read replays
@@ -309,9 +311,6 @@ class _ConsistencyChecker:
                     previous = label
                     changes.append(ScriptedIntervention(tick, sensor, label))
         return changes
-
-    def is_consistent(self, components: Sequence[str]) -> bool:
-        return self.covers(components) and self.predicts_nominal(components)
 
 
 def _effects_into(sub: Subsystem, cone: frozenset[str]) -> Subsystem:
@@ -354,27 +353,23 @@ def diagnose(
     component ids); no returned hypothesis is a strict superset of another.
     Every deviation must fit the scenario (a known sensor, states it has or
     ``ANOMALOUS`` as the match, a window start in ``[0, horizon)``), else a
-    ModelError names the first that does not.
+    ModelError names the first that does not; likewise the first unknown
+    sensor in ``observed``.  NothingToDiagnose means that no deviation lies
+    on an observed sensor.
     """
     if max_cardinality < 1:
         raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")
     for deviation in deviations:
         _check_deviation(model, deviation, horizon)
-    observed_set = set(observed)
-    for sensor in observed_set:
+    for sensor in observed:
         model.sensor(sensor)
+    observed_set = set(observed)
     deviating = {d.sensor for d in deviations if d.sensor in observed_set}
     if not deviating:
-        raise ValueError("nothing to diagnose: no deviations on observed sensors")
+        raise NothingToDiagnose("nothing to diagnose: no deviations on observed sensors")
 
     checker = _ConsistencyChecker(model, interventions, horizon, deviating, observed_set)
     component_ids = sorted(model.component_ids())
-
-    sensor_fault_ids = []
-    for sensor in sorted(deviating):
-        downstream = checker.reach[sensor] & observed_set
-        if not downstream & deviating:
-            sensor_fault_ids.append(SENSOR_FAULT_PREFIX + sensor)
 
     found: list[frozenset[str]] = []
     results: list[FaultHypothesis] = []
@@ -383,7 +378,7 @@ def diagnose(
         candidate_set = frozenset(candidate)
         if any(prior <= candidate_set for prior in found):
             return
-        if checker.is_consistent(candidate):
+        if checker.covers(candidate) and checker.predicts_nominal(candidate):
             found.append(candidate_set)
             results.append(
                 FaultHypothesis(
@@ -394,8 +389,10 @@ def diagnose(
                 )
             )
 
-    for sf in sensor_fault_ids:
-        consider((sf,))
+    for sensor in sorted(deviating):
+        # No observed causal descendant deviates: the reading itself is suspect.
+        if not checker.reach[sensor] & deviating:
+            consider((SENSOR_FAULT_PREFIX + sensor,))
     for cardinality in range(1, max_cardinality + 1):
         for combo in combinations(component_ids, cardinality):
             consider(combo)

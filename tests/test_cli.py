@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import causalcps
 from causalcps.cli import main
 from causalcps.scenario import knife_fixture, serialize_scenario
 
@@ -642,13 +646,16 @@ class TestDiagnoseInvalidInput:
         deviations = run_pipeline(tmp_path, path)[3]
         return path, deviations.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
 
-    def diagnose(self, tmp_path, knife_yaml, rows):
+    def diagnose_argv(self, tmp_path, knife_yaml, rows):
         deviations = tmp_path / "deviations.csv"
         deviations.write_text(DEVIATIONS_HEADER + "".join(rows), encoding="utf-8")
         out = tmp_path / "diagnosis.csv"
-        argv = ["diagnose", str(knife_yaml), "--deviations", str(deviations), "--out", str(out)]
-        code = main(argv)
-        return code, out
+        return ["diagnose", str(knife_yaml), "--deviations", str(deviations), "--out", str(out)]
+
+    def diagnose(self, tmp_path, knife_yaml, rows, *extra):
+        argv = self.diagnose_argv(tmp_path, knife_yaml, rows)
+        code = main(argv + list(extra))
+        return code, tmp_path / "diagnosis.csv"
 
     def test_field_over_the_csv_size_limit_exits_2(self, tmp_path, knife_deviations, capsys):
         knife_yaml, rows = knife_deviations
@@ -684,6 +691,35 @@ class TestDiagnoseInvalidInput:
         assert error["reason"] == "INVALID_INPUT"
         assert detail in error["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("sensor", ["ghost", "nothing to diagnose"])
+    def test_unknown_observed_sensor_exits_2(self, tmp_path, knife_deviations, capsys, sensor):
+        """An unknown ``--observe`` sensor is a usage error, whatever its
+        name says; it is never taken for the NOTHING_TO_DIAGNOSE verdict."""
+        knife_yaml, rows = knife_deviations
+        code, out = self.diagnose(tmp_path, knife_yaml, rows, "--observe", sensor)
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert f"unknown sensor id {sensor!r}" in error["detail"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hash_seed", ["0", "5"])
+    def test_first_unknown_observed_sensor_is_named(self, tmp_path, knife_deviations, hash_seed):
+        """The error names the first unknown ``--observe`` argument, in
+        argument order, under every hash seed."""
+        knife_yaml, rows = knife_deviations
+        argv = self.diagnose_argv(tmp_path, knife_yaml, rows)
+        for sensor in ("ghost_a", "ghost_b", "ghost_c"):
+            argv += ["--observe", sensor]
+        src = str(Path(causalcps.__file__).parents[1])
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        command = [sys.executable, "-m", "causalcps.cli", *argv]
+        result = subprocess.run(
+            command, env=env, capture_output=True, text=True, check=False, timeout=120
+        )
+        assert result.returncode == 2
+        assert "unknown sensor id 'ghost_a'" in json.loads(result.stderr)["detail"]
 
     def test_anomalous_match_is_accepted(self, tmp_path, knife_deviations):
         knife_yaml, rows = knife_deviations

@@ -7,7 +7,13 @@ import pytest
 from causalcps import diagnosis
 from causalcps.cli import main
 from causalcps.detection import Deviation, expected_state_check
-from causalcps.diagnosis import SENSOR_FAULT_PREFIX, _ConsistencyChecker, diagnose, explain
+from causalcps.diagnosis import (
+    SENSOR_FAULT_PREFIX,
+    NothingToDiagnose,
+    _ConsistencyChecker,
+    diagnose,
+    explain,
+)
 from causalcps.distributions import Degenerate
 from causalcps.model import (
     Effect,
@@ -159,7 +165,7 @@ class TestSensorFaultChain:
 
 class TestDiagnoseErrors:
     def test_empty_deviations_rejected(self, knife_doc, knife_model):
-        with pytest.raises(ValueError, match="nothing to diagnose"):
+        with pytest.raises(NothingToDiagnose, match="nothing to diagnose"):
             diagnose(
                 knife_model,
                 knife_doc.interventions,
@@ -169,7 +175,7 @@ class TestDiagnoseErrors:
             )
 
     def test_deviations_outside_observed_rejected(self, knife_doc, knife_model, knife_deviations):
-        with pytest.raises(ValueError, match="nothing to diagnose"):
+        with pytest.raises(NothingToDiagnose, match="nothing to diagnose"):
             diagnose(
                 knife_model,
                 knife_doc.interventions,
@@ -527,6 +533,8 @@ def test_cone_verdicts_equal_full_runs_on_random_models():
             assert checker.predicts_nominal(candidate) == expected, (case, candidate)
 
             cone = fixpoint_cone(model, set(candidate))
+            # A candidate's cone is the union of its members' cones.
+            assert set().union(*map(checker.cone, candidate)) == cone, (case, candidate)
             for sensor in set(ids) - cone:
                 assert full.labels_for(sensor) == reference.labels_for(sensor), (case, sensor)
             writers = [
@@ -777,11 +785,13 @@ def relay_with_loops(faulted):
     )
 
 
-def brute_force_minimal_sets(model, interventions, horizon, deviations, max_card):
+def brute_force_minimal_sets(model, interventions, horizon, deviations, max_card, observed=None):
     """Every candidate up to ``max_card`` components, and every sensor-fault
-    candidate, checked by a full run; the minimal consistent ones."""
-    deviating = {d.sensor for d in deviations}
-    nominal = set(model.sensor_ids()) - deviating
+    candidate, checked by a full run; the minimal consistent ones.  Only the
+    ``observed`` sensors (default: all) deviate or must stay nominal."""
+    observed = set(model.sensor_ids() if observed is None else observed)
+    deviating = {d.sensor for d in deviations if d.sensor in observed}
+    nominal = observed - deviating
     edges = {sid: set() for sid in model.sensor_ids()}
     for sub in model.subsystems:
         for rule in sub.rules:
@@ -817,10 +827,18 @@ def brute_force_minimal_sets(model, interventions, horizon, deviations, max_card
     return {c for c in consistent if not any(other < c for other in consistent)}
 
 
-@pytest.mark.parametrize(
-    "faulted", [("c06",), ("c04", "loop1_plant")], ids=["one relay stage", "stage and loop"]
+EVEN_STAGES_AND_TEMPS = tuple(f"s{i:02d}" for i in range(0, RELAY_STAGES, 2)) + (
+    "loop0_temp",
+    "loop1_temp",
 )
-def test_relay_with_loops_cli_diagnosis_equals_brute_force(tmp_path, faulted):
+
+
+@pytest.mark.parametrize(
+    "faulted, observe",
+    [(("c06",), None), (("c04", "loop1_plant"), None), (("c06",), EVEN_STAGES_AND_TEMPS)],
+    ids=["one relay stage", "stage and loop", "one relay stage, even stages observed"],
+)
+def test_relay_with_loops_cli_diagnosis_equals_brute_force(tmp_path, monkeypatch, faulted, observe):
     doc = relay_with_loops(faulted)
     model = doc.build()
     scenario = tmp_path / "relay.yaml"
@@ -832,12 +850,25 @@ def test_relay_with_loops_cli_diagnosis_equals_brute_force(tmp_path, faulted):
     assert main(["simulate", s, "--out", str(reference), "--seed", "2", "--no-faults"]) == 0
     argv = ["detect", s, "--trace", str(faulty), "--reference", str(reference), "--out"]
     assert main(argv + [str(report), "--deviations-out", str(deviations)]) == 0
+    replays = []
+    replay_cone = diagnosis._ConsistencyChecker._replay_cone
+
+    def counting(self, *args):
+        replays.append(args)
+        return replay_cone(self, *args)
+
+    monkeypatch.setattr(diagnosis._ConsistencyChecker, "_replay_cone", counting)
     argv = ["diagnose", s, "--deviations", str(deviations), "--out", str(out)]
+    for sensor in observe or ():
+        argv += ["--observe", sensor]
     assert main(argv + ["--max-card", "2"]) == 0
 
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     got = {frozenset(row.split(",")[1].split("+")) for row in rows}
     found = import_deviations(deviations.read_text(encoding="utf-8"))
-    expected = brute_force_minimal_sets(model, doc.interventions, doc.horizon, found, 2)
+    expected = brute_force_minimal_sets(model, doc.interventions, doc.horizon, found, 2, observe)
     assert got == expected
     assert frozenset(faulted) in got
+    if observe:
+        # Partial observation leaves groups that only a cone replay settles.
+        assert replays
