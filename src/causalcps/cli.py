@@ -43,6 +43,8 @@ def _load_scenario(path: str) -> ScenarioDocument:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
     doc = _load_scenario(args.scenario)
     trace = doc.run(
         seed=args.seed,

@@ -16,42 +16,35 @@ so both the fault-free reference and any re-run in (b) come from
 re-run stops at the first tick on which a nominal sensor's predicted label
 differs from the reference.
 
-A verdict is reached by the first of these that applies, cheapest first.
+A candidate's verdict is reached by the first of these that applies,
+cheapest first.
 
 1. Cone: the candidate cannot change any nominal sensor (below): consistent.
-2. Cache: the same component group was judged before.
-3. First divergence, read from the reference run with no simulation (as in
+2. First divergence, read from the reference run with no simulation (as in
    concurrent fault simulation, which follows a faulty machine only where
    it differs from the good one).  Up to the first tick t0 at which the run
-   without the group leaves the reference, every other subsystem sees
+   without the candidate leaves the reference, every other subsystem sees
    reference labels and so queues its reference effects.  At t0 a sensor
    therefore takes the highest-ranked due effect of a subsystem outside the
-   group, an intervention, or its previous label.  Only phase 1's contests
-   (``simulation``) whose winner is in the group can differ; the reference
-   run records them, indexed by winning subsystem when first needed.  No
-   divergence: consistent.  A nominal sensor diverges at t0: inconsistent.
-4. Otherwise the group's cone is re-simulated.
+   candidate, an intervention, or its previous label.  Only phase 1's
+   contests (``simulation``) whose winner is in the candidate can differ;
+   the reference run records them, indexed by winning subsystem when first
+   needed.  No divergence: consistent.  A nominal sensor diverges at t0:
+   inconsistent.
+3. Otherwise the candidate's cone is re-simulated.
 
-Causality is known by construction, so (4) re-simulates only what a
+Causality is known by construction, so (3) re-simulates only what a
 candidate can change (the cone-of-influence reduction of model checking).
 The cone of a component holds its rules' effect targets and is closed under
 one step: any other subsystem whose guards read a cone sensor adds all of
 its effect targets.  No other sensor can leave its reference labels, since
 every effect on it comes from a subsystem that sees only reference labels.
-A group's cone is the union of its members' cones, each walked once: the
-union is closed under every subsystem outside the group.  A cone with no
-nominal sensor predicts the reference on every nominal sensor without a run.
-Otherwise only the subsystems that write into the cone are advanced, their
-effects outside it dropped, and every other sensor they read replays its
-reference labels as scripted interventions.
-
-Candidates are composed, too.  A candidate is split into groups such that no
-member's cone meets the cone of a member of another group; the groups then
-change disjoint sets of sensors, so the candidate's verdict is the AND of the
-groups' verdicts.  Each group carries its cone from the split and caches its
-verdict under its component set, and cached refutations are checked first,
-so a pair of far-apart components costs no run once each alone has been
-checked.
+A candidate's cone is the union of its members' cones, each walked once:
+the union is closed under every subsystem outside the candidate.  A cone
+with no nominal sensor predicts the reference on every nominal sensor
+without a run.  Otherwise only the subsystems that write into the cone are
+advanced, their effects outside it dropped, and every other sensor they
+read replays its reference labels as scripted interventions.
 
 Only normal behavior is modeled; no fault modes are enumerated.  A deviating
 sensor whose observed causal descendants are all nominal additionally yields a
@@ -159,7 +152,6 @@ class _ConsistencyChecker:
             for sensor in self.reads[sub.id]:
                 self.readers.setdefault(sensor, []).append(sub.id)
         self.cones: dict[str, frozenset[str]] = {}
-        self.verdicts: dict[frozenset[str], bool] = {}
         self.changes: dict[str, list[ScriptedIntervention]] = {}
 
     def covers(self, components: Sequence[str]) -> bool:
@@ -187,51 +179,25 @@ class _ConsistencyChecker:
             cone = self.cones[component] = frozenset(found)
         return cone
 
-    def groups(self, components: frozenset[str]) -> list[tuple[frozenset[str], frozenset[str]]]:
-        """``components`` split into the fewest groups such that no single
-        component's cone meets the cone of a component in another group,
-        each with its cone: the union of its members' cones."""
-        groups: list[tuple[frozenset[str], frozenset[str]]] = []
-        for component in sorted(components):
-            members, sensors = frozenset({component}), self.cone(component)
-            apart = []
-            for group in groups:
-                if group[1] & sensors:
-                    members, sensors = members | group[0], sensors | group[1]
-                else:
-                    apart.append(group)
-            groups = apart + [(members, sensors)]
-        return groups
-
     def predicts_nominal(self, components: Sequence[str]) -> bool:
+        """Whether removing ``components``' tables leaves every nominal sensor
+        on its reference labels.  A cone without nominal sensors says yes,
+        the first divergence settles most candidates, and a replay of the
+        cone decides the rest."""
         real = frozenset(c for c in components if not c.startswith(SENSOR_FAULT_PREFIX))
         if not real or not self.nominal:
             # Nothing removed (the prediction is the reference itself), or
             # nothing nominal that a prediction could contradict.
             return True
-        # Groups whose cones do not meet change disjoint sensor sets, so the
-        # verdict is the AND of theirs; a cached refutation settles it first.
-        groups = sorted(self.groups(real), key=lambda group: self.verdicts.get(group[0], True))
-        return all(self.group_predicts_nominal(*group) for group in groups)
-
-    def group_predicts_nominal(self, group: frozenset[str], cone: frozenset[str]) -> bool:
-        """Whether removing ``group``'s tables leaves every nominal sensor on
-        its reference labels.  A ``cone`` without nominal sensors says yes, a
-        cached verdict is reused, the first divergence settles most groups,
-        and a replay of the group's cone decides the rest."""
+        cone = frozenset().union(*map(self.cone, real))
         if self.nominal.isdisjoint(cone):
             return True
-        verdict = self.verdicts.get(group)
-        if verdict is None:
-            divergence = self.first_divergence(group)
-            if divergence is None:
-                verdict = True
-            elif divergence[1] & self.nominal:
-                verdict = False
-            else:
-                verdict = self._replay_cone(group, cone)
-            self.verdicts[group] = verdict
-        return verdict
+        divergence = self.first_divergence(real)
+        if divergence is None:
+            return True
+        if divergence[1] & self.nominal:
+            return False
+        return self._replay_cone(real, cone)
 
     @cached_property
     def contests_by_winner(self) -> dict[int, list]:
@@ -243,17 +209,17 @@ class _ConsistencyChecker:
                 index.setdefault(ranked[0].sub_index, []).append((tick, ranked))
         return index
 
-    def first_divergence(self, group: frozenset[str]) -> tuple[int, frozenset[str]] | None:
-        """The first tick at which the run without ``group``'s tables leaves
+    def first_divergence(self, components: frozenset[str]) -> tuple[int, frozenset[str]] | None:
+        """The first tick at which the run without ``components``' tables leaves
         the reference, and the sensors that leave it then; None if it never
         does.  Read from the reference run's contests, with no simulation.
 
         Up to that tick every other subsystem sees reference labels, so it
         queues its reference effects: a contested sensor whose reference
-        winner is in ``group`` takes the highest-ranked due effect of a
+        winner is in ``components`` takes the highest-ranked due effect of a
         subsystem outside it, else keeps its previous label.
         """
-        members = {self.sub_index[component] for component in group}
+        members = {self.sub_index[component] for component in components}
         by_winner = self.contests_by_winner
         contests = sorted(
             chain.from_iterable(by_winner.get(m, ()) for m in members), key=itemgetter(0)
@@ -271,7 +237,9 @@ class _ConsistencyChecker:
                 moved.add(target)
         return None if first is None else (first, frozenset(moved))
 
-    def _replay_cone(self, group: frozenset[str], cone: frozenset[str]) -> bool:
+    def _replay_cone(self, components: frozenset[str], cone: frozenset[str]) -> bool:
+        """Whether re-simulating ``cone`` without ``components``' tables keeps
+        every nominal sensor in it on its reference labels."""
         checked = sorted(self.nominal & cone)
         # Only subsystems that write into the cone are advanced, with their
         # effects outside it dropped.  Every other sensor they read replays
@@ -281,7 +249,7 @@ class _ConsistencyChecker:
         writers = [
             sub
             for sub in self.model.subsystems
-            if sub.id not in group and self.writes[sub.id] & cone
+            if sub.id not in components and self.writes[sub.id] & cone
         ]
         boundary = set().union(*(self.reads[sub.id] for sub in writers)) - cone
         replay = SystemModel(

@@ -88,6 +88,12 @@ class PlanningProblem:
         unknown = set(self.goal) - set(self.initial)
         if unknown:
             raise ValueError(f"goal references sensors missing from the initial state: {sorted(unknown)}")
+        named: set[tuple[str, str]] = set()
+        for functionality in self.functionalities:
+            key = (functionality.module, functionality.name)
+            if key in named:
+                raise ValueError(f"functionality {key[0]}.{key[1]}: declared more than once")
+            named.add(key)
 
 
 def apply_functionality(

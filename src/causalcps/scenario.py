@@ -567,6 +567,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         _parse_sensor(node, f"sensors[{i}]")
         for i, node in enumerate(_expect_list(root.get("sensors"), "document.sensors"))
     )
+    if not sensors:
+        raise ScenarioError("document.sensors: expected at least one sensor")
     subsystems = tuple(
         _parse_subsystem(node, f"subsystems[{i}]")
         for i, node in enumerate(_expect_list(root.get("subsystems", []), "document.subsystems"))
@@ -584,7 +586,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
     doc = ScenarioDocument(
         name=name,
-        seed=_get_int(root, "seed", "document", default=0),
+        seed=_get_int(root, "seed", "document", default=0, minimum=0),
         horizon=horizon,
         window=_get_int(
             detection, "window", "document.detection", default=DEFAULT_WINDOW, minimum=1
@@ -607,10 +609,15 @@ def _validate_semantics(doc: ScenarioDocument) -> None:
     model = doc.build()  # delegated model validation; raises ModelError
     module_ids = {s.id for s in model.subsystems if s.kind is SubsystemKind.MODULE}
     product_ids = set(model.product_sensor_ids())
+    named: set[tuple[str, str]] = set()
     for functionality in doc.functionalities:
         where = f"functionality {functionality.module}.{functionality.name}"
         if functionality.module not in module_ids:
             raise ScenarioError(f"{where}: module is not a module-kind subsystem")
+        key = (functionality.module, functionality.name)
+        if key in named:
+            raise ScenarioError(f"{where}: declared more than once")
+        named.add(key)
         for entry in functionality.transitions:
             for sensor_id, label in list(entry.guard.items()) + list(entry.effect.items()):
                 if sensor_id not in product_ids:

@@ -314,6 +314,35 @@ class TestSimulate:
         assert f"document.detection.{field}: must be >= 1" in error["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "seed_line, flags, detail",
+        [
+            ("seed: -1\n", [], "document.seed: must be >= 0, got -1"),
+            ("seed: 42\n", ["--seed", "-3"], "--seed must be >= 0, got -3"),
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, seed_line, flags, detail):
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count("seed: 42\n") == 1
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace("seed: 42\n", seed_line), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out), *flags]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == detail
+        assert not out.exists()
+
+    def test_empty_sensor_list_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "empty.yaml"
+        bad.write_text("horizon: 10\nsensors: []\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == "document.sensors: expected at least one sensor"
+        assert not out.exists()
+
     def test_sensor_id_with_a_comma_exits_2(self, tmp_path, capsys):
         # Written unquoted, the id "a,b" would give its trace rows five
         # columns, which detect would then refuse.
@@ -752,6 +781,22 @@ class TestPlanCommand:
         )
         assert code == 1
         assert json.loads(capsys.readouterr().err)["reason"] == "NO_PLAN"
+
+    def test_repeated_functionality_exits_2(self, tmp_path, capsys):
+        # A second oven.heat, its param-100 transition re-keyed to 99, would
+        # tie with the first in the planner's heap.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        heat = text[text.index("- module: oven\n") : text.index("- module: cooler\n")]
+        again = heat.replace("100.0", "99.0")
+        assert again.count("99.0") == 2
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace(heat, heat + again), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["plan", str(bad), "--goal", "knife_temp=Hot", "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == "functionality oven.heat: declared more than once"
+        assert not out.exists()
 
     def test_malformed_goal_exits_2(self, tmp_path, knife_yaml, capsys):
         code = main(["plan", str(knife_yaml), "--goal", "no-equals", "--out", str(tmp_path / "p.csv")])

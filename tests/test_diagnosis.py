@@ -503,9 +503,10 @@ def has_cycle(model):
 def test_cone_verdicts_equal_full_runs_on_random_models():
     """``predicts_nominal`` of every candidate up to cardinality 3 equals a
     comparison of full ``run_script`` labels, on 100 random models with one
-    checker per model, so that later candidates read the verdicts cached by
-    earlier ones.  Every second model checks its candidates in a shuffled
-    order, so that pairs and triples are also met before their parts."""
+    checker per model, so that later candidates reuse the member cones and
+    reference changes cached by earlier ones.  Every second model checks its
+    candidates in a shuffled order, so that pairs and triples are also met
+    before their parts."""
     rng = random.Random(20261018)
     horizon = 30
     seen = Counter()
@@ -870,5 +871,5 @@ def test_relay_with_loops_cli_diagnosis_equals_brute_force(tmp_path, monkeypatch
     assert got == expected
     assert frozenset(faulted) in got
     if observe:
-        # Partial observation leaves groups that only a cone replay settles.
+        # Partial observation leaves candidates that only a cone replay settles.
         assert replays

@@ -238,3 +238,15 @@ class TestOptimalityOracle:
 def test_goal_over_unknown_sensor_rejected(knife_doc):
     with pytest.raises(ValueError, match="missing from the initial state"):
         PlanningProblem(knife_doc.functionalities, {"knife_temp": "Cold"}, {"ghost": "X"})
+
+
+def test_repeated_module_and_name_rejected():
+    # Two oven.heat entries would tie in the search heap on every key.
+    heat = Functionality(
+        "oven", "heat", (1.0,), (TransitionEntry(1.0, {"p": "Raw"}, {"p": "Done"}),), 4
+    )
+    again = Functionality(
+        "oven", "heat", (2.0,), (TransitionEntry(2.0, {"p": "Raw"}, {"p": "Done"}),), 4
+    )
+    with pytest.raises(ValueError, match="functionality oven.heat: declared more than once"):
+        PlanningProblem((heat, again), {"p": "Raw"}, {"p": "Done"})
