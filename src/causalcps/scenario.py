@@ -55,13 +55,15 @@ its file.
 
 Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
 log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
-``export_trace`` fills the slots of all rows from the value and label-code
-matrices and joins them once, values written with ``repr``.  ``import_trace``
-reads text in export's own layout by column: it splits the text once and
-converts the value column with ``float``.  Every other text it accepts
-(another row order, blank lines, quoted fields, CRLF line ends) is read row
-by row, and so is a text with a bad, repeated or missing row, to name the
-first bad row in file order.
+``export_trace`` fills the slots of a chunk of rows from the value and
+label-code matrices and joins them, chunk by chunk, values written with
+``repr``.  ``import_trace`` reads text in export's own layout by column, one
+chunk of rows at a time: it splits each chunk and converts its value column
+with ``float`` into arrays allocated once.  So either holds little more
+than the text and the trace's arrays at a time.  Every other text it
+accepts (another row order, blank lines, quoted fields, CRLF line ends) is
+read row by row, and so is a text with a bad, repeated or missing row, to
+name the first bad row in file order.
 """
 
 from __future__ import annotations
@@ -71,9 +73,10 @@ import importlib.resources
 import io
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, cycle, islice, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -446,6 +449,37 @@ def _parse_script(
     return tuple(interventions), tuple(faults)
 
 
+# Flow collections nested deeper than this are refused before composing:
+# libyaml's time grows with the square of the nesting depth, and scenarios
+# need a few levels.
+_MAX_FLOW_DEPTH = 100
+
+# A quoted scalar, a comment or a flow bracket.  As in YAML, a quote opens a
+# scalar only at a line start or after whitespace or a flow indicator, and a
+# "#" opens a comment only at a line start or after whitespace; elsewhere
+# both are plain text.
+_FLOW_TOKEN = re.compile(
+    r"""(?:^|(?<=[\s\[{,:]))(?:'(?:[^']|'')*'|"(?:[^"\\]|\\[\s\S])*")"""
+    r"""|(?:^|(?<=\s))#.*|(?P<open>[\[{])|(?P<close>[\]}])""",
+    re.MULTILINE,
+)
+
+
+def _flow_depth_exceeds(text: str, limit: int) -> bool:
+    """Whether the flow collections of the YAML ``text`` nest deeper than
+    ``limit``, counting brackets and braces outside quoted scalars and
+    comments."""
+    depth = 0
+    for token in _FLOW_TOKEN.finditer(text):
+        if token.lastgroup == "open":
+            depth += 1
+            if depth > limit:
+                return True
+        elif token.lastgroup == "close":
+            depth = max(depth - 1, 0)
+    return False
+
+
 def _load_yaml(text: str) -> Any:
     """The data of the one YAML document in ``text``, None if it has none.
 
@@ -543,6 +577,14 @@ def parse_scenario(text: str) -> ScenarioDocument:
     violations (bad references, overlapping guards, delays < 1, ...) are
     raised by model validation.
     """
+    # No deeper nesting than there are opening brackets: most documents are
+    # cleared by counting them.
+    if text.count("[") + text.count("{") > _MAX_FLOW_DEPTH and _flow_depth_exceeds(
+        text, _MAX_FLOW_DEPTH
+    ):
+        raise ScenarioError(
+            f"document: flow collections nested deeper than {_MAX_FLOW_DEPTH} levels"
+        )
     try:
         raw = _load_yaml(text)
     except yaml.YAMLError as exc:
@@ -725,32 +767,50 @@ def export_trace(trace: Trace) -> str:
     """
     order = sorted(range(len(trace.sensor_ids)), key=trace.sensor_ids.__getitem__)
     ids = [trace.sensor_ids[j] for j in order]
-    finite = np.isfinite(trace.values[:, order])
-    if not finite.all():
-        t, k = np.argwhere(~finite)[0].tolist()
+    if not np.isfinite(trace.values).all():
+        t, k = np.argwhere(~np.isfinite(trace.values[:, order]))[0].tolist()
         value = trace.values[t, order[k]].item()
         raise ScenarioError(f"trace tick {t}, sensor {ids[k]!r}: non-finite value {value!r}")
     # Row ends of all sensors' labels in one list, sensor j's codes offset by
     # the lengths of the tables before it.
     ends = [label + "\n" for j in order for label in trace.label_tables[j]]
     offsets = np.cumsum([0] + [len(trace.label_tables[j]) for j in order[:-1]], dtype=np.intp)
-    # The header, then 7 slots per row: tick, ",", id, ",", value, ",", label + "\n".
-    parts = [","] * (1 + 7 * len(trace) * len(ids))
-    parts[0] = "tick,sensor_id,value,state_label\n"
-    parts[1::7] = _tick_strings(len(trace), len(ids))
-    parts[3::7] = ids * len(trace)
-    parts[5::7] = map(repr, trace.values[:, order].ravel().tolist())
-    parts[7::7] = map(ends.__getitem__, (trace.codes[:, order] + offsets).ravel().tolist())
-    return "".join(parts)
+    width = len(ids)
+    step = max(1, _CHUNK_ROWS // max(1, width))
+    chunks = [_TRACE_HEADER_LINE]
+    # Without sensors there are no rows.
+    for t in range(0, len(trace) if width else 0, step):
+        values = trace.values[t : t + step, order]
+        codes = trace.codes[t : t + step, order] + offsets
+        # 7 slots per row: tick, ",", id, ",", value, ",", label + "\n".
+        parts = [","] * (7 * values.size)
+        parts[0::7] = _tick_strings(t * width, t * width + values.size, width)
+        parts[2::7] = ids * len(values)
+        parts[4::7] = map(repr, values.ravel().tolist())
+        parts[6::7] = map(ends.__getitem__, codes.ravel().tolist())
+        chunks.append("".join(parts))
+    return "".join(chunks)
 
 
-def _tick_strings(horizon: int, width: int) -> list[str]:
-    """The tick column of a trace CSV in export's layout: ``str(t)`` for
-    ``t`` in ``0..horizon-1``, each ``width`` times."""
-    return list(chain.from_iterable(map(repeat, map(str, range(horizon)), repeat(width))))
+# Trace CSV text is read in chunks of about _CHUNK_CHARS characters, each
+# cut at a row end, and written in chunks of whole ticks of about _CHUNK_ROWS
+# rows, so that the memory an import or export holds besides its text and
+# arrays is one chunk's, however long the trace.
+_CHUNK_CHARS = 1 << 16
+_CHUNK_ROWS = 1 << 10
+
+
+def _tick_strings(start: int, stop: int, width: int) -> list[str]:
+    """Rows ``start..stop-1`` of the tick column of a trace CSV in export's
+    layout, ``width`` rows per tick: ``str(row // width)`` for each row."""
+    first, done = divmod(start, width)
+    rows_per_tick = chain([width - done], repeat(width))
+    ticks = chain.from_iterable(map(repeat, map(str, count(first)), rows_per_tick))
+    return list(islice(ticks, stop - start))
 
 
 _TRACE_HEADER = ["tick", "sensor_id", "value", "state_label"]
+_TRACE_HEADER_LINE = ",".join(_TRACE_HEADER) + "\n"
 
 
 def _csv_rows(text: str, kind: str) -> Iterator[tuple[int, list[str]]]:
@@ -779,20 +839,21 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
     it, a sensor's table lists the labels it shows, sorted.  Columns follow
     the order in which sensors first appear in the file.
 
-    Text in the layout that ``export_trace`` writes (ticks ``0..T-1`` in
-    order, each listing the same sensors in the same order) is split once
-    and read by column, its value column converted in bulk.  Every other
-    text that is accepted (another row order, blank lines, quoted fields,
-    CRLF line ends) is read row by row, and so is every text with a bad,
-    repeated or missing row, whose error names the first bad row in file
-    order.
+    Text in the layout that ``export_trace`` writes (its header line, then
+    ticks ``0..T-1`` in order, each listing the same sensors in the same
+    order) is read by column, one chunk of rows at a time.  Every other text
+    that is accepted (another row order, blank lines, quoted fields, CRLF
+    line ends) is read row by row, and so is every text with a bad, repeated
+    or missing row, whose error names the first bad row in file order.
     """
+    trace = _trace_by_column(text, model)
+    if trace is not None:
+        return trace
     rows = _csv_rows(text, "trace")
     _, header = next(rows, (1, None))
     if header != _TRACE_HEADER:
         raise ScenarioError(f"unexpected trace CSV header: {header}")
-    trace = _trace_by_column(text, model)
-    return _trace_by_row(rows, model) if trace is None else trace
+    return _trace_by_row(rows, model)
 
 
 # Every byte but the field and row separators, for ``bytes.translate`` to delete.
@@ -803,58 +864,83 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
     """The trace of a trace CSV in export's layout, read by column, or None
     if the text has any other layout or a cell is bad.
 
-    Export's layout has no quote, CR, NUL or blank line, so a row is a line
-    and its fields are split by commas, as ``csv.reader`` splits them; its
-    ticks are ``0..T-1``, written as ``str`` writes them, in order, each
-    listing the same distinct sensors in the same order."""
-    if '"' in text or "\r" in text or "\0" in text:
+    Export's layout starts with its header line and has no quote, CR, NUL or
+    blank line, so a row is a line and its fields are split by commas, as
+    ``csv.reader`` splits them; its ticks are ``0..T-1``, written as ``str``
+    writes them, in order, each listing the same distinct sensors in the
+    same order.  The rows are checked and stored about ``_CHUNK_CHARS``
+    characters at a time, so no list spans the whole text."""
+    if not text.startswith(_TRACE_HEADER_LINE) or '"' in text or "\r" in text or "\0" in text:
         return None
-    body = text.partition("\n")[2].removesuffix("\n")
-    # Four fields in every row iff the separators, in order, are ",,,\n" per
-    # row: a field count alone would accept a short row followed by a long
-    # one.  A blank line breaks the pattern too.  Neither byte occurs inside
-    # a multi-byte UTF-8 character.
-    rows = body.count("\n") + 1
-    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if separators != b",,,\n" * (rows - 1) + b",,,":
+    start = len(_TRACE_HEADER_LINE)
+    rows = text.count("\n", start) + (not text.endswith("\n"))
+    # Tick 0 is the rows before the first row of tick 1, or all rows.
+    tick_1 = text.find("\n1,") + 1 or len(text)
+    width = rows if tick_1 == len(text) else text.count("\n", start, tick_1)
+    if not width or rows % width:
         return None
-    fields = body.replace("\n", ",").split(",")
-    ticks, sensors, values, labels = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
-    if ticks[0] != "0":
+    horizon = rows // width
+    sensor_ids = tuple(text[start:tick_1].replace("\n", ",").split(",")[1::4])
+    if len(sensor_ids) != width or len(set(sensor_ids)) != width:
         return None
-    try:
-        width = ticks.index("1")
-    except ValueError:
-        width = rows
-    horizon, rest = divmod(rows, width)
-    sensor_ids = tuple(sensors[:width])
-    if (
-        rest
-        or len(set(sensor_ids)) != width
-        or sensors != sensors[:width] * horizon
-        or ticks != _tick_strings(horizon, width)
-    ):
-        return None
-    try:
-        value_col = np.fromiter(map(float, values), dtype=np.float64, count=rows)
-    except ValueError:
-        return None
-    if not np.isfinite(value_col).all():
-        return None
-    # Sensor j's labels are every width-th entry from j: code them with that
-    # sensor's table, one column at a time.
-    columns = [labels[j::width] for j in range(width)]
-    tables = _label_tables(sensor_ids, map(set, columns), model)
-    if tables is None:
-        return None
-    codes = np.empty((horizon, width), dtype=np.intp)
-    for j, (column, table) in enumerate(zip(columns, tables)):
-        code = {label: k for k, label in enumerate(table)}
-        try:
-            codes[:, j] = np.fromiter(map(code.__getitem__, column), np.intp, horizon)
-        except KeyError:
+    # Each sensor's codes: the model's, or without a model each label's
+    # index in order of first sight, recoded to the sorted table at the end.
+    if model is None:
+        coders = [defaultdict() for _ in sensor_ids]
+        for coder in coders:
+            coder.default_factory = coder.__len__
+    else:
+        tables = _label_tables(sensor_ids, (), model)
+        if tables is None:
             return None
-    return Trace(sensor_ids, value_col.reshape(horizon, width), codes, tables)
+        coders = [{label: k for k, label in enumerate(table)} for table in tables]
+    values = np.empty(rows)
+    codes = np.empty(rows, dtype=np.intp)
+    row = 0
+    while row < rows:
+        stop = text.find("\n", start + _CHUNK_CHARS)
+        if stop < 0:
+            stop = len(text) - text.endswith("\n")
+        chunk = text[start:stop]
+        start = stop + 1
+        n = chunk.count("\n") + 1
+        # Four fields in every row iff the separators, in order, are ",,,\n"
+        # per row: a field count alone would accept a short row followed by a
+        # long one.  A blank line breaks the pattern too.  Neither byte occurs
+        # inside a multi-byte UTF-8 character.
+        separators = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+        if separators != b",,,\n" * (n - 1) + b",,,":
+            return None
+        fields = chunk.replace("\n", ",").split(",")
+        first = row % width
+        sensors = islice(chain(sensor_ids[first : first + n], cycle(sensor_ids)), n)
+        if fields[0::4] != _tick_strings(row, row + n, width) or fields[1::4] != list(sensors):
+            return None
+        try:
+            chunk_values = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=n)
+        except ValueError:
+            return None
+        if not np.isfinite(chunk_values).all():
+            return None
+        values[row : row + n] = chunk_values
+        labels = fields[3::4]
+        # Sensor j's rows in the chunk are every width-th row from its first.
+        for i in range(min(width, n)):
+            coder = coders[(row + i) % width]
+            try:
+                codes[row + i : row + n : width] = np.fromiter(
+                    map(coder.__getitem__, labels[i::width]), np.intp
+                )
+            except KeyError:
+                return None
+        row += n
+    codes = codes.reshape(horizon, width)
+    if model is None:
+        tables = _label_tables(sensor_ids, coders, None)
+        for j, (coder, table) in enumerate(zip(coders, tables)):
+            rank = {label: k for k, label in enumerate(table)}
+            codes[:, j] = np.array([rank[label] for label in coder], dtype=np.intp)[codes[:, j]]
+    return Trace(sensor_ids, values.reshape(horizon, width), codes, tables)
 
 
 def _label_tables(

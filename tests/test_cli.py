@@ -5,10 +5,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-import yaml
 
 import causalcps
 from causalcps.cli import main
@@ -381,15 +381,24 @@ class TestSimulate:
         assert error["detail"].startswith("subsystems[1].id: 'lid+actuator' holds a '+'")
         assert not out.exists()
 
-    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
-    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys):
-        # The data is built from a work list, so nesting depth costs no stack.
-        depth = 20_000
+    @pytest.mark.parametrize(
+        "depth,detail",
+        [
+            # The data is built from a work list, so nesting depth costs no stack.
+            (100, "sensors[0]: expected a mapping, got list"),
+            (101, "document: flow collections nested deeper than 100 levels"),
+            # Refused before composing, whose time grows with the square of the depth.
+            (20_000, "document: flow collections nested deeper than 100 levels"),
+        ],
+    )
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys, depth, detail):
         bad = tmp_path / "deep.yaml"
         bad.write_text("horizon: 5\nsensors: " + "[" * depth + "]" * depth + "\n", encoding="utf-8")
+        start = time.perf_counter()
         assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+        assert time.perf_counter() - start < 0.5
         error = json.loads(capsys.readouterr().err)
-        assert error["detail"] == "sensors[0]: expected a mapping, got list"
+        assert error["detail"] == detail
 
     @pytest.mark.parametrize("seed", sorted(KNIFE_TRACE_DIGESTS))
     def test_knife_traces_keep_their_bytes(self, tmp_path, seed):

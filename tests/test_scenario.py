@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -159,6 +160,21 @@ class TestParseScenario:
         text = text.replace(line, line[:-1] + char + "x\n")
         with pytest.raises(ScenarioError, match=field + r": .* holds a '\+' or '\|'"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["name: '" + "[" * 150 + "'", 'name: "' + "{" * 150 + '"', "# " + "[" * 150],
+    )
+    def test_brackets_in_quoted_scalars_and_comments_do_not_nest(self, line):
+        assert parse_scenario(MINIMAL + line + "\n").horizon == 10
+
+    def test_many_shallow_flow_collections_parse(self):
+        sensors = "".join(
+            f"  - {{id: p{i}, initial: Idle, states: [{{label: Idle, dist: degenerate(0)}}]}}\n"
+            for i in range(60)
+        )
+        doc = parse_scenario(f"horizon: 10\nsensors:\n{sensors}subsystems: []\n")
+        assert len(doc.sensors) == 60
 
     def test_yaml_syntax_error_carries_line(self):
         with pytest.raises(ScenarioError, match="invalid YAML"):
@@ -864,6 +880,34 @@ def outcome(read, text, model):
         return f"{type(exc).__name__}: {exc}"
 
 
+def agrees_with_row_loop(name, text, model):
+    """Assert that ``import_trace`` gives ``text`` the trace or the error
+    message of the row loop; return whether the text is accepted."""
+    expected = outcome(row_loop_import_trace, text, model)
+    got = outcome(import_trace, text, model)
+    if isinstance(expected, str):
+        assert got == expected, (name, model is not None)
+        return False
+    assert not isinstance(got, str), (name, model is not None, got)
+    sensor_ids, ticks = expected
+    assert got.sensor_ids == sensor_ids, name
+    if model is None:
+        tables = [tuple(sorted({labels[s] for _, labels in ticks})) for s in sensor_ids]
+    else:
+        known = {sensor.id: sensor.labels() for sensor in model.sensors}
+        tables = [known[s] for s in sensor_ids]
+    assert got.label_tables == tuple(tables), name
+    assert len(got) == len(ticks), name
+    assert got.log == (), name
+    for sensor in sensor_ids:
+        assert got.labels_for(sensor) == [labels[sensor] for _, labels in ticks], name
+        mine = got.values_for(sensor).tolist()
+        theirs = [values[sensor] for values, _ in ticks]
+        assert mine == theirs, name
+        assert [v.hex() for v in mine] == [v.hex() for v in theirs], name
+    return True
+
+
 class TestImportAgreesWithRowLoop:
     def test_same_traces_and_messages_on_corpus(
         self, knife_model, knife_reference, knife_lid_fault_trace, oven_model
@@ -881,30 +925,8 @@ class TestImportAgreesWithRowLoop:
         for name, text in trace_csv_corpus(valid):
             model_of_text = next((m for key, m in models.items() if name.startswith(key)), None)
             for model in (None, model_of_text) if model_of_text else (None,):
-                expected = outcome(row_loop_import_trace, text, model)
-                got = outcome(import_trace, text, model)
                 checked += 1
-                if isinstance(expected, str):
-                    assert got == expected, (name, model is not None)
-                    continue
-                accepted += 1
-                assert not isinstance(got, str), (name, model is not None, got)
-                sensor_ids, ticks = expected
-                assert got.sensor_ids == sensor_ids, name
-                if model is None:
-                    tables = [tuple(sorted({labels[s] for _, labels in ticks})) for s in sensor_ids]
-                else:
-                    known = {sensor.id: sensor.labels() for sensor in model.sensors}
-                    tables = [known[s] for s in sensor_ids]
-                assert got.label_tables == tuple(tables), name
-                assert len(got) == len(ticks), name
-                assert got.log == (), name
-                for sensor in sensor_ids:
-                    assert got.labels_for(sensor) == [labels[sensor] for _, labels in ticks], name
-                    mine = got.values_for(sensor).tolist()
-                    theirs = [values[sensor] for values, _ in ticks]
-                    assert mine == theirs, name
-                    assert [v.hex() for v in mine] == [v.hex() for v in theirs], name
+                accepted += agrees_with_row_loop(name, text, model)
         assert accepted >= 20 and checked - accepted >= 100
 
     @pytest.mark.parametrize(
@@ -936,6 +958,81 @@ class TestImportAgreesWithRowLoop:
         for model in (None, knife_model):
             assert export_trace(import_trace(text, model)) == text
             assert export_trace(import_trace(text.replace("\n", "\r\n"), model)) == text
+
+
+@pytest.fixture(scope="module")
+def plant_doc():
+    from test_simulation import load_perfbench_generators
+
+    return parse_scenario(load_perfbench_generators().plant_monitor(1).yaml_text())
+
+
+def chunk_first_rows(text):
+    """The index of the first row of each chunk (rows counted from 0 after
+    the header) in which ``_trace_by_column`` reads a text, each chunk cut
+    at the first row end ``_CHUNK_CHARS`` characters after its start."""
+    start, firsts = len(TRACE_HEADER), []
+    while start < len(text):
+        firsts.append(text.count("\n", len(TRACE_HEADER), start))
+        stop = text.find("\n", start + scenario_module._CHUNK_CHARS)
+        start = len(text) if stop < 0 else stop + 1
+    return firsts
+
+
+class TestChunkedImport:
+    @pytest.fixture(scope="class")
+    def plant(self, plant_doc):
+        """A plant-monitor trace of some 10,000 rows, and the model."""
+        return export_trace(plant_doc.run(horizon=300)), plant_doc.build()
+
+    def test_edits_at_chunk_edges_agree_with_row_loop(self, plant):
+        """Edits at the first and the last row of chunks, compared with the
+        row loop, with and without the model.  Each variant maps to its text
+        and whether it is read by column without and with the model."""
+        text, model = plant
+        header, *rows = text.splitlines(keepends=True)
+        firsts = chunk_first_rows(text)
+        assert len(firsts) >= 4
+        variants = {"export": (text, True, True), "no final newline": (text[:-1], True, True)}
+        # The first and the last row of the second and the third chunk.
+        for at in (firsts[1], firsts[2] - 1, firsts[2], firsts[3] - 1):
+            tick, sensor, value, label = rows[at].rstrip("\n").split(",")
+            edits = {
+                "nan": ([f"{tick},{sensor},nan,{label}\n"], False, False),
+                "unknown label": ([f"{tick},{sensor},{value},{label}_x\n"], True, False),
+                "duplicate row": ([rows[at]] * 2, False, False),
+                "missing row": ([], False, False),
+            }
+            for edit, (edited, by_column, by_column_with_model) in edits.items():
+                edited_text = header + "".join(rows[:at] + edited + rows[at + 1 :])
+                variants[f"{edit} at row {at}"] = edited_text, by_column, by_column_with_model
+            # Swapped across the chunk edge.
+            i = at - 1 if at in firsts else at
+            swapped = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2 :]
+            variants[f"rows {i} and {i + 1} swapped"] = header + "".join(swapped), False, False
+        for name, (variant, by_column, by_column_with_model) in variants.items():
+            for with_model, by_column in ((None, by_column), (model, by_column_with_model)):
+                agrees_with_row_loop(name, variant, with_model)
+                taken = scenario_module._trace_by_column(variant, with_model) is not None
+                assert taken == by_column, (name, with_model is not None)
+
+    def test_import_and_export_hold_less_than_three_times_the_text(self, plant_doc):
+        trace = plant_doc.run()
+        model = plant_doc.build()
+        text = export_trace(trace)
+        assert len(trace) * len(trace.sensor_ids) == 39_600
+        for name, work in (
+            ("import", lambda: import_trace(text, model)),
+            ("export", lambda: export_trace(trace)),
+        ):
+            work()  # modules that the first call imports lazily are not counted
+            tracemalloc.start()
+            try:
+                work()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * len(text), (name, peak / len(text))
 
 
 class TestReportCsv:
