@@ -883,17 +883,11 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
     sensor_ids = tuple(text[start:tick_1].replace("\n", ",").split(",")[1::4])
     if len(sensor_ids) != width or len(set(sensor_ids)) != width:
         return None
-    # Each sensor's codes: the model's, or without a model each label's
-    # index in order of first sight, recoded to the sorted table at the end.
-    if model is None:
-        coders = [defaultdict() for _ in sensor_ids]
-        for coder in coders:
-            coder.default_factory = coder.__len__
-    else:
-        tables = _label_tables(sensor_ids, (), model)
-        if tables is None:
-            return None
-        coders = [{label: k for k, label in enumerate(table)} for table in tables]
+    # Each sensor's labels are coded in order of first sight, and recoded
+    # to the sensor's table at the end.
+    coders = [defaultdict() for _ in sensor_ids]
+    for coder in coders:
+        coder.default_factory = coder.__len__
     values = np.empty(rows)
     codes = np.empty(rows, dtype=np.intp)
     row = 0
@@ -927,19 +921,21 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
         # Sensor j's rows in the chunk are every width-th row from its first.
         for i in range(min(width, n)):
             coder = coders[(row + i) % width]
-            try:
-                codes[row + i : row + n : width] = np.fromiter(
-                    map(coder.__getitem__, labels[i::width]), np.intp
-                )
-            except KeyError:
-                return None
+            codes[row + i : row + n : width] = np.fromiter(
+                map(coder.__getitem__, labels[i::width]), np.intp
+            )
         row += n
     codes = codes.reshape(horizon, width)
-    if model is None:
-        tables = _label_tables(sensor_ids, coders, None)
-        for j, (coder, table) in enumerate(zip(coders, tables)):
-            rank = {label: k for k, label in enumerate(table)}
-            codes[:, j] = np.array([rank[label] for label in coder], dtype=np.intp)[codes[:, j]]
+    tables = _label_tables(sensor_ids, coders, model)
+    if tables is None:
+        return None
+    for j, (coder, table) in enumerate(zip(coders, tables)):
+        code = {label: k for k, label in enumerate(table)}
+        try:
+            recode = np.fromiter(map(code.__getitem__, coder), np.intp, len(coder))
+        except KeyError:
+            return None
+        codes[:, j] = recode[codes[:, j]]
     return Trace(sensor_ids, values.reshape(horizon, width), codes, tables)
 
 
