@@ -1011,10 +1011,10 @@ class TestChunkedImport:
             swapped = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2 :]
             variants[f"rows {i} and {i + 1} swapped"] = header + "".join(swapped), False, False
         for name, (variant, by_column, by_column_with_model) in variants.items():
-            for with_model, by_column in ((None, by_column), (model, by_column_with_model)):
+            for with_model, expected in ((None, by_column), (model, by_column_with_model)):
                 agrees_with_row_loop(name, variant, with_model)
                 taken = scenario_module._trace_by_column(variant, with_model) is not None
-                assert taken == by_column, (name, with_model is not None)
+                assert taken == expected, (name, with_model is not None)
 
     def test_import_and_export_hold_less_than_three_times_the_text(self, plant_doc):
         trace = plant_doc.run()
