@@ -46,7 +46,13 @@ libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without libyaml).
 ``_construct`` builds the data from the nodes in one iterative pass: plain
 scalars, lists and dicts directly, every other node through the loader's own
 constructors, so the data are those of ``yaml.load`` with the same loader,
-and so is the error when one node is at fault.
+and so is the error when one node is at fault.  Within one parse each
+distinct scalar's tag is resolved once, from its kind, text and style.
+That is exact because no path resolvers are registered: a tag depends on
+nothing else, and the resolver's path-tracking hooks, which then keep state
+that nothing reads, do nothing.  Nothing is kept from one parse to the next.
+A mapping that repeats a key is refused, naming the line and the key; one
+with a merge key ``<<`` keeps PyYAML's override rule.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -72,10 +78,11 @@ import csv
 import importlib.resources
 import io
 import math
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, count, cycle, islice, repeat
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -480,29 +487,44 @@ def _flow_depth_exceeds(text: str, limit: int) -> bool:
     return False
 
 
-def _load_yaml(text: str) -> Any:
+def _load_yaml(text: str, repeated: list[yaml.Node] | None = None) -> Any:
     """The data of the one YAML document in ``text``, None if it has none.
 
-    The loader, and with it the node graph, is freed on return, before the
-    caller validates the data."""
+    The loader resolves each distinct (kind, text, implicit) key to its tag
+    once, and its path-resolver hooks do nothing: with no path resolvers
+    registered (a test pins this), a tag depends on that key alone and the
+    hooks keep state that nothing reads.  ``repeated`` is passed on to
+    ``_construct``.  The loader, and with it the node graph, is freed on
+    return, before the caller validates the data."""
     loader = _YAML_LOADER(text)
+    loader.resolve = lru_cache(maxsize=None)(loader.resolve)
+    # Callables written in C that take the hooks' arguments and do nothing.
+    loader.descend_resolver = operator.is_
+    loader.ascend_resolver = tuple
     try:
-        return _construct(loader, loader.get_single_node())
+        return _construct(loader, loader.get_single_node(), repeated)
     finally:
+        # The cached resolve holds the loader's bound method: without this
+        # the loader would sit in a reference cycle until the collector ran.
+        del loader.resolve, loader.descend_resolver, loader.ascend_resolver
         loader.dispose()
 
 
-def _construct(loader: Any, node: yaml.Node | None) -> Any:
+def _construct(
+    loader: Any, node: yaml.Node | None, repeated: list[yaml.Node] | None = None
+) -> Any:
     """The data of the document ``node``, as ``loader.construct_document``
     would build it.
 
     A ``str`` scalar is its text; an int, float, bool or null scalar goes to
     the loader's constructor for its tag.  A sequence becomes a list, and a
     mapping whose keys are all such scalars a dict, filled in node order, so
-    a later duplicate key wins.  Each list and dict is made empty when its
-    node is first met and filled in turn from a work list, not by recursion,
-    so nesting depth costs no stack; memoized by node, an alias gives the
-    same object and a recursive alias a recursive structure.  Every other
+    a later duplicate key wins; if ``repeated`` is a list, the node of every
+    such key that repeats an earlier one of its mapping is appended to it.
+    Each list and dict is made empty when its node is first met and filled
+    in turn from a work list, not by recursion, so nesting depth costs no
+    stack; memoized by node, an alias gives the same object and a recursive
+    alias a recursive structure.  Every other
     node (merge ``<<`` and value ``=`` keys, non-scalar keys, ``!!set``,
     ``!!omap``, ``!!pairs``, timestamps, ``!!binary``, unknown tags) goes to
     ``loader.construct_object``, its pending fill-ins run at once as
@@ -555,6 +577,13 @@ def _construct(loader: Any, node: yaml.Node | None) -> Any:
             for key_node, value_node in container.value:
                 key = build(key_node)
                 data[key] = build(value_node)
+            if repeated is not None and len(data) < len(container.value):
+                seen = set()
+                for key_node, _ in container.value:
+                    key = build(key_node)
+                    if key in seen:
+                        repeated.append(key_node)
+                    seen.add(key)
     return root
 
 
@@ -585,8 +614,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raise ScenarioError(
             f"document: flow collections nested deeper than {_MAX_FLOW_DEPTH} levels"
         )
+    repeated: list[yaml.Node] = []
     try:
-        raw = _load_yaml(text)
+        raw = _load_yaml(text, repeated)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is None:
@@ -595,6 +625,13 @@ def parse_scenario(text: str) -> ScenarioDocument:
         # the text's last line so both loaders name the same line.
         line = min(mark.line + 1, text.count("\n") + 1)
         raise ScenarioError(f"line {line}: invalid YAML: {exc}") from None
+    if repeated:
+        # Mappings are filled breadth first; name the repeat met first in the text.
+        key = min(repeated, key=lambda node: node.start_mark.index)
+        raise ScenarioError(
+            f"line {key.start_mark.line + 1}: key {key.value!r} repeats an earlier key "
+            "of its mapping"
+        )
     root = _expect_mapping(raw, "document")
     _reject_unknown(root, _TOP_LEVEL_FIELDS, "document")
 

@@ -294,6 +294,23 @@ class TestSimulate:
         assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
         assert json.loads(capsys.readouterr().err)["reason"] == "INVALID_INPUT"
 
+    def test_repeated_key_exits_2(self, tmp_path, knife_yaml, capsys):
+        # Read last-wins, this guard would silently become {burner_cmd: C25}.
+        text = knife_yaml.read_text(encoding="utf-8")
+        guard = "      burner_cmd: C0\n"
+        assert text.count(guard) == 1
+        line = text[: text.index(guard)].count("\n") + 2
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(guard, guard + "      burner_cmd: C25\n"), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == (
+            f"line {line}: key 'burner_cmd' repeats an earlier key of its mapping"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit, field",
         [

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.resources
 import io
 import json
@@ -180,6 +181,26 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="invalid YAML"):
             parse_scenario("horizon: [unclosed")
 
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            (MINIMAL + "horizon: 250\n", 9, "horizon"),
+            (MINIMAL.replace("{label: Idle,", "{label: Idle, label: Busy,"), 7, "label"),
+        ],
+        ids=["top level", "nested"],
+    )
+    def test_repeated_key_rejected_naming_line_and_key(self, text, line, key):
+        message = rf"^line {line}: key '{key}' repeats an earlier key of its mapping$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+
+    def test_merge_key_keeps_its_override_rule(self):
+        text = MINIMAL.replace(
+            "  - id: probe\n", "  - <<: {id: probe, initial: Busy}\n    initial: Idle\n"
+        ).replace("    initial: Idle\n    states", "    states")
+        assert text.count("initial:") == 2
+        assert parse_scenario(text).sensors[0].initial_state == "Idle"
+
     def test_delay_zero_fails_model_validation(self):
         text = """
 horizon: 10
@@ -358,6 +379,14 @@ EDGE_DOCUMENTS = {
         "n: [~, null, '', !!null '']\n"
     ),
     "keys of every plain kind": "{a: 1, 2: b, 3.5: c, true: d, ~: e, 1.0: f}\n",
+    # One text written plain, quoted and tagged: a tag memo keyed on the
+    # text alone would give all of a row one type.
+    "one text in every style": (
+        "i: [12, '12', !!str 12, !!float 12, 12]\n"
+        "b: [true, 'true', true]\n"
+        "n: [~, '~', ~]\n"
+        "s: [1:30, '1:30', 1:30]\n"
+    ),
     "duplicate keys": "{a: 1, b: 2, a: 3}\n",
     "merge keys": (
         "base: &base {x: 1, y: 2}\n"
@@ -470,6 +499,77 @@ class TestConstruct:
         with pytest.raises(ScenarioError, match=r"^sensors\[0\]: expected a mapping"):
             parse_scenario("\n".join(lines) + "\n")
         assert time.perf_counter() - start < 1.0
+
+
+def workload_scenario_texts():
+    """The knife text and the generated relay and plant texts."""
+    return [PACKAGED_KNIFE.read_text(encoding="utf-8"), *generated_scenario_texts().values()]
+
+
+class TestLoadYaml:
+    """``_load_yaml`` resolves each distinct tag key once, and still returns
+    what ``yaml.load`` returns with the same loader, or raises what it
+    raises."""
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_agrees_with_yaml_load(self, monkeypatch, loader):
+        fixtures = importlib.resources.files("causalcps") / "scenarios"
+        texts = [*EDGE_DOCUMENTS.values(), *workload_scenario_texts()]
+        texts += [
+            (fixtures / name).read_text(encoding="utf-8")
+            for name in ("chain.yaml", "thermostat.yaml")
+        ]
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        for text in texts:
+            ours = built_or_raised(lambda: scenario_module._load_yaml(text))
+            theirs = built_or_raised(lambda: yaml.load(text, Loader=loader))
+            if ours[0] == "data" == theirs[0]:
+                assert_same_graph(ours[1], theirs[1])
+            else:
+                assert ours == theirs
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_each_distinct_tag_key_is_resolved_once(self, monkeypatch, loader):
+        calls = []
+
+        class Recording(loader):
+            def resolve(self, kind, value, implicit):
+                calls.append((kind, value, implicit))
+                return super().resolve(kind, value, implicit)
+
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", Recording)
+        for text in workload_scenario_texts():
+            calls.clear()
+            yaml.compose(text, Loader=Recording)
+            every_node = set(calls)
+            assert len(calls) > len(every_node)
+            calls.clear()
+            parse_scenario(text)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == every_node
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_a_parse_leaves_no_cyclic_garbage(self, monkeypatch, loader):
+        # Garbage in a cycle waits for the collector, which then also walks
+        # every object the caller holds.
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        texts = workload_scenario_texts()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for text in texts:
+                parse_scenario(text)
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_no_path_resolvers_are_registered(self):
+        # With one, a tag would depend on the node's place in the document,
+        # and neither the resolve memo nor the no-op hooks would be exact.
+        assert not scenario_module._YAML_LOADER.yaml_path_resolvers
+        assert not yaml.SafeLoader.yaml_path_resolvers
 
 
 class TestRoundTrip:
