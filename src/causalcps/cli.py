@@ -9,6 +9,7 @@ byte-identical artifacts and never modifies its inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -195,9 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args never mutates its parser, the append actions copy their list on
+# every call and help text is formatted at call time, so main() can reuse one
+# parser; build_parser() keeps returning a fresh one that no caller shares.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, ModelError, ValueError, OSError) as exc:

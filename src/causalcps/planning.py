@@ -12,6 +12,7 @@ not depend on the order functionalities were declared in.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,6 +42,11 @@ class Functionality:
     def __post_init__(self):
         if not self.parameter_domain:
             raise ValueError(f"functionality {self.module}.{self.name}: empty parameter domain")
+        for value in (*self.parameter_domain, *(entry.param for entry in self.transitions)):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"functionality {self.module}.{self.name}: parameter {value} is not finite"
+                )
         if len(set(self.parameter_domain)) != len(self.parameter_domain):
             raise ValueError(f"functionality {self.module}.{self.name}: duplicate parameters")
         if self.duration < 1:

@@ -51,8 +51,10 @@ distinct scalar's tag is resolved once, from its kind, text and style.
 That is exact because no path resolvers are registered: a tag depends on
 nothing else, and the resolver's path-tracking hooks, which then keep state
 that nothing reads, do nothing.  Nothing is kept from one parse to the next.
-A mapping that repeats a key is refused, naming the line and the key; one
-with a merge key ``<<`` keeps PyYAML's override rule.
+A mapping that repeats a key is refused, naming the line and the key, also
+one that is built by PyYAML because it, or a mapping around it, has a merge
+key ``<<``.  The merge override rule stands: a key given explicitly and also
+through ``<<`` is not a repeat, nor is one merged from two mappings.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -119,6 +121,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _STR_TAG = "tag:yaml.org,2002:str"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 _MAP_TAG = "tag:yaml.org,2002:map"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 # Scalar tags whose constructor returns a finished value at once.
 _PLAIN_TAGS = frozenset(
     f"tag:yaml.org,2002:{kind}" for kind in ("str", "int", "float", "bool", "null")
@@ -370,12 +373,24 @@ def _parse_subsystem(node: Any, where: str) -> Subsystem:
     )
 
 
+def _finite(number: int | float, where: str) -> float:
+    """``number`` as a float, refused unless it is finite."""
+    try:
+        value = float(number)
+    except OverflowError:  # an int past the float range
+        value = math.inf if number > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: must be finite, got {value}")
+    return value
+
+
 def _parse_functionality(node: Any, where: str) -> Functionality:
     mapping = _expect_mapping(node, where)
     _reject_unknown(mapping, {"module", "name", "parameters", "duration", "transitions"}, where)
     params = _expect_list(mapping.get("parameters"), f"{where}.parameters")
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params):
         raise ScenarioError(f"{where}.parameters: expected a list of numbers")
+    domain = tuple(_finite(p, f"{where}.parameters[{i}]") for i, p in enumerate(params))
     transitions = []
     for i, entry_node in enumerate(
         _expect_list(mapping.get("transitions", []), f"{where}.transitions")
@@ -388,7 +403,7 @@ def _parse_functionality(node: Any, where: str) -> Functionality:
             raise ScenarioError(f"{entry_where}.param: expected a number")
         transitions.append(
             TransitionEntry(
-                param=float(param),
+                param=_finite(param, f"{entry_where}.param"),
                 guard=_parse_label_map(entry_map.get("when", {}), f"{entry_where}.when"),
                 effect=_parse_label_map(entry_map.get("then", {}), f"{entry_where}.then"),
             )
@@ -400,7 +415,7 @@ def _parse_functionality(node: Any, where: str) -> Functionality:
         return Functionality(
             module=module,
             name=name,
-            parameter_domain=tuple(float(p) for p in params),
+            parameter_domain=domain,
             transitions=tuple(transitions),
             duration=duration,
         )
@@ -520,7 +535,10 @@ def _construct(
     the loader's constructor for its tag.  A sequence becomes a list, and a
     mapping whose keys are all such scalars a dict, filled in node order, so
     a later duplicate key wins; if ``repeated`` is a list, the node of every
-    such key that repeats an earlier one of its mapping is appended to it.
+    key that repeats an earlier one of its mapping is appended to it, also
+    in the mappings PyYAML builds.  Their merge keys are left out, and their
+    keys are taken before ``flatten_mapping`` rewrites a merge mapping's node
+    in place, so no merged key counts as a repeat.
     Each list and dict is made empty when its node is first met and filled
     in turn from a work list, not by recursion, so nesting depth costs no
     stack; memoized by node, an alias gives the same object and a recursive
@@ -538,6 +556,29 @@ def _construct(
     constructors = loader.yaml_constructors
     memo = loader.constructed_objects
     unfilled: list[yaml.Node] = []
+    # The key lists to check for a repeat, and every collection node seen by
+    # explicit_keys: PyYAML builds or merges it, and a merge may have
+    # rewritten its key list.
+    key_lists: list[list[yaml.Node]] = []
+    delegated: set[yaml.Node] = set()
+
+    def explicit_keys(root: yaml.Node) -> list[list[yaml.Node]]:
+        """The key nodes, merge keys left out, of each mapping below ``root``
+        that PyYAML is about to build or merge."""
+        found = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, yaml.ScalarNode) or node in memo or node in delegated:
+                continue
+            delegated.add(node)
+            if isinstance(node, yaml.MappingNode):
+                if node.tag == _MAP_TAG:
+                    found.append([key for key, _ in node.value if key.tag != _MERGE_TAG])
+                stack.extend(child for pair in node.value for child in pair)
+            else:
+                stack.extend(node.value)
+        return found
 
     def build(node: yaml.Node) -> Any:
         tag = node.tag
@@ -557,6 +598,8 @@ def _construct(
         ):
             data = memo[node] = {}
         else:
+            if repeated is not None:
+                key_lists.extend(explicit_keys(node))
             data = loader.construct_object(node)
             while loader.state_generators:
                 generators, loader.state_generators = loader.state_generators, []
@@ -577,13 +620,19 @@ def _construct(
             for key_node, value_node in container.value:
                 key = build(key_node)
                 data[key] = build(value_node)
-            if repeated is not None and len(data) < len(container.value):
-                seen = set()
-                for key_node, _ in container.value:
-                    key = build(key_node)
-                    if key in seen:
-                        repeated.append(key_node)
-                    seen.add(key)
+            if (
+                repeated is not None
+                and len(data) < len(container.value)
+                and container not in delegated
+            ):
+                key_lists.append([key_node for key_node, _ in container.value])
+    for key_nodes in key_lists:
+        seen = set()
+        for key_node in key_nodes:
+            key = build(key_node)
+            if key in seen:
+                repeated.append(key_node)
+            seen.add(key)
     return root
 
 
@@ -1107,6 +1156,12 @@ def export_diagnosis(
     return out.getvalue()
 
 
+def _format_parameter(value: float) -> str:
+    """The ``:g`` text of ``value`` if it reads back as ``value``, else its repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def export_plan(plan: Plan, functionalities: Sequence[Functionality]) -> str:
     durations = {(f.module, f.name): f.duration for f in functionalities}
     out = io.StringIO()
@@ -1116,7 +1171,7 @@ def export_plan(plan: Plan, functionalities: Sequence[Functionality]) -> str:
         duration = durations[(step.module, step.functionality)]
         cumulative += duration
         out.write(
-            f"{index},{step.module},{step.functionality},{step.parameter:g},"
+            f"{index},{step.module},{step.functionality},{_format_parameter(step.parameter)},"
             f"{duration},{cumulative}\n"
         )
     return out.getvalue()

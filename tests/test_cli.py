@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import causalcps
-from causalcps.cli import main
+from causalcps.cli import build_parser, main
 from causalcps.scenario import knife_fixture, serialize_scenario
 
 
@@ -309,6 +309,22 @@ class TestSimulate:
         assert error["detail"] == (
             f"line {line}: key 'burner_cmd' repeats an earlier key of its mapping"
         )
+        assert not out.exists()
+
+    def test_repeated_key_under_a_merge_key_exits_2(self, tmp_path, capsys):
+        # The merge key makes PyYAML build this sensor and its states itself.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        sensor = "- id: burner_cmd\n  initial: C0\n  states:\n  - label: C0\n"
+        assert text.count(sensor) == 1
+        line = text[: text.index(sensor)].count("\n") + 5
+        merged = sensor.replace("  initial: C0\n", "  <<: {initial: C0}\n")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(sensor, merged + "    label: C0\n"), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == f"line {line}: key 'label' repeats an earlier key of its mapping"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -824,6 +840,20 @@ class TestPlanCommand:
         assert error["detail"] == "functionality oven.heat: declared more than once"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_functionality_parameter_exits_2(self, tmp_path, capsys, value):
+        # Before, nan gave NO_PLAN (exit 1) and inf a plan heating at inf.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count("100.0") == 2
+        bad = tmp_path / "knife.yaml"
+        bad.write_text(text.replace("100.0", value), encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert main(["plan", str(bad), "--goal", "knife_temp=Hot", "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"].startswith("functionalities[0].parameters[4]: must be finite")
+        assert not out.exists()
+
     def test_malformed_goal_exits_2(self, tmp_path, knife_yaml, capsys):
         code = main(["plan", str(knife_yaml), "--goal", "no-equals", "--out", str(tmp_path / "p.csv")])
         assert code == 2
@@ -881,6 +911,49 @@ class TestDeterminism:
         with pytest.raises(SystemExit) as exc:
             main(["simulate"])  # missing required --out and scenario
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main() parses every call with one parser, built on first use."""
+
+    @pytest.fixture
+    def knife_deviations(self, tmp_path, knife_yaml):
+        return run_pipeline(tmp_path, knife_yaml)[3]
+
+    @pytest.mark.parametrize("command", ["diagnose", "plan"])
+    def test_calls_write_the_same_bytes_in_either_order(
+        self, tmp_path, knife_yaml, knife_deviations, command
+    ):
+        # An option list carried over from one call to the next would change
+        # the second call's artifact.
+        if command == "diagnose":
+            base = ["diagnose", str(knife_yaml), "--deviations", str(knife_deviations)]
+            first, second = ["--observe", "oven_temp"], []
+        else:
+            base = ["plan", str(knife_yaml)]
+            first, second = ["--goal", "knife_temp=Hot"], ["--goal", "knife_hardness=Hard"]
+        written = {}
+        for i, options in enumerate([first, second, second, first]):
+            out = tmp_path / f"{i}.csv"
+            assert main([*base, *options, "--out", str(out)]) == 0
+            written.setdefault(tuple(options), []).append(out.read_bytes())
+        (first_bytes, first_again), (second_bytes, second_again) = written.values()
+        assert first_bytes == first_again
+        assert second_bytes == second_again
+        assert first_bytes != second_bytes
+
+    def test_help_reads_the_terminal_width_at_each_call(self, monkeypatch, capsys):
+        widths = {}
+        for columns in (40, 140):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                main(["detect", "--help"])
+            assert exc.value.code == 0
+            widths[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+        assert widths[40] < widths[140]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 @pytest.fixture(autouse=True)

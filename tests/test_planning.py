@@ -86,6 +86,15 @@ class TestApplyFunctionality:
                 duration=1,
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("where", ["domain", "transition"])
+    def test_non_finite_parameter_rejected(self, value, where):
+        domain = (1.0, value) if where == "domain" else (1.0,)
+        entry = TransitionEntry(value if where == "transition" else 1.0, {"a": "X"}, {"a": "Y"})
+        message = rf"^functionality m\.f: parameter {value} is not finite$"
+        with pytest.raises(ValueError, match=message):
+            Functionality("m", "f", domain, (entry,), duration=1)
+
 
 class TestPlan:
     def test_goal_already_satisfied_gives_empty_plan(self, knife_doc):

@@ -18,11 +18,13 @@ import causalcps.scenario as scenario_module
 from causalcps.detection import scan_anomalies
 from causalcps.distributions import Degenerate, Normal, Uniform
 from causalcps.model import ModelError, SubsystemKind
+from causalcps.planning import Functionality, Plan, PlanStep
 from causalcps.scenario import (
     ScenarioError,
     chain_fixture,
     export_anomaly_report,
     export_deviations,
+    export_plan,
     export_trace,
     format_distribution,
     import_deviations,
@@ -118,6 +120,24 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=r"transitions\[0\]\.param: expected a number"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (("  - 100.0\n", "  - {}\n"), r"functionalities\[0\]\.parameters\[4\]"),
+            (
+                ("  - param: 100.0\n", "  - param: {}\n"),
+                r"functionalities\[0\]\.transitions\[0\]\.param",
+            ),
+        ],
+        ids=["parameters", "param"],
+    )
+    def test_non_finite_functionality_parameter_rejected(self, edit, field, value):
+        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        with pytest.raises(ScenarioError, match=rf"^{field}: must be finite, got -?(nan|inf)$"):
+            parse_scenario(text.replace(edit[0], edit[1].format(value)))
+
     @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
     @pytest.mark.parametrize(
         "line, field",
@@ -200,6 +220,46 @@ class TestParseScenario:
         ).replace("    initial: Idle\n    states", "    states")
         assert text.count("initial:") == 2
         assert parse_scenario(text).sensors[0].initial_state == "Idle"
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            (
+                MINIMAL.replace("    initial: Idle\n", "    <<: {initial: Idle}\n").replace(
+                    "{label: Idle,", "{label: Idle, label: Idle,"
+                ),
+                7,
+                "label",
+            ),
+            (
+                MINIMAL.replace(
+                    "    initial: Idle\n",
+                    "    <<: {id: probe}\n    initial: Idle\n    initial: Idle\n",
+                ),
+                7,
+                "initial",
+            ),
+        ],
+        ids=["below a merge", "beside a merge"],
+    )
+    def test_repeated_key_under_a_merge_key_rejected(self, text, line, key):
+        # PyYAML builds a mapping with a merge key, and every mapping in it.
+        message = rf"^line {line}: key '{key}' repeats an earlier key of its mapping$"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(text)
+
+    def test_merged_mapping_reused_by_alias_is_not_a_repeat(self):
+        # Merging rewrites &probe's node to hold both of its initial keys.
+        text = """
+horizon: 10
+sensors:
+  - <<: &probe {<<: {id: probe, initial: Busy}, initial: Idle, states: [{label: Idle, dist: degenerate(0)}]}
+    id: first
+  - *probe
+subsystems: []
+"""
+        sensors = parse_scenario(text).sensors
+        assert [(s.id, s.initial_state) for s in sensors] == [("first", "Idle"), ("probe", "Idle")]
 
     def test_delay_zero_fails_model_validation(self):
         text = """
@@ -1151,6 +1211,18 @@ class TestReportCsv:
             Deviation("knife_temp", 35, "Hot", "ANOMALOUS"),
         ]
         assert import_deviations(export_deviations(deviations)) == deviations
+
+    @pytest.mark.parametrize(
+        "parameter, text",
+        [(100.0, "100"), (0.5, "0.5"), (1234567.5, "1234567.5"), (100.0000001, "100.0000001")],
+    )
+    def test_plan_parameter_is_written_exactly(self, parameter, text):
+        # ":g" keeps 6 significant digits: 1.23457e+06 and 100 for the last two.
+        heat = Functionality("oven", "heat", (parameter,), (), duration=8)
+        plan = Plan((PlanStep("oven", "heat", parameter),), total_duration=8)
+        row = export_plan(plan, [heat]).splitlines()[1]
+        assert row == f"1,oven,heat,{text},8,8"
+        assert float(row.split(",")[3]) == parameter
 
 
 class TestScenarioRuns:
