@@ -210,11 +210,10 @@ def _check_sensor(sensor: Sensor) -> None:
         raise ModelError(
             f"sensor {sensor.id!r}: initial state {sensor.initial_state!r} not in state set"
         )
+    # Laws are frozen dataclasses of finite floats: equal laws hash equal.
     dists = [dist for _, dist in sensor.states]
-    for i, a in enumerate(dists):
-        for b in dists[i + 1 :]:
-            if a == b:
-                raise ModelError(f"sensor {sensor.id!r} has identical distributions for two states")
+    if len(set(dists)) != len(dists):
+        raise ModelError(f"sensor {sensor.id!r} has identical distributions for two states")
 
 
 def validate_rules(
@@ -267,16 +266,9 @@ def validate_rules(
                 )
 
 
-def build_model(
-    sensors: Sequence[Sensor],
-    subsystems: Sequence[Subsystem],
-    priority_order: Sequence[str] | None = None,
-) -> SystemModel:
-    """Validate and assemble a system model.
-
-    ``priority_order`` (subsystem ids) overrides the declaration order; by
-    default the subsystem list order is the priority order.
-    """
+def build_model(sensors: Sequence[Sensor], subsystems: Sequence[Subsystem]) -> SystemModel:
+    """Validate and assemble a system model; the subsystem list order is the
+    priority order."""
     sensor_ids = [s.id for s in sensors]
     if len(set(sensor_ids)) != len(sensor_ids):
         raise ModelError(f"duplicate sensor ids: {sensor_ids}")
@@ -286,14 +278,6 @@ def build_model(
     subsystem_ids = [s.id for s in subsystems]
     if len(set(subsystem_ids)) != len(subsystem_ids):
         raise ModelError(f"duplicate subsystem ids: {subsystem_ids}")
-    if priority_order is not None:
-        if sorted(priority_order) != sorted(subsystem_ids):
-            raise ModelError(
-                f"priority order {list(priority_order)} is not a permutation of "
-                f"subsystem ids {subsystem_ids}"
-            )
-        by_id = {s.id: s for s in subsystems}
-        subsystems = [by_id[sid] for sid in priority_order]
 
     model = SystemModel(sensors=tuple(sensors), subsystems=tuple(subsystems))
     all_ids = set(sensor_ids)

@@ -43,18 +43,15 @@ raised by model validation.
 
 The text is composed into a YAML node graph by ``_YAML_LOADER`` (PyYAML's
 libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without libyaml).
-``_construct`` builds the data from the nodes in one iterative pass: plain
-scalars, lists and dicts directly, every other node through the loader's own
-constructors, so the data are those of ``yaml.load`` with the same loader,
-and so is the error when one node is at fault.  Within one parse each
-distinct scalar's tag is resolved once, from its kind, text and style.
-That is exact because no path resolvers are registered: a tag depends on
-nothing else, and the resolver's path-tracking hooks, which then keep state
-that nothing reads, do nothing.  Nothing is kept from one parse to the next.
-A mapping that repeats a key is refused, naming the line and the key, also
-one that is built by PyYAML because it, or a mapping around it, has a merge
-key ``<<``.  The merge override rule stands: a key given explicitly and also
-through ``<<`` is not a repeat, nor is one merged from two mappings.
+``_construct`` builds from it, in one iterative pass, only what a scenario
+can hold: ``str``, ``int``, ``float``, ``bool`` and null scalars, lists,
+mappings with string keys, aliases and merge keys ``<<``, giving the data
+of ``yaml.load``.  Any other node (a timestamp, ``!!set``, ``!!binary``, an
+unknown tag, a non-string key) is refused, naming its line and tag.  Each
+distinct scalar's tag is resolved once per parse, which is exact because
+no path resolvers are registered.  A mapping that repeats a key, ``<<``
+included, is refused, naming the line and the key; a key given explicitly
+and also through ``<<`` is not a repeat, nor is one merged from two mappings.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -122,10 +119,14 @@ _STR_TAG = "tag:yaml.org,2002:str"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 _MAP_TAG = "tag:yaml.org,2002:map"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
-# Scalar tags whose constructor returns a finished value at once.
+# The scalar tags a scenario holds.
 _PLAIN_TAGS = frozenset(
     f"tag:yaml.org,2002:{kind}" for kind in ("str", "int", "float", "bool", "null")
 )
+# The tags of a mapping's keys before its merge keys are flattened, and the
+# collections a scenario holds, by tag and node type.
+_KEY_TAGS = frozenset((_STR_TAG, _MERGE_TAG))
+_CONTAINERS = {(_SEQ_TAG, yaml.SequenceNode): list, (_MAP_TAG, yaml.MappingNode): dict}
 
 
 class ScenarioError(ValueError):
@@ -502,7 +503,7 @@ def _flow_depth_exceeds(text: str, limit: int) -> bool:
     return False
 
 
-def _load_yaml(text: str, repeated: list[yaml.Node] | None = None) -> Any:
+def _load_yaml(text: str, repeated: list[yaml.Node]) -> Any:
     """The data of the one YAML document in ``text``, None if it has none.
 
     The loader resolves each distinct (kind, text, implicit) key to its tag
@@ -525,90 +526,81 @@ def _load_yaml(text: str, repeated: list[yaml.Node] | None = None) -> Any:
         loader.dispose()
 
 
-def _construct(
-    loader: Any, node: yaml.Node | None, repeated: list[yaml.Node] | None = None
-) -> Any:
+def _refused(node: yaml.Node, role: str) -> ScenarioError:
+    """The error for a node that a scenario cannot hold as a ``role``."""
+    what = f"{node.id} {node.value!r}" if isinstance(node, yaml.ScalarNode) else node.id
+    hint = "; quote it to make it a string" if isinstance(node, yaml.ScalarNode) else ""
+    return ScenarioError(
+        f"line {node.start_mark.line + 1}: a scenario cannot hold the YAML {what} "
+        f"tagged {node.tag} as a {role}{hint}"
+    )
+
+
+def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -> Any:
     """The data of the document ``node``, as ``loader.construct_document``
-    would build it.
+    would build it, for the nodes a scenario can hold.
 
     A ``str`` scalar is its text; an int, float, bool or null scalar goes to
     the loader's constructor for its tag.  A sequence becomes a list, and a
-    mapping whose keys are all such scalars a dict, filled in node order, so
-    a later duplicate key wins; if ``repeated`` is a list, the node of every
-    key that repeats an earlier one of its mapping is appended to it, also
-    in the mappings PyYAML builds.  Their merge keys are left out, and their
-    keys are taken before ``flatten_mapping`` rewrites a merge mapping's node
-    in place, so no merged key counts as a repeat.
+    mapping whose keys are ``str`` scalars a dict, filled in node order, so
+    a later duplicate key wins; a mapping with merge keys ``<<`` is first
+    flattened by ``loader.flatten_mapping``.  Any other node, and a scalar
+    that its constructor refuses, raises a ScenarioError naming its line.
+    Each key that repeats an earlier one of its mapping as written, ``<<``
+    included, is appended to ``repeated``: keys are taken before
+    ``flatten_mapping`` rewrites a node in place, so no merged key repeats.
     Each list and dict is made empty when its node is first met and filled
     in turn from a work list, not by recursion, so nesting depth costs no
     stack; memoized by node, an alias gives the same object and a recursive
-    alias a recursive structure.  Every other
-    node (merge ``<<`` and value ``=`` keys, non-scalar keys, ``!!set``,
-    ``!!omap``, ``!!pairs``, timestamps, ``!!binary``, unknown tags) goes to
-    ``loader.construct_object``, its pending fill-ins run at once as
-    ``construct_document`` runs them, and its object or error is PyYAML's.
-    The memo is the loader's own, so both sides see each other's objects.
-    With two faulty nodes the error raised may be the other one's, since
-    PyYAML fills every container, delegated or not, in the order met.
+    alias a recursive structure.
     """
     if node is None:
         return None
     constructors = loader.yaml_constructors
-    memo = loader.constructed_objects
+    memo: dict[yaml.Node, Any] = {}
     unfilled: list[yaml.Node] = []
-    # The key lists to check for a repeat, and every collection node seen by
-    # explicit_keys: PyYAML builds or merges it, and a merge may have
-    # rewritten its key list.
-    key_lists: list[list[yaml.Node]] = []
-    delegated: set[yaml.Node] = set()
-
-    def explicit_keys(root: yaml.Node) -> list[list[yaml.Node]]:
-        """The key nodes, merge keys left out, of each mapping below ``root``
-        that PyYAML is about to build or merge."""
-        found = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, yaml.ScalarNode) or node in memo or node in delegated:
-                continue
-            delegated.add(node)
-            if isinstance(node, yaml.MappingNode):
-                if node.tag == _MAP_TAG:
-                    found.append([key for key, _ in node.value if key.tag != _MERGE_TAG])
-                stack.extend(child for pair in node.value for child in pair)
-            else:
-                stack.extend(node.value)
-        return found
+    # Mappings whose keys were taken before a merge.
+    merged: set[yaml.Node] = set()
 
     def build(node: yaml.Node) -> Any:
         tag = node.tag
-        if tag in _PLAIN_TAGS and isinstance(node, yaml.ScalarNode):
-            return node.value if tag == _STR_TAG else constructors[tag](loader, node)
-        if node in memo:
+        if isinstance(node, yaml.ScalarNode):
+            if tag == _STR_TAG:
+                return node.value
+            if tag in _PLAIN_TAGS:
+                try:
+                    return constructors[tag](loader, node)
+                except (ValueError, KeyError):
+                    pass
+        elif node in memo:
             return memo[node]
-        if tag == _SEQ_TAG and isinstance(node, yaml.SequenceNode):
-            data = memo[node] = []
-        elif (
-            tag == _MAP_TAG
-            and isinstance(node, yaml.MappingNode)
-            and all(
-                key.tag in _PLAIN_TAGS and isinstance(key, yaml.ScalarNode)
-                for key, _ in node.value
-            )
-        ):
-            data = memo[node] = {}
-        else:
-            if repeated is not None:
-                key_lists.extend(explicit_keys(node))
-            data = loader.construct_object(node)
-            while loader.state_generators:
-                generators, loader.state_generators = loader.state_generators, []
-                for generator in generators:
-                    for _ in generator:
-                        pass
+        elif (tag, type(node)) in _CONTAINERS:
+            data = memo[node] = _CONTAINERS[tag, type(node)]()
+            unfilled.append(node)
             return data
-        unfilled.append(node)
-        return data
+        raise _refused(node, "value")
+
+    def find_repeats(pairs: list[tuple[yaml.Node, yaml.Node]]) -> None:
+        seen: set[str] = set()
+        # set.add returns None, so a key is taken only if it was seen before.
+        repeated.extend(key for key, _ in pairs if key.value in seen or seen.add(key.value))
+
+    def merge(root: yaml.MappingNode) -> None:
+        """Take the keys of ``root`` and of the mappings merged into it, then flatten it."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            # flatten_mapping refuses a merge of anything but mappings.
+            if isinstance(node, yaml.MappingNode) and node not in merged:
+                merged.add(node)
+                for key, value in node.value:
+                    if key.tag not in _KEY_TAGS or not isinstance(key, yaml.ScalarNode):
+                        raise _refused(key, "mapping key")
+                    if key.tag == _MERGE_TAG:
+                        many = isinstance(value, yaml.SequenceNode)
+                        stack.extend(value.value if many else [value])
+                find_repeats(node.value)
+        loader.flatten_mapping(root)
 
     root = build(node)
     # The loop also reaches the containers that filling appends.
@@ -616,23 +608,15 @@ def _construct(
         data = memo[container]
         if isinstance(data, list):
             data.extend(map(build, container.value))
-        else:
-            for key_node, value_node in container.value:
-                key = build(key_node)
-                data[key] = build(value_node)
-            if (
-                repeated is not None
-                and len(data) < len(container.value)
-                and container not in delegated
-            ):
-                key_lists.append([key_node for key_node, _ in container.value])
-    for key_nodes in key_lists:
-        seen = set()
-        for key_node in key_nodes:
-            key = build(key_node)
-            if key in seen:
-                repeated.append(key_node)
-            seen.add(key)
+            continue
+        if any(key.tag == _MERGE_TAG for key, _ in container.value):
+            merge(container)
+        for key, value in container.value:
+            if key.tag != _STR_TAG or not isinstance(key, yaml.ScalarNode):
+                raise _refused(key, "mapping key")
+            data[key.value] = build(value)
+        if len(data) < len(container.value) and container not in merged:
+            find_repeats(container.value)
     return root
 
 
@@ -921,9 +905,10 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
 
     Every tick must have exactly one row per sensor.  With ``model``, every
     row's sensor must be one of its sensors and its label one of that
-    sensor's states, and each sensor's label table is the model's; without
-    it, a sensor's table lists the labels it shows, sorted.  Columns follow
-    the order in which sensors first appear in the file.
+    sensor's states, every one of its sensors must have rows, and each
+    sensor's label table is the model's; without it, a sensor's table lists
+    the labels it shows, sorted.  Columns follow the order in which sensors
+    first appear in the file.
 
     Text in the layout that ``export_trace`` writes (its header line, then
     ticks ``0..T-1`` in order, each listing the same sensors in the same
@@ -1029,11 +1014,12 @@ def _label_tables(
     sensor_ids: Sequence[str], shown: Iterable[Iterable[str]], model: SystemModel | None
 ) -> tuple[tuple[str, ...], ...] | None:
     """Each sensor's label table: the model's, or without a model the labels
-    ``shown`` for it, sorted.  None if the model lacks one of the sensors."""
+    ``shown`` for it, sorted.  None unless the model has exactly these
+    sensors."""
     if model is None:
         return tuple(tuple(sorted(labels)) for labels in shown)
     known = {sensor.id: sensor.labels() for sensor in model.sensors}
-    if any(sensor not in known for sensor in sensor_ids):
+    if len(known) != len(sensor_ids) or any(sensor not in known for sensor in sensor_ids):
         return None
     return tuple(known[sensor] for sensor in sensor_ids)
 
@@ -1042,7 +1028,8 @@ def _trace_by_row(rows: Iterator[tuple[int, list[str]]], model: SystemModel | No
     """The trace of the rows after a trace CSV's header, each row checked and
     stored in file order, blank rows skipped.  Raises the ScenarioError for
     the first problem: the first bad row in file order, else non-contiguous
-    ticks, else the first tick that misses a sensor."""
+    ticks, else the first tick that misses a sensor, else the first sensor
+    of ``model`` that has no rows."""
     states = None if model is None else {s.id: s.labels() for s in model.sensors}
     by_tick: dict[int, dict[str, tuple[float, str]]] = {}
     sensor_ids: dict[str, None] = {}
@@ -1080,6 +1067,9 @@ def _trace_by_row(rows: Iterator[tuple[int, list[str]]], model: SystemModel | No
         if len(by_tick[t]) != len(sensor_ids):
             missing = next(sid for sid in sensor_ids if sid not in by_tick[t])
             raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
+    for sensor_id in states or ():
+        if sensor_id not in sensor_ids:
+            raise ScenarioError(f"trace CSV: no rows for sensor {sensor_id!r}")
     ids = tuple(sensor_ids)
     columns = [[by_tick[t][sensor] for t in range(horizon)] for sensor in ids]
     tables = _label_tables(ids, ({label for _, label in column} for column in columns), model)

@@ -312,7 +312,7 @@ class TestSimulate:
         assert not out.exists()
 
     def test_repeated_key_under_a_merge_key_exits_2(self, tmp_path, capsys):
-        # The merge key makes PyYAML build this sensor and its states itself.
+        # The sensor's keys are flattened with its merge key; its states are not.
         text = BUNDLED_KNIFE.read_text(encoding="utf-8")
         sensor = "- id: burner_cmd\n  initial: C0\n  states:\n  - label: C0\n"
         assert text.count(sensor) == 1
@@ -326,6 +326,97 @@ class TestSimulate:
         assert error["reason"] == "INVALID_INPUT"
         assert error["detail"] == f"line {line}: key 'label' repeats an earlier key of its mapping"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "initial, line, detail",
+        [
+            (
+                "  initial: !!set {C0}\n",
+                10,
+                "mapping tagged tag:yaml.org,2002:set as a value",
+            ),
+            (
+                "  initial: !!omap [{a: C0}]\n",
+                10,
+                "sequence tagged tag:yaml.org,2002:omap as a value",
+            ),
+            (
+                "  initial: 2002-12-14\n",
+                10,
+                "scalar '2002-12-14' tagged tag:yaml.org,2002:timestamp as a value; "
+                "quote it to make it a string",
+            ),
+            (
+                "  initial: C0\n  7: x\n",
+                11,
+                "scalar '7' tagged tag:yaml.org,2002:int as a mapping key; "
+                "quote it to make it a string",
+            ),
+            (
+                "  initial: !custom C0\n",
+                10,
+                "scalar 'C0' tagged !custom as a value; quote it to make it a string",
+            ),
+            (
+                "  initial: !!bool maybe\n",
+                10,
+                "scalar 'maybe' tagged tag:yaml.org,2002:bool as a value; "
+                "quote it to make it a string",
+            ),
+        ],
+        ids=["set", "omap", "timestamp", "non-string key", "unknown tag", "bad bool"],
+    )
+    def test_yaml_a_scenario_cannot_hold_exits_2(self, tmp_path, capsys, initial, line, detail):
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.splitlines()[9] == "  initial: C0"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("  initial: C0\n", initial, 1), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == f"line {line}: a scenario cannot hold the YAML {detail}"
+        assert not out.exists()
+
+    def test_repeated_merge_key_exits_2(self, tmp_path, capsys):
+        # yaml.load lets the later merge win: burner_cmd would start at C25.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        merges = "  <<: {initial: C0}\n  <<: {initial: C25}\n"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("  initial: C0\n", merges, 1), encoding="utf-8")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["reason"] == "INVALID_INPUT"
+        assert error["detail"] == "line 11: key '<<' repeats an earlier key of its mapping"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            (
+                (
+                    "\nsensors:\n",
+                    "\nsensors:\n- {id: a, initial: X, states: [{label: X, dist: degenerate(0)}],\n"
+                    "   1: x, foo: y}\n",
+                ),
+                10,
+            ),
+            (("horizon: 300\n", "horizon: 300\n7: x\nfoo: y\n"), 4),
+        ],
+        ids=["sensor", "top level"],
+    )
+    def test_unknown_keys_of_mixed_types_exit_2(self, tmp_path, capsys, edit, line):
+        # An int key cannot be sorted with string ones for the unknown-field
+        # message; it is refused first, at its line.
+        text = BUNDLED_KNIFE.read_text(encoding="utf-8")
+        assert text.count(edit[0]) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(*edit), encoding="utf-8")
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail.startswith(f"line {line}: a scenario cannot hold the YAML scalar ")
+        assert "as a mapping key" in detail
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -654,6 +745,17 @@ class TestDetectInvalidInput:
         out = tmp_path / "report.csv"
         code = self.detect(knife_yaml, faulty, reference, out)
         self.assert_invalid(capsys, code, out, "tick 100: no row for sensor 'oven_temp'")
+
+    def test_trace_pair_without_a_model_sensor_exits_2(self, tmp_path, knife_yaml, capsys):
+        # Read as nominal, the unmeasured lid_state would turn the diagnosis.
+        faulty, reference = self.simulate_pair(tmp_path, knife_yaml)
+        for path in (faulty, reference):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if ",lid_state," not in line))
+        capsys.readouterr()
+        out = tmp_path / "report.csv"
+        code = self.detect(knife_yaml, faulty, reference, out)
+        self.assert_invalid(capsys, code, out, "trace CSV: no rows for sensor 'lid_state'")
 
     def test_duplicate_row_exits_2(self, tmp_path, knife_yaml, capsys):
         faulty, reference = self.simulate_pair(tmp_path, knife_yaml)

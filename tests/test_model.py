@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -140,18 +141,26 @@ class TestBuildModel:
         with pytest.raises(ModelError, match="identical distributions"):
             build_model((bad, two_state("y")), ())
 
-    def test_priority_order_must_be_permutation(self):
-        sub = Subsystem("sub", SubsystemKind.COMPONENT, ("s0",), ())
-        sensors = (two_state("s0"), two_state("s1"))
-        with pytest.raises(ModelError, match="permutation"):
-            build_model(sensors, (sub,), priority_order=["sub", "ghost"])
+    @pytest.mark.parametrize(
+        "a, b",
+        [(Normal(1, 2), Normal(1.0, 2.0)), (Degenerate(0.0), Degenerate(-0.0))],
+        ids=["int and float", "signed zeros"],
+    )
+    def test_equal_laws_written_differently_rejected(self, a, b):
+        bad = Sensor("x", (("A", a), ("B", b)), "A")
+        with pytest.raises(ModelError, match="identical distributions"):
+            build_model((bad, two_state("y")), ())
 
-    def test_priority_order_reorders_subsystems(self):
-        a = Subsystem("a", SubsystemKind.COMPONENT, ("s0",), ())
-        b = Subsystem("b", SubsystemKind.COMPONENT, ("s1",), ())
-        model = simple_model(a, b)
-        reordered = build_model(model.sensors, (a, b), priority_order=["b", "a"])
-        assert [s.id for s in reordered.subsystems] == ["b", "a"]
+    def test_many_state_sensor_is_checked_quickly(self):
+        # A pairwise check of 4,000 laws takes over a second.
+        laws = [Normal(float(k), 1.0) for k in range(4000)]
+        wide = Sensor("x", tuple((f"S{k}", law) for k, law in enumerate(laws)), "S0")
+        start = time.perf_counter()
+        build_model((wide, two_state("y")), ())
+        assert time.perf_counter() - start < 0.5
+        twin = Sensor("x", wide.states + (("Twin", Normal(3999, 1)),), "S0")
+        with pytest.raises(ModelError, match="identical distributions"):
+            build_model((twin, two_state("y")), ())
 
 
 def n_state(sid, n):

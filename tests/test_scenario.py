@@ -239,11 +239,23 @@ class TestParseScenario:
                 7,
                 "initial",
             ),
+            (
+                MINIMAL.replace("    initial: Idle\n", "    <<: {initial: Idle, initial: Idle}\n"),
+                5,
+                "initial",
+            ),
+            (
+                MINIMAL.replace(
+                    "    initial: Idle\n", "    <<: {initial: Idle}\n    <<: {initial: Idle}\n"
+                ),
+                6,
+                "<<",
+            ),
         ],
-        ids=["below a merge", "beside a merge"],
+        ids=["below a merge", "beside a merge", "inside a merged mapping", "second merge key"],
     )
     def test_repeated_key_under_a_merge_key_rejected(self, text, line, key):
-        # PyYAML builds a mapping with a merge key, and every mapping in it.
+        # A mapping's keys are checked as written, before a merge rewrites them.
         message = rf"^line {line}: key '{key}' repeats an earlier key of its mapping$"
         with pytest.raises(ScenarioError, match=message):
             parse_scenario(text)
@@ -384,7 +396,7 @@ def construct(text, loader):
     """``scenario._construct`` over the node graph that ``loader`` composes."""
     instance = loader(text)
     try:
-        return scenario_module._construct(instance, instance.get_single_node())
+        return scenario_module._construct(instance, instance.get_single_node(), [])
     finally:
         instance.dispose()
 
@@ -457,6 +469,7 @@ EDGE_DOCUMENTS = {
         "over: {<<: *chain, d: 2}\n"
     ),
     "value key": "v: {=: 7, unit: s}\n",
+    "value key in a merged mapping": "{<<: {=: 7}, unit: s}\n",
     "set": "s: !!set {a, b, 3}\n",
     "omap": "o: !!omap [{b: 1}, {a: [2]}]\n",
     "pairs": "p: !!pairs [{a: 1}, {a: 2}]\n",
@@ -481,9 +494,55 @@ EDGE_DOCUMENTS = {
 }
 
 
+def refusal(line, kind, tag, role, text=None):
+    """The error for a node that a scenario cannot hold; ``tag`` is short
+    for ``tag:yaml.org,2002:<tag>`` unless it starts with ``!``."""
+    tag = tag if tag.startswith("!") else f"tag:yaml.org,2002:{tag}"
+    if text is None:
+        return f"line {line}: a scenario cannot hold the YAML {kind} tagged {tag} as a {role}"
+    return (
+        f"line {line}: a scenario cannot hold the YAML {kind} {text!r} tagged {tag} "
+        f"as a {role}; quote it to make it a string"
+    )
+
+
+# The edge documents that a scenario cannot hold, each with its refusal.
+REFUSED_DOCUMENTS = {
+    "keys of every plain kind": refusal(1, "scalar", "int", "mapping key", "2"),
+    "value key": refusal(1, "scalar", "value", "mapping key", "="),
+    "value key in a merged mapping": refusal(1, "scalar", "value", "mapping key", "="),
+    "set": refusal(1, "mapping", "set", "value"),
+    "omap": refusal(1, "sequence", "omap", "value"),
+    "pairs": refusal(1, "sequence", "pairs", "value"),
+    "timestamps": refusal(1, "scalar", "timestamp", "value", "2001-12-14t21:59:43.10-05:00"),
+    "timestamp key": refusal(1, "scalar", "timestamp", "mapping key", "2002-12-14"),
+    "binary": refusal(1, "scalar", "binary", "value", "aGVsbG8gd29ybGQ="),
+    "aliases across a delegated node": refusal(2, "sequence", "omap", "value"),
+    "unhashable key": refusal(2, "sequence", "seq", "mapping key"),
+    "unknown tag": refusal(1, "scalar", "!custom", "value", "2"),
+    "str tag on a sequence": refusal(1, "sequence", "str", "value"),
+    "bad int": refusal(1, "scalar", "int", "value", "abc"),
+}
+
+
+def assert_like_yaml_load(name, text, ours, loader):
+    """``ours``, a ``built_or_raised`` outcome for ``text``, is the refusal
+    of a refused edge document, else what ``yaml.load`` gives with
+    ``loader``: the same data, or the same error."""
+    if name in REFUSED_DOCUMENTS:
+        assert ours == ("error", ScenarioError, REFUSED_DOCUMENTS[name])
+        return
+    theirs = built_or_raised(lambda: yaml.load(text, Loader=loader))
+    if ours[0] == "data" == theirs[0]:
+        assert_same_graph(ours[1], theirs[1])
+    else:
+        assert ours == theirs
+
+
 class TestConstruct:
     """``_construct`` returns what ``yaml.load`` returns with the same
-    loader, and raises what it raises."""
+    loader, and raises what it raises, except for the nodes that a scenario
+    cannot hold, which it refuses at their line."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_bundled_and_generated_scenarios(self, loader):
@@ -500,15 +559,10 @@ class TestConstruct:
     @pytest.mark.parametrize("name", sorted(EDGE_DOCUMENTS))
     def test_edge_document(self, loader, name):
         text = EDGE_DOCUMENTS[name]
-        ours = built_or_raised(lambda: construct(text, loader))
-        theirs = built_or_raised(lambda: yaml.load(text, Loader=loader))
-        if ours[0] == "data" == theirs[0]:
-            assert_same_graph(ours[1], theirs[1])
-        else:
-            assert ours == theirs
+        assert_like_yaml_load(name, text, built_or_raised(lambda: construct(text, loader)), loader)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
-    @pytest.mark.parametrize("name", ["unhashable key", "unknown tag"])
+    @pytest.mark.parametrize("name", ["bad merge", "unhashable key", "unknown tag"])
     def test_constructor_error_text_is_unchanged(self, monkeypatch, loader, name):
         text = EDGE_DOCUMENTS[name]
         with pytest.raises(yaml.YAMLError) as loaded:
@@ -517,7 +571,8 @@ class TestConstruct:
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
         with pytest.raises(ScenarioError) as parsed:
             parse_scenario(text)
-        assert str(parsed.value) == f"line {mark.line + 1}: invalid YAML: {loaded.value}"
+        expected = f"line {mark.line + 1}: invalid YAML: {loaded.value}"
+        assert str(parsed.value) == REFUSED_DOCUMENTS.get(name, expected)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_alias_gives_the_same_object(self, loader):
@@ -569,24 +624,20 @@ def workload_scenario_texts():
 class TestLoadYaml:
     """``_load_yaml`` resolves each distinct tag key once, and still returns
     what ``yaml.load`` returns with the same loader, or raises what it
-    raises."""
+    raises, except for the refused edge documents."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_agrees_with_yaml_load(self, monkeypatch, loader):
         fixtures = importlib.resources.files("causalcps") / "scenarios"
-        texts = [*EDGE_DOCUMENTS.values(), *workload_scenario_texts()]
+        texts = [*EDGE_DOCUMENTS.items(), *enumerate(workload_scenario_texts())]
         texts += [
-            (fixtures / name).read_text(encoding="utf-8")
+            (name, (fixtures / name).read_text(encoding="utf-8"))
             for name in ("chain.yaml", "thermostat.yaml")
         ]
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
-        for text in texts:
-            ours = built_or_raised(lambda: scenario_module._load_yaml(text))
-            theirs = built_or_raised(lambda: yaml.load(text, Loader=loader))
-            if ours[0] == "data" == theirs[0]:
-                assert_same_graph(ours[1], theirs[1])
-            else:
-                assert ours == theirs
+        for name, text in texts:
+            ours = built_or_raised(lambda: scenario_module._load_yaml(text, []))
+            assert_like_yaml_load(name, text, ours, loader)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_each_distinct_tag_key_is_resolved_once(self, monkeypatch, loader):
@@ -812,6 +863,20 @@ class TestTraceCsv:
         with pytest.raises(ScenarioError, match=message):
             import_trace(text, knife_model)
 
+    def test_import_with_model_rejects_a_sensor_without_rows(self, knife_model, knife_reference):
+        # Read as nominal, an unmeasured sensor would turn the diagnosis.
+        text = export_trace(knife_reference)
+        kept = "".join(line for line in text.splitlines(True) if ",lid_state," not in line)
+        assert "lid_state" not in import_trace(kept).sensor_ids
+        for without, sensor in (
+            (kept, "lid_state"),
+            (kept.replace("\n", "\r\n"), "lid_state"),
+            (TRACE_HEADER, knife_model.sensors[0].id),
+        ):
+            with pytest.raises(ScenarioError) as error:
+                import_trace(without, knife_model)
+            assert str(error.value) == f"trace CSV: no rows for sensor {sensor!r}"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
     def test_import_rejects_non_finite_value_naming_its_row(self, value):
         text = (
@@ -886,6 +951,9 @@ def row_loop_import_trace(text, model=None):
         if len(values) != len(sensor_ids):
             missing = next(sid for sid in sensor_ids if sid not in values)
             raise ScenarioError(f"trace CSV tick {t}: no row for sensor {missing!r}")
+    for sensor_id in states or ():
+        if sensor_id not in sensor_ids:
+            raise ScenarioError(f"trace CSV: no rows for sensor {sensor_id!r}")
     return tuple(sensor_ids), [by_tick[t] for t in ticks]
 
 
