@@ -7,19 +7,29 @@ window stride is out of scope.  For scan_anomalies the segmentation comes from
 the trace's own labels, for expected_state_check from the fault-free reference
 run being compared against.
 
-Both functions test all windows of a sensor in one array pass: the windows
-are gathered from a sliding-window view of the sensor's values into one
-k x window block (no window is sliced out on its own), each row is sorted
-once, and every state's law is tested over the whole block with
-``distributions.gof_block``.  The p-values are those ``state_p_values`` gives
-window by window; each verdict is chosen from them by ``select_state``.  Both
+Both functions test all windows of a sensor in one array pass.  The windows
+are gathered from the span they cover, ``values[starts[0] : starts[-1] +
+window]``, into one k x window block (no window is sliced out on its own),
+and each row is argsorted once.  Every state's law is then tested with one
+``distributions.gof_windows`` call on the span and those positions, which
+evaluates the CDF once per sample of the span: at the default window 50 and
+stride 25 every sample sits in two windows, so that halves the CDF
+evaluations.  The p-values are those ``state_p_values`` gives window by
+window.
+
+The verdicts of a block are one array step: the first state of highest
+p-value (``argmax`` keeps the first maximum in state order), or ANOMALOUS
+where that p-value is below ``alpha / len(states)``.  That is
+``select_state``'s rule: it keeps the states whose p-value reaches that
+level and picks the first of highest p-value among them, and the states of
+highest p-value are kept exactly when the highest p-value reaches it.  Both
 functions reject a bad window, stride or alpha on entry, even when there is
 no window to test.
 
 A window that both functions cover is tested once when the check is handed
-the scan's report (``scan=``): ``gof_block`` works row by row, so a window's
-p-values, and hence its verdict, do not depend on the other windows of its
-block.
+the scan's report (``scan=``): a window's statistics depend only on its own
+samples, so its p-values, and hence its verdict, do not depend on the other
+windows of its block.
 """
 
 from __future__ import annotations
@@ -28,15 +38,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import (
     ANOMALOUS,
     Distribution,
     TestResult,
     check_alpha,
-    gof_block,
-    select_state,
+    gof_windows,
     two_sample_test,
 )
 from .model import SystemModel
@@ -115,8 +123,12 @@ def detect_effect(
     """Test for a distribution shift of ``sensor`` at tick ``t``.
 
     Compares the windows [t-window, t) and [t, t+window) with the two-sample
-    test; an effect is declared iff p < alpha.
+    test; an effect is declared iff p < alpha.  A window below 1 or an alpha
+    outside (0, 1) is rejected with ValueError.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    check_alpha(alpha)
     if t - window < 0 or t + window > len(trace):
         raise ValueError(
             f"windows [{t - window}, {t + window}) out of range for trace of length {len(trace)}"
@@ -126,21 +138,33 @@ def detect_effect(
     return result.p_value < alpha, result
 
 
-def _window_p_values(
+def _window_verdicts(
     values: np.ndarray,
     starts: list[int],
     window: int,
     states: Sequence[tuple[str, Distribution]],
-) -> list[dict[str, float]]:
-    """The p-value of every window ``values[start : start + window]`` against
-    every labeled state, one dict per start: one sort per window, one block
-    test per state."""
+    alpha: float,
+) -> tuple[list[str], list[list[float]]]:
+    """The verdict on every window ``values[start : start + window]``, one
+    per start (``starts`` ascending), and the windows' p-values against every
+    labeled state, one list per state in state order (see the module
+    docstring)."""
     if not starts:
-        return []
-    block = np.sort(sliding_window_view(values, window)[starts], axis=1)
+        return [], []
+    first = starts[0]
+    span = values[first : starts[-1] + window]
+    offsets = np.subtract(starts, first)[:, np.newaxis]
+    positions = span[offsets + np.arange(window)].argsort(axis=1)
+    positions += offsets
+    columns = [gof_windows(span, positions, dist)[1] for _, dist in states]
+    p_values = np.array(columns)
+    fits = (p_values.max(axis=0) >= alpha / len(states)).tolist()
     labels = [label for label, _ in states]
-    columns = [gof_block(block, dist)[1] for _, dist in states]
-    return [dict(zip(labels, row)) for row in zip(*columns)]
+    matched = [
+        labels[best] if fit else ANOMALOUS
+        for best, fit in zip(p_values.argmax(axis=0).tolist(), fits)
+    ]
+    return matched, columns
 
 
 def scan_anomalies(
@@ -162,17 +186,20 @@ def scan_anomalies(
         codes = trace.codes_for(sensor_id)
         starts = [start for start, _ in constant_label_windows(codes, window, stride)]
         states = model.sensor(sensor_id).states
-        p_values = _window_p_values(trace.values_for(sensor_id), starts, window, states)
+        matched, columns = _window_verdicts(
+            trace.values_for(sensor_id), starts, window, states, alpha
+        )
+        labels = [label for label, _ in states]
         verdicts.extend(
             WindowVerdict(
                 sensor=sensor_id,
                 start=start,
                 length=window,
-                matched=select_state(window_p, alpha),
-                p_values=window_p,
+                matched=state,
+                p_values=dict(zip(labels, window_p)),
                 alpha=alpha,
             )
-            for start, window_p in zip(starts, p_values)
+            for start, state, window_p in zip(starts, matched, zip(*columns))
         )
     return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
 
@@ -225,10 +252,8 @@ def expected_state_check(
         matched = judged.get(sensor_id, {})
         untested = [start for start, _ in windows if start not in matched]
         states = model.sensor(sensor_id).states
-        p_values = _window_p_values(trace.values_for(sensor_id), untested, window, states)
-        matched.update(
-            (start, select_state(window_p, alpha)) for start, window_p in zip(untested, p_values)
-        )
+        verdicts, _ = _window_verdicts(trace.values_for(sensor_id), untested, window, states, alpha)
+        matched.update(zip(untested, verdicts))
         for start, code in windows:
             expected, state = table[code], matched[start]
             if state != expected:

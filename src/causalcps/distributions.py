@@ -11,17 +11,24 @@ truncated once a term drops below 1e-10 or after 100 terms, and clamped to
 [0, 1].  Against a degenerate (point-mass) law the KS statistic is undefined,
 so an exact-match test with absolute tolerance 1e-9 is used instead.
 
-The one-sample test runs on a block: a k x n array whose rows are k sorted
-windows of n samples each.  ``gof_block`` evaluates the law's CDF over the
-whole block as one array expression and takes each row's KS statistic with a
-row-wise maximum, so testing many windows of one sensor against one state
-costs one array pass and one scalar p-value per row.  ``gof_test`` is the
-block test of a single row, so each law's statistic is defined in one place,
-and ``state_p_values`` sorts its window once for all states.  The array CDF is
-the only definition of each law's CDF -- ``cdf`` evaluates it at a single
-point -- and it performs the scalar formula's IEEE operations in the same
-order, element by element, so it gives the same values as calling ``cdf`` on
-each sample.
+The one-sample test runs on many windows of one sample array at once.
+``gof_windows`` takes the array and, per window, the positions of its
+samples in ascending order of value.  It evaluates the law's CDF once per
+element of the array, as one array expression, gathers each window's sorted
+CDF row through those positions, and takes each row's KS statistic with a
+row-wise maximum.  Windows that overlap share their CDF values, and the
+gathered row is the CDF of the sorted window, since equal samples get
+equal CDF values.  The KS series is then evaluated once per distinct
+statistic, as many windows share one (``1.0`` most often, for a window far
+outside a state's law), and with ``math.exp``: numpy's ``exp`` rounds some
+arguments differently, and ``report.csv`` writes p-values by ``repr``.
+``gof_block`` tests the rows of a sorted block, and ``gof_test`` is the
+block test of a single row, so each law's statistic is defined in one
+place; ``state_p_values`` sorts its window once for all states.  The array
+CDF is the only definition of each law's CDF -- ``cdf`` evaluates it at a
+single point -- and it performs the scalar formula's IEEE operations in the
+same order, element by element, so it gives the same values as calling
+``cdf`` on each sample.
 
 Every parameter of a law, and the width ``hi - lo`` of a uniform one, must
 be finite; the constructors raise ValueError otherwise.  So a uniform value
@@ -31,9 +38,10 @@ be finite; the constructors raise ValueError otherwise.  So a uniform value
 Sampling uses numpy's default bit generator (PCG64) seeded explicitly, so a
 fixed (distribution, seed, n) always reproduces the same sequence on a given
 platform.  ``draw`` calls numpy's ``normal`` and ``uniform``; the simulator
-draws standard variates (``standard_normal``, ``random``) and applies each
-law's affine map itself, which gives the same values bit for bit (see
-``simulation``), so ``draw`` is the reference it is tested against.
+draws standard variates (``standard_normal``, and ``random_sample`` of a
+``RandomState`` on the same bit generator) and applies each law's affine
+map itself, which gives the same values bit for bit (see ``simulation``),
+so ``draw`` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -165,25 +173,43 @@ def _as_sample(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def gof_block(ordered: np.ndarray, dist: Distribution) -> tuple[list[float], list[float]]:
-    """One-sample goodness-of-fit test of every row of ``ordered`` against ``dist``.
+def gof_windows(
+    values: np.ndarray, positions: np.ndarray, dist: Distribution
+) -> tuple[list[float], list[float]]:
+    """One-sample goodness-of-fit test of every window of ``values`` against ``dist``.
 
-    ``ordered`` is a k x n float array (k, n >= 1) whose rows are sorted
-    ascending.  Returns the k statistics and the k p-values, in row order.
-    Kolmogorov-Smirnov for continuous laws; against a Degenerate law the
-    statistic is the largest absolute deviation from the point mass and the
-    p-value is 1.0 within DEGENERATE_TOLERANCE, else 0.0.
+    ``values`` is a 1-D float array and ``positions`` a k x n integer array
+    (k, n >= 1) whose row i holds the positions in ``values`` of window i's
+    samples in ascending order of value, so ``values[positions]`` is the
+    block of sorted windows.  Returns the k statistics and the k p-values,
+    in row order.  Kolmogorov-Smirnov for continuous laws; against a
+    Degenerate law the statistic is the largest absolute deviation from the
+    point mass and the p-value is 1.0 within DEGENERATE_TOLERANCE, else 0.0.
+    The CDF is evaluated once per element of ``values``, however many
+    windows share it, and the KS series once per distinct statistic.
     """
-    n = ordered.shape[1]
+    n = positions.shape[1]
     if isinstance(dist, Degenerate):
-        stats = np.abs(ordered - dist.value).max(axis=1)
+        stats = np.abs(values - dist.value)[positions].max(axis=1)
         return stats.tolist(), np.where(stats <= DEGENERATE_TOLERANCE, 1.0, 0.0).tolist()
-    f = _cdf_array(dist, ordered)
+    f = _cdf_array(dist, values)[positions]
     grid = np.arange(1, n + 1) / n
     d_plus = (grid - f).max(axis=1)
     d_minus = (f - (grid - 1.0 / n)).max(axis=1)
     stats = np.maximum(np.maximum(d_plus, d_minus), 0.0).tolist()
-    return stats, [_ks_p_value(d, n) for d in stats]
+    by_stat = {d: _ks_p_value(d, n) for d in set(stats)}
+    return stats, [by_stat[d] for d in stats]
+
+
+def gof_block(ordered: np.ndarray, dist: Distribution) -> tuple[list[float], list[float]]:
+    """One-sample goodness-of-fit test of every row of ``ordered`` against ``dist``.
+
+    ``ordered`` is a k x n float array (k, n >= 1) whose rows are sorted
+    ascending.  Returns the k statistics and the k p-values, in row order,
+    as ``gof_windows`` gives them for the rows laid end to end.
+    """
+    positions = np.arange(ordered.size).reshape(ordered.shape)
+    return gof_windows(ordered.ravel(), positions, dist)
 
 
 def _gof_row(ordered: np.ndarray, dist: Distribution) -> TestResult:

@@ -6,7 +6,9 @@ partial assignment over the subsystem's own sensors) and a list of delayed
 effects on arbitrary sensors.  Build-time validation checks that no two guards
 can match at once, so the table always defines a deterministic transformation.
 Two guards can both match iff they agree on every sensor they share, so the
-check compares guards pairwise instead of enumerating the joint state set.
+check compares guards instead of enumerating the joint state set, and only
+guards that can agree: those with different labels on one sensor never do
+(see ``_first_overlap``).
 
 Composition, too, builds its joint table from pairwise guard merges on one
 path, with no joint state enumerated (see ``compose``).
@@ -17,6 +19,7 @@ returns a new model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -252,18 +255,61 @@ def validate_rules(
                     f"subsystem {subsystem_id!r} rule {i}: delay {effect.delay} invalid, "
                     f"effect must follow cause (delay >= 1)"
                 )
-    # Pairwise determinism check; exact because guards are conjunctions over
-    # the validated labels of this subsystem's sensors.
+    # Determinism check; exact because guards are conjunctions over the
+    # validated labels of this subsystem's sensors.
     guards = [rule.guard for rule in rules]
-    for i, a in enumerate(guards):
-        for j, b in enumerate(guards[i + 1 :], start=i + 1):
-            if guards_overlap(a, b):
-                witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors} | a | b
-                raise ModelError(
-                    f"subsystem {subsystem_id!r}: overlapping guards, rules {i} and "
-                    f"{j} both match {witness!r} "
-                    f"(nondeterministic functional representation)"
-                )
+    pair = _first_overlap(guards, sub.sensors)
+    if pair is not None:
+        i, j = pair
+        witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors}
+        witness |= guards[i] | guards[j]
+        raise ModelError(
+            f"subsystem {subsystem_id!r}: overlapping guards, rules {i} and "
+            f"{j} both match {witness!r} "
+            f"(nondeterministic functional representation)"
+        )
+
+
+def _first_overlap(
+    guards: Sequence[Mapping[str, str]], sensors: Sequence[str]
+) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in lexicographic order, of guards that
+    agree on every sensor they share (``guards_overlap``), or None.
+
+    Only guards that can agree are compared.  The pivot is the sensor most
+    guards read (the first such in ``sensors``); two guards with different
+    labels on it never agree, so a guard that reads it is compared with the
+    later guards of its label and the later guards that do not read it, and
+    a guard that does not read it with every later guard.  Taking each
+    guard's first match in index order gives the pairwise loop's first
+    pair.  A table of one-sensor guards on distinct labels costs one pass.
+    """
+    reads = dict.fromkeys(sensors, 0)
+    for guard in guards:
+        for sensor in guard:
+            reads[sensor] += 1
+    pivot = max(sensors, key=reads.__getitem__)
+    # Guards by their label on the pivot (None: not read), in index order,
+    # and each guard's place in its group.
+    groups: dict[str | None, list[int]] = {}
+    places = []
+    for i, guard in enumerate(guards):
+        group = groups.setdefault(guard.get(pivot), [])
+        places.append(len(group))
+        group.append(i)
+    free = groups.get(None, [])
+    for i, guard in enumerate(guards):
+        label = guard.get(pivot)
+        if label is None:
+            later: Sequence[int] = range(i + 1, len(guards))
+        else:
+            later = groups[label][places[i] + 1 :]
+            if free:
+                later = sorted(later + free[bisect_right(free, i) :])
+        for j in later:
+            if guards_overlap(guard, guards[j]):
+                return i, j
+    return None
 
 
 def build_model(sensors: Sequence[Sensor], subsystems: Sequence[Subsystem]) -> SystemModel:

@@ -65,26 +65,37 @@ every tick it fires on.
 
 Phase 3 is split in two.  Per tick, it makes one zero-argument call per
 random sensor, in sensor order, and keeps the raw draw:
-``rng.standard_normal()`` for a normal state, ``rng.random()`` for a uniform
-one; a point mass makes no call.  The draw methods of a joint label row are
-looked up once, when the row first occurs.  Once per run, ``trace`` turns the
-draws into values with whole-array arithmetic, ``offset + scale * draw``,
-where the offset is the mean or ``lo`` and the scale the standard deviation
-or ``hi - lo`` of the cell's (sensor, state); a point-mass cell takes its
-value as it is, with no ``0.0 * draw`` term, so ``-0.0`` survives.
+``rng.standard_normal()`` for a normal state, and for a uniform one
+``random_sample()`` of a ``RandomState`` that wraps ``rng``'s own bit
+generator; a point mass makes no call.  The draw methods of a joint label
+row are looked up once, when the row first occurs.  Every ``_CHUNK`` draws
+or so go into one float64 array, so a run holds few draws as Python
+floats.  Once per run, ``trace`` turns the draws into values with
+whole-array arithmetic, ``offset + scale * draw``, where the offset is the
+mean or ``lo`` and the scale the standard deviation or ``hi - lo`` of the
+cell's (sensor, state); a point-mass cell takes its value as it is, with
+no ``0.0 * draw`` term, so ``-0.0`` survives.  Normal draws stay scalar
+calls: a normal consumes a varying number of words (the ziggurat rejects
+and retries), so the normals of a row that also draws uniforms cannot be
+taken in one block.
 
 The values are bit-identical to sampling with ``draw(dist, rng, 1)[0]``
-sensor by sensor.  Each zero-argument call consumes the same bits in the
-same order as numpy's own scalar call, and numpy computes
-``Generator.normal(m, s)`` as ``m + s * random_standard_normal`` and
-``Generator.uniform(lo, hi)`` as ``lo + (hi - lo) * next_double``: one
-multiply and one add, each rounded on its own.  Python float operations
-and numpy ufuncs never fuse a multiply and an add into one fused
-multiply-add (FMA).  The assumption is that numpy's C does not fuse them
-either: on x86-64 it is compiled for a baseline without FMA instructions
-(x86-64-v2 for numpy 2.x).  A numpy build that contracts them, possible
-where the baseline has FMA (aarch64), would change the last bit of some
-values; ``tests/test_simulation.py`` compares both ways bit for bit.
+sensor by sensor.  ``RandomState.random_sample()`` and
+``Generator.random()`` both return the bit generator's ``next_double``,
+which for PCG64 is ``(next64 >> 11) * 2**-53``, and consume one 64-bit word
+of the one shared stream; the ``RandomState`` call costs about half as
+much, as it parses no ``dtype`` or ``out`` argument.  So each zero-argument
+call consumes the same bits in the same order as numpy's own scalar call,
+and numpy computes ``Generator.normal(m, s)`` as ``m + s *
+random_standard_normal`` and ``Generator.uniform(lo, hi)`` as ``lo + (hi -
+lo) * next_double``: one multiply and one add, each rounded on its own.
+Python float operations and numpy ufuncs never fuse a multiply and an add
+into one fused multiply-add (FMA).  The assumption is that numpy's C does
+not fuse them either: on x86-64 it is compiled for a baseline without FMA
+instructions (x86-64-v2 for numpy 2.x).  A numpy build that contracts
+them, possible where the baseline has FMA (aarch64), would change the last
+bit of some values; ``tests/test_simulation.py`` compares both ways bit for
+bit.
 """
 
 from __future__ import annotations
@@ -265,7 +276,7 @@ class _Law(NamedTuple):
     ``offset + scale * draw()``, or ``offset`` itself when ``draw`` is None
     (a point mass)."""
 
-    draw: Callable[[], float] | None  # Generator.standard_normal or Generator.random
+    draw: Callable[[], float] | None  # standard_normal, or random_sample of a RandomState
     offset: float  # mean, lo or the point
     scale: float  # stddev, hi - lo, or 0.0 for a point mass
 
@@ -284,6 +295,10 @@ class _QueuedEffect(NamedTuple):
 
 
 _rank = itemgetter(0)
+
+# A run keeps at most about this many standard draws as Python floats; it
+# moves them into a float64 array whenever it has that many.
+_CHUNK = 8192
 
 # A tick's contests: per contested target, the due effects on it, highest
 # rank (the winner) first.
@@ -368,8 +383,10 @@ class Simulator:
             tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[str, str], ...]], _Transition
         ] = {}
         self._log: list[_TickLog] = []
-        # The standard draws of every tick, in tick then sensor order, and
+        # The standard draws of every tick, in tick then sensor order: float64
+        # chunks of about _CHUNK draws, then the latest as Python floats; and
         # each tick's label-row index.
+        self._chunks: list[np.ndarray] = []
         self._draws: list[float] = []
         self._row_indices: list[int] = []
         # Distinct label rows seen, in model order -> (row index, the row's
@@ -384,13 +401,16 @@ class Simulator:
         the first sampled tick, with the random generator the laws draw from,
         so ``label_steps`` builds neither."""
         rng = np.random.default_rng(self._seed)
+        # The legacy wrapper around the same bit generator: its zero-argument
+        # random_sample() is Generator.random() at half the call cost.
+        uniform = np.random.RandomState(rng.bit_generator).random_sample
 
         def law(dist: Distribution) -> _Law:
             if isinstance(dist, Normal):
                 return _Law(rng.standard_normal, float(dist.mean), float(dist.stddev))
             if isinstance(dist, Uniform):
                 lo = float(dist.lo)
-                return _Law(rng.random, lo, float(dist.hi) - lo)
+                return _Law(uniform, lo, float(dist.hi) - lo)
             if isinstance(dist, Degenerate):
                 return _Law(None, float(dist.value), 0.0)
             raise TypeError(f"not a distribution: {dist!r}")
@@ -534,7 +554,11 @@ class Simulator:
             seen = self._label_rows[row] = (len(self._label_rows), samplers, laws)
         index, samplers, _ = seen
         self._row_indices.append(index)
-        self._draws += [draw() for draw in samplers]
+        draws = self._draws
+        draws += [draw() for draw in samplers]
+        if len(draws) >= _CHUNK:
+            self._chunks.append(np.array(draws, dtype=float))
+            self._draws = []
 
     def run(self, horizon: int) -> Trace:
         """Step until ``horizon`` ticks have executed; returns the full trace."""
@@ -567,7 +591,9 @@ class Simulator:
         values = offset[rows]
         cells = drawn[rows]
         with np.errstate(over="ignore"):
-            values[cells] += scale[rows][cells] * np.array(self._draws, dtype=float)
+            values[cells] += scale[rows][cells] * np.concatenate(
+                [*self._chunks, np.array(self._draws, dtype=float)]
+            )
         return Trace(
             sensor_ids=ids,
             values=values,

@@ -18,6 +18,8 @@ from causalcps.distributions import (
     ANOMALOUS,
     Degenerate,
     Normal,
+    Uniform,
+    _ks_p_value,
     match_state,
     sample,
     select_state,
@@ -31,6 +33,7 @@ from causalcps.model import (
     causal_descendants,
     derive_causal_graph,
 )
+from causalcps.scenario import parse_scenario
 from causalcps.simulation import ScriptedIntervention, Trace, run_script
 
 
@@ -127,18 +130,28 @@ class TestDetectEffect:
         with pytest.raises(ValueError, match="out of range"):
             detect_effect(trace, "probe", 60, window=50, alpha=0.01)
 
+    @pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0, 1.0, -0.01])
+    def test_bad_alpha_rejected(self, knife_reference, alpha):
+        with pytest.raises(ValueError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
+            detect_effect(knife_reference, "oven_temp", 100, window=50, alpha=alpha)
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, knife_reference, window):
+        with pytest.raises(ValueError, match=rf"window must be >= 1, got {window}"):
+            detect_effect(knife_reference, "oven_temp", 100, window=window, alpha=0.01)
+
 
 def count_block_rows(monkeypatch):
     """Count every (window, state) pair detection tests: one entry per row of
     each block passed to the goodness-of-fit kernel."""
     tested = []
-    original = detection.gof_block
+    original = detection.gof_windows
 
-    def counting(ordered, dist):
-        tested.extend([dist] * ordered.shape[0])
-        return original(ordered, dist)
+    def counting(values, positions, dist):
+        tested.extend([dist] * positions.shape[0])
+        return original(values, positions, dist)
 
-    monkeypatch.setattr(detection, "gof_block", counting)
+    monkeypatch.setattr(detection, "gof_windows", counting)
     return tested
 
 
@@ -409,3 +422,63 @@ class TestBlockOracle:
         ]
         assert all(scanned and deviating for scanned, deviating in counts[:3])
         assert counts[3:] == [(0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_tied_best_p_values_take_the_first_state(self, order):
+        # Every sample lies within DEGENERATE_TOLERANCE of both point masses,
+        # so both p-values are 1.0; the verdict is the first in state order.
+        laws = {"A": Degenerate(0.0), "B": Degenerate(5e-10)}
+        probe = Sensor("probe", tuple((label, laws[label]) for label in order), order[0])
+        model = build_model((probe, Sensor("other", (("Idle", Degenerate(1.0)),), "Idle")), ())
+        n = 120
+        trace = synthetic_trace(
+            {"probe": [2.5e-10] * n, "other": [1.0] * n},
+            {"probe": [order[1]] * n, "other": ["Idle"] * n},
+        )
+        report = scan_anomalies(trace, model)
+        probed = [v for v in report.verdicts if v.sensor == "probe"]
+        assert probed and all(v.p_values == {"A": 1.0, "B": 1.0} for v in probed)
+        assert {v.matched for v in probed} == {order[0]}
+        assert report == reference_scan(trace, model, 50, 25, 0.01)
+        deviations = expected_state_check(trace, trace, model, scan=report)
+        assert deviations == reference_check(trace, trace, model, 50, 25, 0.01)
+        assert {(d.expected, d.matched) for d in deviations} == {(order[1], order[0])}
+
+    PLANT_SETTINGS = [(50, 25, 0.01), (60, 10, 0.01), (7, 13, 0.05), (1, 1, 0.01)]
+
+    @pytest.fixture(scope="class")
+    def plant(self):
+        """The benchmark's plant: a 300-tick run of plant_monitor(1), its
+        model, and as reference the fault-free run of plant_monitor(2), whose
+        other set-point levels make many windows deviate."""
+        from test_simulation import load_perfbench_generators
+
+        generators = load_perfbench_generators()
+        doc = parse_scenario(generators.plant_monitor(1).yaml_text())
+        other = parse_scenario(generators.plant_monitor(2).yaml_text())
+        reference = other.run(seed=2, horizon=300, include_faults=False)
+        return doc.build(), doc.run(seed=1, horizon=300), reference
+
+    def test_plant_monitor_equals_per_window_loop(self, plant):
+        model, trace, reference = plant
+        laws = {type(dist) for sensor in model.sensors for _, dist in sensor.states}
+        assert laws == {Normal, Uniform, Degenerate}
+        for window, stride, alpha in self.PLANT_SETTINGS:
+            report = scan_anomalies(trace, model, window, stride, alpha)
+            expected = reference_scan(trace, model, window, stride, alpha)
+            assert report == expected
+            assert [repr(v.p_best) for v in report.verdicts] == [
+                repr(v.p_best) for v in expected.verdicts
+            ]
+            # Many windows lie far outside some state's law: d == 1.0.
+            worst = _ks_p_value(1.0, window)
+            assert sum(
+                p == worst for v in report.verdicts for p in v.p_values.values()
+            ) > len(report.verdicts)
+            deviations = expected_state_check(trace, reference, model, window, stride, alpha)
+            assert deviations == reference_check(trace, reference, model, window, stride, alpha)
+            assert deviations
+            shared = expected_state_check(
+                trace, reference, model, window, stride, alpha, scan=report
+            )
+            assert shared == deviations

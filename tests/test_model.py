@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from causalcps import model as model_module
 from causalcps.distributions import Degenerate, Normal
 from causalcps.model import (
     CausalEdge,
@@ -25,6 +26,7 @@ from causalcps.model import (
     guards_overlap,
     validate_rules,
 )
+from causalcps.scenario import parse_scenario
 from causalcps.simulation import run_script
 
 
@@ -196,7 +198,88 @@ def random_tables(seed, count):
         yield model, sub, rules
 
 
+def pairwise_overlap_error(model, sub, rules):
+    """The determinism error of the pairwise loop ``validate_rules`` once
+    ran, comparing every pair of guards in index order, or None."""
+    guards = [rule.guard for rule in rules]
+    for i, a in enumerate(guards):
+        for j, b in enumerate(guards[i + 1 :], start=i + 1):
+            if guards_overlap(a, b):
+                witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors} | a | b
+                return (
+                    f"subsystem {sub.id!r}: overlapping guards, rules {i} and "
+                    f"{j} both match {witness!r} "
+                    f"(nondeterministic functional representation)"
+                )
+    return None
+
+
+def grouped_tables(seed, count):
+    """Subsystems of 1-4 sensors with 2-5 states whose guards are distinct
+    joint states, each sensor dropped from a guard now and then, so that
+    most guards are grouped by their label on the sensor they all read and
+    overlaps are rare and late; yields (model, subsystem, rules)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        owned = [n_state(f"x{i}", rng.randint(2, 5)) for i in range(rng.randint(1, 4))]
+        ids = tuple(s.id for s in owned)
+        sub = Subsystem("sub", SubsystemKind.COMPONENT, ids, ())
+        model = build_model((*owned, n_state("out", 2)), (sub,))
+        combos = list(itertools.product(*(s.labels() for s in owned)))
+        rng.shuffle(combos)
+        guards = []
+        for combo in combos[: rng.randint(0, 40)]:
+            guard = dict(zip(ids, combo))
+            for sid in ids:
+                if rng.random() < 0.04:
+                    del guard[sid]
+            guards.append(guard)
+        rules = tuple(Rule(guard, (Effect("out", "S1", 1),)) for guard in guards)
+        yield model, sub, rules
+
+
 class TestDeterminismCheck:
+    def test_grouped_check_equals_pairwise_loop(self):
+        outcomes = []
+        for model, sub, rules in [*grouped_tables(seed=24, count=600), *random_tables(3, 300)]:
+            expected = pairwise_overlap_error(model, sub, rules)
+            try:
+                validate_rules(model, sub.id, rules)
+                got = None
+            except ModelError as exc:
+                got = str(exc)
+            assert got == expected, rules
+            outcomes.append(expected is None)
+        assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
+
+    def test_one_sensor_table_of_2000_rules_is_checked_in_one_pass(self, monkeypatch):
+        n = 2000
+        states = "\n".join(f"  - {{label: S{k}, dist: degenerate({k})}}" for k in range(n))
+        rules = "\n".join(
+            f"  - when: {{s: S{k}}}\n    then: [{{sensor: out, state: S{(k + 1) % n}, delay: 1}}]"
+            for k in range(n)
+        )
+        text = (
+            f"horizon: 5\nsensors:\n- id: s\n  initial: S0\n  states:\n{states}\n"
+            f"- id: out\n  initial: S0\n  states:\n{states}\n"
+            f"- id: spare\n  initial: S0\n  states:\n  - {{label: S0, dist: degenerate(0)}}\n"
+            f"subsystems:\n- id: table\n  kind: component\n  sensors: [spare, s]\n"
+            f"  rules:\n{rules}\n"
+        )
+        compared = []
+        overlap = model_module.guards_overlap
+
+        def counting(a, b):
+            compared.append(1)
+            return overlap(a, b)
+
+        monkeypatch.setattr(model_module, "guards_overlap", counting)
+        doc = parse_scenario(text)
+        assert len(doc.build().subsystem("table").rules) == n
+        # The guards read s, not spare, and each is its label's only one:
+        # no pair is compared.
+        assert len(compared) == 0
+
     def test_pairwise_check_agrees_with_exhaustive_oracle(self):
         verdicts = []
         for model, sub, rules in random_tables(seed=20221018, count=400):

@@ -18,6 +18,7 @@ from causalcps.model import (
     build_model,
     validate_rules,
 )
+from causalcps import simulation
 from causalcps.scenario import export_trace, import_trace, parse_scenario
 from causalcps.simulation import (
     EFFECT_APPLIED,
@@ -820,3 +821,57 @@ class TestStandardDraws:
             )
         assert families == {Normal, Uniform, Degenerate}
         assert overflows > 0
+
+    def draw_values(self, model, seed, trace):
+        """The values of ``trace``'s label rows drawn with ``draw(dist, rng, 1)[0]``
+        from one generator, in tick then sensor order."""
+        rng = np.random.default_rng(seed)
+        return [
+            [
+                float(draw(sensor.distribution(table[code]), rng, 1)[0])
+                for sensor, table, code in zip(model.sensors, trace.label_tables, row)
+            ]
+            for row in trace.codes.tolist()
+        ]
+
+    def assert_bit_exact(self, model, seed, horizon, script=()):
+        trace = run_script(model, seed, horizon, script)
+        got = [[value.hex() for value in row] for row in trace.values.tolist()]
+        expected = self.draw_values(model, seed, trace)
+        assert got == [[value.hex() for value in row] for row in expected]
+        return trace
+
+    @pytest.fixture(params=["default chunks", "a chunk every 7 draws"])
+    def chunk(self, request, monkeypatch):
+        """Runs keep their draws in one chunk, or in many that split ticks."""
+        if request.param != "default chunks":
+            monkeypatch.setattr(simulation, "_CHUNK", 7)
+
+    def test_rows_interleaving_uniform_normal_and_point_mass(self, chunk):
+        laws = [Uniform(-2.0, 3.0), Normal(5.0, 0.5), Degenerate(-0.0), Uniform(0.0, 1.0),
+                Uniform(-1e-3, 1e-3), Normal(-7.0, 2.0), Degenerate(7.0), Normal(0.0, 1e-300)]
+        sensors = [Sensor(f"s{i}", (("S", law),), "S") for i, law in enumerate(laws)]
+        model = build_model(sensors, ())
+        for seed in range(5):
+            self.assert_bit_exact(model, seed, 200)
+
+    def test_sensor_switching_between_uniform_and_normal(self, chunk):
+        mixed = Sensor("mixed", (("U", Uniform(10.0, 20.0)), ("N", Normal(15.0, 3.0))), "U")
+        after = Sensor("after", (("N", Normal(-1.0, 1.0)), ("U", Uniform(-1.0, 1.0))), "N")
+        model = build_model([mixed, after], ())
+        for seed in range(5):
+            rng = random.Random(seed)
+            script = [
+                ScriptedIntervention(tick, rng.choice(("mixed", "after")), rng.choice(("U", "N")))
+                for tick in sorted(rng.sample(range(1, 300), 40))
+            ]
+            trace = self.assert_bit_exact(model, seed, 300, script)
+            assert set(trace.labels_for("mixed")) == {"U", "N"}
+
+    def test_uniform_of_large_finite_width(self, chunk):
+        laws = [Uniform(-8e307, 8e307), Uniform(-1.7e308, 0.0), Uniform(-1e308, 7.9e307)]
+        sensors = [Sensor(f"s{i}", (("S", law),), "S") for i, law in enumerate(laws)]
+        model = build_model(sensors, ())
+        for seed in range(5):
+            trace = self.assert_bit_exact(model, seed, 200)
+            assert np.isfinite(trace.values).all()
