@@ -22,9 +22,10 @@ p-value (``argmax`` keeps the first maximum in state order), or ANOMALOUS
 where that p-value is below ``alpha / len(states)``.  That is
 ``select_state``'s rule: it keeps the states whose p-value reaches that
 level and picks the first of highest p-value among them, and the states of
-highest p-value are kept exactly when the highest p-value reaches it.  Both
-functions reject a bad window, stride or alpha on entry, even when there is
-no window to test.
+highest p-value are kept exactly when the highest p-value reaches it.  A
+verdict's ``p_values`` are its window's row of that matrix, as Python
+floats, and ``WindowVerdict`` has slots.  Both functions reject a bad
+window, stride or alpha on entry, even when there is no window to test.
 
 A window that both functions cover is tested once when the check is handed
 the scan's report (``scan=``): a window's statistics depend only on its own
@@ -35,6 +36,7 @@ windows of its block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ DEFAULT_STRIDE = 25
 DEFAULT_ALPHA = 0.01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowVerdict:
     """Outcome of matching one window of one sensor against its state set."""
 
@@ -146,8 +148,8 @@ def _window_verdicts(
     alpha: float,
 ) -> tuple[list[str], list[list[float]]]:
     """The verdict on every window ``values[start : start + window]``, one
-    per start (``starts`` ascending), and the windows' p-values against every
-    labeled state, one list per state in state order (see the module
+    per start (``starts`` ascending), and each window's p-values against
+    every labeled state, one row per window in state order (see the module
     docstring)."""
     if not starts:
         return [], []
@@ -156,15 +158,14 @@ def _window_verdicts(
     offsets = np.subtract(starts, first)[:, np.newaxis]
     positions = span[offsets + np.arange(window)].argsort(axis=1)
     positions += offsets
-    columns = [gof_windows(span, positions, dist)[1] for _, dist in states]
-    p_values = np.array(columns)
+    p_values = np.array([gof_windows(span, positions, dist)[1] for _, dist in states])
     fits = (p_values.max(axis=0) >= alpha / len(states)).tolist()
     labels = [label for label, _ in states]
     matched = [
         labels[best] if fit else ANOMALOUS
         for best, fit in zip(p_values.argmax(axis=0).tolist(), fits)
     ]
-    return matched, columns
+    return matched, p_values.T.tolist()
 
 
 def scan_anomalies(
@@ -186,20 +187,18 @@ def scan_anomalies(
         codes = trace.codes_for(sensor_id)
         starts = [start for start, _ in constant_label_windows(codes, window, stride)]
         states = model.sensor(sensor_id).states
-        matched, columns = _window_verdicts(
+        matched, rows = _window_verdicts(
             trace.values_for(sensor_id), starts, window, states, alpha
         )
         labels = [label for label, _ in states]
+        p_values = [dict(zip(labels, row)) for row in rows]
+        # Fields in declaration order: sensor, start, length, matched,
+        # p_values, alpha.
         verdicts.extend(
-            WindowVerdict(
-                sensor=sensor_id,
-                start=start,
-                length=window,
-                matched=state,
-                p_values=dict(zip(labels, window_p)),
-                alpha=alpha,
+            map(
+                WindowVerdict,
+                repeat(sensor_id), starts, repeat(window), matched, p_values, repeat(alpha),
             )
-            for start, state, window_p in zip(starts, matched, zip(*columns))
         )
     return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
 

@@ -158,6 +158,11 @@ class SystemModel:
     def _subsystem_map(self) -> dict[str, Subsystem]:
         return {s.id: s for s in self.subsystems}
 
+    @cached_property
+    def _label_sets(self) -> dict[str, frozenset[str]]:
+        """Each sensor's state labels as a set, for rule validation."""
+        return {s.id: frozenset(s.labels()) for s in self.sensors}
+
     def sensor(self, sensor_id: str) -> Sensor:
         try:
             return self._sensor_map[sensor_id]
@@ -231,6 +236,7 @@ def validate_rules(
     """
     sub = model.subsystem(subsystem_id)
     own = set(sub.sensors)
+    label_sets = model._label_sets
     for i, rule in enumerate(rules):
         for sensor_id, label in rule.guard.items():
             if sensor_id not in own:
@@ -238,14 +244,15 @@ def validate_rules(
                     f"subsystem {subsystem_id!r} rule {i}: guard sensor {sensor_id!r} "
                     f"is not one of its sensors"
                 )
-            if label not in model.sensor(sensor_id).labels():
+            if label not in label_sets[sensor_id]:
                 raise ModelError(
                     f"subsystem {subsystem_id!r} rule {i}: sensor {sensor_id!r} "
                     f"has no state {label!r}"
                 )
         for effect in rule.effects:
-            sensor = model.sensor(effect.target)
-            if effect.state not in sensor.labels():
+            if effect.target not in label_sets:
+                model.sensor(effect.target)  # raises the unknown-sensor error
+            if effect.state not in label_sets[effect.target]:
                 raise ModelError(
                     f"subsystem {subsystem_id!r} rule {i}: sensor {effect.target!r} "
                     f"has no state {effect.state!r}"

@@ -60,12 +60,16 @@ its file.
 
 Trace CSVs hold the columns of a ``Trace`` (values and labels, not its event
 log), one ``tick,sensor_id,value,state_label`` row per tick and sensor.
-``export_trace`` fills the slots of a chunk of rows from the value and
-label-code matrices and joins them, chunk by chunk, values written with
-``repr``.  ``import_trace`` reads text in export's own layout by column, one
-chunk of rows at a time: it splits each chunk and converts its value column
-with ``float`` into arrays allocated once.  So either holds little more
-than the text and the trace's arrays at a time.  Every other text it
+``export_trace`` fills four slots per row of a chunk, the tick,
+``",<id>,"``, the value's ``repr`` and ``",<label>\\n"``, from the value and
+label-code matrices and joins them, chunk by chunk.  ``import_trace`` reads
+text in export's own layout by column, one chunk of rows at a time, into
+arrays that the last row's tick sizes: it splits each chunk, converts its
+value column with ``float`` and codes its label column with one coder
+shared by all sensors.  At the end each column is recoded from the shared
+codes to its sensor's table, from the (sensor, label) pairs that occur,
+with no sensors x labels table.  So either holds little more than the text
+and the trace's arrays at a time.  Every other text it
 accepts (another row order, blank lines, quoted fields, CRLF line ends) is
 read row by row, and so is a text with a bad, repeated or missing row, to
 name the first bad row in file order.
@@ -831,6 +835,8 @@ def serialize_scenario(doc: ScenarioDocument) -> str:
 def export_trace(trace: Trace) -> str:
     """Trace CSV: ``tick,sensor_id,value,state_label``, rows sorted by
     (tick, sensor_id); float repr keeps the values bit-exact on re-import.
+    Each row is four joined strings: the tick, ``",<id>,"``, the value's
+    ``repr`` and ``",<label>\\n"``.
 
     A non-finite value, which ``import_trace`` would refuse, is refused here
     too: the error names the first one in row order and nothing is returned.
@@ -841,10 +847,11 @@ def export_trace(trace: Trace) -> str:
         t, k = np.argwhere(~np.isfinite(trace.values[:, order]))[0].tolist()
         value = trace.values[t, order[k]].item()
         raise ScenarioError(f"trace tick {t}, sensor {ids[k]!r}: non-finite value {value!r}")
-    # Row ends of all sensors' labels in one list, sensor j's codes offset by
-    # the lengths of the tables before it.
-    ends = [label + "\n" for j in order for label in trace.label_tables[j]]
+    # The row ends ",<label>\n" of all sensors' labels in one list, sensor
+    # j's codes offset by the lengths of the tables before it.
+    ends = ["," + label + "\n" for j in order for label in trace.label_tables[j]]
     offsets = np.cumsum([0] + [len(trace.label_tables[j]) for j in order[:-1]], dtype=np.intp)
+    separated_ids = ["," + sensor_id + "," for sensor_id in ids]
     width = len(ids)
     step = max(1, _CHUNK_ROWS // max(1, width))
     chunks = [_TRACE_HEADER_LINE]
@@ -852,12 +859,12 @@ def export_trace(trace: Trace) -> str:
     for t in range(0, len(trace) if width else 0, step):
         values = trace.values[t : t + step, order]
         codes = trace.codes[t : t + step, order] + offsets
-        # 7 slots per row: tick, ",", id, ",", value, ",", label + "\n".
-        parts = [","] * (7 * values.size)
-        parts[0::7] = _tick_strings(t * width, t * width + values.size, width)
-        parts[2::7] = ids * len(values)
-        parts[4::7] = map(repr, values.ravel().tolist())
-        parts[6::7] = map(ends.__getitem__, codes.ravel().tolist())
+        # 4 slots per row: tick, "," + id + ",", value, "," + label + "\n".
+        parts = [""] * (4 * values.size)
+        parts[0::4] = _tick_strings(t * width, t * width + values.size, width)
+        parts[1::4] = separated_ids * len(values)
+        parts[2::4] = map(repr, values.ravel().tolist())
+        parts[3::4] = map(ends.__getitem__, codes.ravel().tolist())
         chunks.append("".join(parts))
     return "".join(chunks)
 
@@ -912,10 +919,12 @@ def import_trace(text: str, model: SystemModel | None = None) -> Trace:
 
     Text in the layout that ``export_trace`` writes (its header line, then
     ticks ``0..T-1`` in order, each listing the same sensors in the same
-    order) is read by column, one chunk of rows at a time.  Every other text
-    that is accepted (another row order, blank lines, quoted fields, CRLF
-    line ends) is read row by row, and so is every text with a bad, repeated
-    or missing row, whose error names the first bad row in file order.
+    order) is read by column, one chunk of rows at a time, with one label
+    coder shared by all sensors; each column is recoded to its sensor's
+    table once the last chunk is read.  Every other text that is accepted
+    (another row order, blank lines, quoted fields, CRLF line ends) is read
+    row by row, and so is every text with a bad, repeated or missing row,
+    whose error names the first bad row in file order.
     """
     trace = _trace_by_column(text, model)
     if trace is not None:
@@ -944,37 +953,44 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
     if not text.startswith(_TRACE_HEADER_LINE) or '"' in text or "\r" in text or "\0" in text:
         return None
     start = len(_TRACE_HEADER_LINE)
-    rows = text.count("\n", start) + (not text.endswith("\n"))
-    # Tick 0 is the rows before the first row of tick 1, or all rows.
+    end = len(text) - text.endswith("\n")
+    # Tick 0 is the rows before the first row of tick 1, or all rows, the
+    # last of which has no row end if the text does not end with one.
     tick_1 = text.find("\n1,") + 1 or len(text)
-    width = rows if tick_1 == len(text) else text.count("\n", start, tick_1)
-    if not width or rows % width:
+    width = text.count("\n", start, tick_1) + (tick_1 == end)
+    # The last row's tick gives the horizon, so the text is not scanned for
+    # row ends ahead of the chunks; the rows read must fill it exactly.
+    try:
+        horizon = int(text[text.rfind("\n", 0, end) + 1 : end].partition(",")[0]) + 1
+    except ValueError:
         return None
-    horizon = rows // width
+    rows = horizon * width
+    if not 0 < rows <= len(text):
+        return None
     sensor_ids = tuple(text[start:tick_1].replace("\n", ",").split(",")[1::4])
     if len(sensor_ids) != width or len(set(sensor_ids)) != width:
         return None
-    # Each sensor's labels are coded in order of first sight, and recoded
-    # to the sensor's table at the end.
-    coders = [defaultdict() for _ in sensor_ids]
-    for coder in coders:
-        coder.default_factory = coder.__len__
+    # Every label is coded by one coder shared by all sensors, in order of
+    # first sight, and each column is recoded to its sensor's table at the end.
+    coder = defaultdict()
+    coder.default_factory = coder.__len__
     values = np.empty(rows)
     codes = np.empty(rows, dtype=np.intp)
     row = 0
-    while row < rows:
+    while start < len(text):
         stop = text.find("\n", start + _CHUNK_CHARS)
         if stop < 0:
-            stop = len(text) - text.endswith("\n")
+            stop = end
         chunk = text[start:stop]
         start = stop + 1
-        n = chunk.count("\n") + 1
         # Four fields in every row iff the separators, in order, are ",,,\n"
         # per row: a field count alone would accept a short row followed by a
         # long one.  A blank line breaks the pattern too.  Neither byte occurs
-        # inside a multi-byte UTF-8 character.
+        # inside a multi-byte UTF-8 character, so the separators hold every
+        # row end of the chunk.
         separators = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-        if separators != b",,,\n" * (n - 1) + b",,,":
+        n = separators.count(b"\n") + 1
+        if separators != b",,,\n" * (n - 1) + b",,," or row + n > rows:
             return None
         fields = chunk.replace("\n", ",").split(",")
         first = row % width
@@ -988,25 +1004,39 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
         if not np.isfinite(chunk_values).all():
             return None
         values[row : row + n] = chunk_values
-        labels = fields[3::4]
-        # Sensor j's rows in the chunk are every width-th row from its first.
-        for i in range(min(width, n)):
-            coder = coders[(row + i) % width]
-            codes[row + i : row + n : width] = np.fromiter(
-                map(coder.__getitem__, labels[i::width]), np.intp
-            )
+        codes[row : row + n] = np.fromiter(map(coder.__getitem__, fields[3::4]), np.intp, n)
         row += n
+    if row < rows:
+        return None
+    # Each cell becomes its (sensor, label) key, sensor * len(coder) + label
+    # code.  A column shows a key first at tick 0 or where its key changes,
+    # so the keys that occur are found without a sensors x labels table.
     codes = codes.reshape(horizon, width)
-    tables = _label_tables(sensor_ids, coders, model)
+    codes += np.arange(width) * len(coder)
+    changed = codes[1:][codes[1:] != codes[:-1]]
+    pairs = sorted({*codes[0].tolist(), *changed.tolist()})
+    shown: list[list[str]] = [[] for _ in sensor_ids]
+    labels = list(coder)
+    for key in pairs:
+        j, k = divmod(key, len(coder))
+        shown[j].append(labels[k])
+    tables = _label_tables(sensor_ids, shown, model)
     if tables is None:
         return None
-    for j, (coder, table) in enumerate(zip(coders, tables)):
+    recode = []
+    for column, table in zip(shown, tables):
         code = {label: k for k, label in enumerate(table)}
         try:
-            recode = np.fromiter(map(code.__getitem__, coder), np.intp, len(coder))
+            recode.extend(map(code.__getitem__, column))
         except KeyError:
             return None
-        codes[:, j] = recode[codes[:, j]]
+    # In blocks of about _CHUNK_ROWS cells, so that no temporary spans the
+    # trace.
+    keys, recoded = np.array(pairs), np.array(recode, dtype=np.intp)
+    step = max(1, _CHUNK_ROWS // width)
+    for t in range(0, horizon, step):
+        block = codes[t : t + step]
+        np.take(recoded, np.searchsorted(keys, block), out=block)
     return Trace(sensor_ids, values.reshape(horizon, width), codes, tables)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -203,6 +204,20 @@ class TestScanAnomalies:
             if not verdict.anomalous:
                 level = verdict.alpha / len(verdict.p_values)
                 assert verdict.p_values[verdict.matched] >= level
+
+    def test_verdicts_are_frozen_and_slotted(self, knife_model):
+        # oven_temp at Ambient, then stuck at ~400 under the same label.
+        values = {"oven_temp": [*sample(Normal(20, 2), 5, 60), *sample(Normal(400, 10), 6, 60)]}
+        trace = synthetic_trace(values, {"oven_temp": ["Ambient"] * 120})
+        report = scan_anomalies(trace, knife_model)
+        verdict = report.verdicts[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.matched = ANOMALOUS
+        assert not hasattr(verdict, "__dict__")
+        flagged = report.anomalous_verdicts()
+        assert [v.start for v in flagged] == [25, 50]
+        assert flagged == [v for v in report.verdicts if v.matched == ANOMALOUS]
+        assert all(type(p) is float for v in report.verdicts for p in v.p_values.values())
 
 
 class TestExpectedStateCheck:

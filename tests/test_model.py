@@ -128,6 +128,34 @@ class TestBuildModel:
         )
         assert simple_model(sub).subsystem("sub").rules[0].effects[0].target == "s2"
 
+    @pytest.mark.parametrize(
+        "rules,message",
+        [
+            (
+                [Rule({"s0": "A"}, (Effect("s1", "Z", 1),)), Rule({"s0": "Z"}, ())],
+                "rule 0: sensor 's1' has no state 'Z'",
+            ),
+            (
+                [Rule({"s0": "A"}, ()), Rule({"s0": "Z"}, (Effect("s1", "Z", 1),))],
+                "rule 1: sensor 's0' has no state 'Z'",
+            ),
+            ([Rule({"s0": "B"}, (Effect("nope", "A", 1),))], "unknown sensor id 'nope'"),
+            (
+                [Rule({"s0": "B"}, (Effect("s2", "B", 0), Effect("s2", "Z", 1)))],
+                "rule 0: delay 0 invalid",
+            ),
+            (
+                [Rule({"s0": "B"}, (Effect("s2", "Z", 0),)), Rule({"s1": "A"}, ())],
+                "rule 0: sensor 's2' has no state 'Z'",
+            ),
+        ],
+    )
+    def test_first_bad_rule_is_named_guards_before_effects(self, rules, message):
+        model = simple_model(Subsystem("sub", SubsystemKind.COMPONENT, ("s0",), ()))
+        with pytest.raises(ModelError) as raised:
+            validate_rules(model, "sub", rules)
+        assert message in str(raised.value)
+
     def test_subsystem_owning_every_sensor_rejected(self):
         sub = Subsystem("sub", SubsystemKind.COMPONENT, ("s0", "s1", "s2"), ())
         with pytest.raises(ModelError, match="proper subset"):

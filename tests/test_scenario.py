@@ -17,7 +17,7 @@ import yaml
 import causalcps.scenario as scenario_module
 from causalcps.detection import scan_anomalies
 from causalcps.distributions import Degenerate, Normal, Uniform
-from causalcps.model import ModelError, SubsystemKind
+from causalcps.model import ModelError, Sensor, SubsystemKind, build_model
 from causalcps.planning import Functionality, Plan, PlanStep
 from causalcps.scenario import (
     ScenarioError,
@@ -1243,6 +1243,67 @@ class TestChunkedImport:
                 agrees_with_row_loop(name, variant, with_model)
                 taken = scenario_module._trace_by_column(variant, with_model) is not None
                 assert taken == expected, (name, with_model is not None)
+
+    @pytest.fixture(scope="class")
+    def shared_labels(self):
+        """A trace of 4,000 ticks whose sensors share label strings but not
+        tables, and its model: ``a`` shows Lo and Hi, ``b`` shows Hi and Mid,
+        and ``c`` shows only Lo, the second label of its table."""
+        from causalcps.simulation import Trace
+
+        tables = {"a": ("Lo", "Hi"), "b": ("Mid", "Hi"), "c": ("Mid", "Lo")}
+        model = build_model(
+            tuple(
+                Sensor(sensor, tuple((label, Degenerate(k)) for k, label in enumerate(table)), table[0])
+                for sensor, table in tables.items()
+            ),
+            (),
+        )
+        rng = random.Random(20261020)
+        n = 4000
+        values = {sensor: [rng.random() for _ in range(n)] for sensor in tables}
+        labels = {
+            "a": [("Lo", "Hi")[t // 500 % 2] for t in range(n)],
+            "b": [("Hi", "Mid")[t // 700 % 2] for t in range(n)],
+            "c": ["Lo"] * n,
+        }
+        return export_trace(Trace.from_columns(values, labels)), model
+
+    def test_label_of_another_sensor_at_chunk_starts(self, shared_labels):
+        """A label that only another sensor has, at the first row of the
+        second and the third chunk: the model refuses the first of them, and
+        without it each sensor's table lists only the labels it shows."""
+        text, model = shared_labels
+        header, *rows = text.splitlines(keepends=True)
+        firsts = chunk_first_rows(text)
+        assert len(firsts) >= 3
+        not_its_own = {"a": "Mid", "b": "Lo", "c": "Hi"}
+        for at in firsts[1:3]:
+            tick, sensor, value, _ = rows[at].rstrip("\n").split(",")
+            rows[at] = f"{tick},{sensor},{value},{not_its_own[sensor]}\n"
+        variant = header + "".join(rows)
+        assert chunk_first_rows(variant)[1:3] == firsts[1:3]
+        assert not agrees_with_row_loop("label of another sensor", variant, model)
+        with pytest.raises(ScenarioError, match=f"^trace CSV row {firsts[1] + 2}: sensor "):
+            import_trace(variant, model)
+        assert scenario_module._trace_by_column(variant, model) is None
+        assert agrees_with_row_loop("label of another sensor", variant, None)
+        trace = scenario_module._trace_by_column(variant, None)
+        assert trace is not None
+        shown = {sensor: set() for sensor in trace.sensor_ids}
+        for row in rows:
+            _, sensor, _, label = row.rstrip("\n").split(",")
+            shown[sensor].add(label)
+        assert trace.label_tables == tuple(tuple(sorted(shown[s])) for s in trace.sensor_ids)
+
+    def test_sensor_showing_one_of_its_labels(self, shared_labels):
+        text, model = shared_labels
+        for with_model, table, code in ((model, ("Mid", "Lo"), 1), (None, ("Lo",), 0)):
+            assert agrees_with_row_loop("one label", text, with_model)
+            trace = scenario_module._trace_by_column(text, with_model)
+            assert trace is not None
+            assert trace.label_table("c") == table
+            assert set(trace.codes_for("c").tolist()) == {code}
 
     def test_import_and_export_hold_less_than_three_times_the_text(self, plant_doc):
         trace = plant_doc.run()
