@@ -300,6 +300,8 @@ def _check_deviation(model: SystemModel, deviation: Deviation, horizon: int) -> 
         raise ModelError(f"{where}: the sensor has no state {deviation.expected!r}")
     if deviation.matched not in labels and deviation.matched != ANOMALOUS:
         raise ModelError(f"{where}: the sensor has no state {deviation.matched!r}")
+    if deviation.matched == deviation.expected:
+        raise ModelError(f"{where}: the matched state is the expected state {deviation.expected!r}")
     if not 0 <= deviation.start < horizon:
         raise ModelError(f"{where}: the window start is outside the horizon [0, {horizon})")
 
@@ -320,10 +322,10 @@ def diagnose(
     Returns only consistent hypotheses, ranked by (cardinality, sorted
     component ids); no returned hypothesis is a strict superset of another.
     Every deviation must fit the scenario (a known sensor, states it has or
-    ``ANOMALOUS`` as the match, a window start in ``[0, horizon)``), else a
-    ModelError names the first that does not; likewise the first unknown
-    sensor in ``observed``.  NothingToDiagnose means that no deviation lies
-    on an observed sensor.
+    ``ANOMALOUS`` as the match, a match other than the expected state, a
+    window start in ``[0, horizon)``), else a ModelError names the first
+    that does not; likewise the first unknown sensor in ``observed``.
+    NothingToDiagnose means that no deviation lies on an observed sensor.
     """
     if max_cardinality < 1:
         raise ValueError(f"max_cardinality must be >= 1, got {max_cardinality}")

@@ -241,9 +241,10 @@ def knife_detect_digests(out_dir, seed, *detect_options):
     return {name: digest(path) for name, path in outputs.items()}
 
 
-def knife_artifact_digests(out_dir):
-    """Run the whole CLI pipeline on the bundled knife scenario at seed 1 and
-    return the sha256 digest of every artifact, by file name."""
+def knife_artifact_digests(out_dir, run=main):
+    """Run the whole CLI pipeline on the bundled knife scenario at seed 1,
+    passing each command's argument list to ``run`` (which returns the exit
+    status), and return the sha256 digest of every artifact, by file name."""
     s = str(BUNDLED_KNIFE)
     faulty, reference = out_dir / "faulty.csv", out_dir / "reference.csv"
     deviations = out_dir / "deviations.csv"
@@ -265,7 +266,7 @@ def knife_artifact_digests(out_dir):
             argv += ["--goal", entry]
         commands.append(argv)
     for argv in commands:
-        assert main(argv) == 0, argv
+        assert run(argv) == 0, argv
     return {path.name: digest(path) for path in sorted(out_dir.glob("*.csv"))}
 
 
@@ -848,9 +849,11 @@ class TestDiagnoseInvalidInput:
             ("oven_temp,8,Hot,Warm", "the sensor has no state 'Warm'"),
             ("oven_temp,-1,Hot,Ambient", "outside the horizon [0, 300)"),
             ("oven_temp,300,Hot,Ambient", "outside the horizon [0, 300)"),
+            ("lid_state,0,Open,Open", "the matched state is the expected state 'Open'"),
         ],
         ids=[
-            "unknown sensor", "expected state", "matched state", "negative start", "start at horizon"
+            "unknown sensor", "expected state", "matched state", "negative start",
+            "start at horizon", "no deviation",
         ],
     )
     @pytest.mark.parametrize("alone", [True, False], ids=["alone", "among valid rows"])

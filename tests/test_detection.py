@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from causalcps.model import (
     derive_causal_graph,
 )
 from causalcps.scenario import parse_scenario
-from causalcps.simulation import ScriptedIntervention, Trace, run_script
+from causalcps.simulation import FaultSpec, ScriptedIntervention, Trace, run_script
+from test_diagnosis import random_cone_model
 
 
 def synthetic_trace(values_by_sensor, labels_by_sensor):
@@ -497,3 +499,51 @@ class TestBlockOracle:
                 trace, reference, model, window, stride, alpha, scan=report
             )
             assert shared == deviations
+
+
+def label_deviations(faulty, reference, window, stride):
+    """The deviations that exact detection reports, read straight from the
+    two runs' label columns: each stride-aligned window inside a run of one
+    reference label deviates when the faulty labels over it are not all that
+    label, and matches the faulty run's one label, or ANOMALOUS when they
+    mix."""
+    deviations = []
+    for sensor in sorted(reference.sensor_ids):
+        shown = faulty.labels_for(sensor)
+        segment_start = 0
+        for expected, segment in itertools.groupby(reference.labels_for(sensor)):
+            segment_end = segment_start + len(list(segment))
+            for start in range(segment_start, segment_end - window + 1, stride):
+                labels = set(shown[start : start + window])
+                if labels != {expected}:
+                    matched = labels.pop() if len(labels) == 1 else ANOMALOUS
+                    deviations.append(Deviation(sensor, start, expected, matched))
+            segment_start = segment_end
+    return deviations
+
+
+def test_point_mass_deviations_equal_label_differences_on_random_models():
+    """Every state of a ``random_cone_model`` sensor is a point mass, so
+    detection is exact: with each component's table emptied from tick 0 in
+    turn, ``expected_state_check`` reports exactly ``label_deviations`` of
+    the faulty and the fault-free run, at a window and stride drawn per
+    model."""
+    rng = random.Random(5)
+    horizon = 120
+    seen = Counter()
+    for case in range(150):
+        model, interventions = random_cone_model(rng, horizon)
+        window, stride = rng.randint(1, 12), rng.randint(1, 8)
+        reference = run_script(model, 2, horizon, interventions)
+        for component in sorted(model.component_ids()):
+            faults = [FaultSpec(component, (), 0)]
+            faulty = run_script(model, 1, horizon, interventions, faults)
+            deviations = expected_state_check(faulty, reference, model, window, stride)
+            assert deviations == label_deviations(faulty, reference, window, stride), (
+                case, component
+            )
+            seen["cases"] += 1
+            seen["no deviation" if not deviations else "deviations"] += 1
+            for deviation in deviations:
+                seen["anomalous" if deviation.matched == ANOMALOUS else "one label"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 5, seen

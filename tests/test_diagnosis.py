@@ -17,6 +17,7 @@ from causalcps.diagnosis import (
 from causalcps.distributions import Degenerate
 from causalcps.model import (
     Effect,
+    ModelError,
     Rule,
     Sensor,
     Subsystem,
@@ -193,6 +194,22 @@ class TestDiagnoseErrors:
                 knife_deviations,
                 knife_model.sensor_ids(),
                 max_cardinality=0,
+            )
+
+    def test_deviation_that_matches_its_expected_state_rejected(self, knife_doc, knife_model):
+        # detect never writes such a row; taken as one, it made lid_state a
+        # deviating sensor and answered sensor-fault:lid_state.
+        with pytest.raises(
+            ModelError,
+            match="^deviation on 'lid_state' at window start 0: "
+            "the matched state is the expected state 'Open'$",
+        ):
+            diagnose(
+                knife_model,
+                knife_doc.interventions,
+                knife_doc.horizon,
+                [Deviation("lid_state", 0, "Open", "Open")],
+                knife_model.sensor_ids(),
             )
 
     def test_horizon_below_one_rejected(self, knife_doc, knife_model, knife_deviations):

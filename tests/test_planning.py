@@ -1,7 +1,12 @@
 import itertools
+import math
+import random
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 
+from causalcps.model import guards_overlap
 from causalcps.planning import (
     Functionality,
     Plan,
@@ -242,6 +247,128 @@ class TestOptimalityOracle:
             else:
                 assert result is not None and result.total_duration == oracle
                 assert validate_plan(result, problem)
+
+
+def random_planning_problem(rng):
+    """A product of one to four properties of two or three labels, and two
+    to six functionalities.  Half read and write one property (independent
+    ones); the rest couple two or three.  Each has one to three parameters
+    in random order, up to four transitions per parameter with guards that
+    do not overlap, and a duration of 1-4, so equal durations are common.
+    A goal asks each of its properties for a label other than the initial
+    one, except that about one goal in eight already holds.  Returns the
+    problem and each property's labels."""
+    labels = {
+        f"p{i}": [f"L{k}" for k in range(rng.randint(2, 3))] for i in range(rng.randint(1, 4))
+    }
+    properties = sorted(labels)
+    names = [(module, name) for module in ("mill", "oven", "press") for name in ("run", "set")]
+    functionalities = []
+    for module, name in rng.sample(names, rng.randint(2, 6)):
+        touched = rng.sample(properties, min(len(properties), rng.choice((1, 1, 2, 3))))
+        domain = tuple(float(value) for value in rng.sample(range(10), rng.randint(1, 3)))
+        entries = []
+        for param in domain:
+            for _ in range(rng.randint(1, 4)):
+                guard = {p: rng.choice(labels[p]) for p in touched if rng.random() < 0.7}
+                written = rng.sample(touched, rng.randint(1, len(touched)))
+                effect = {p: rng.choice(labels[p]) for p in written}
+                if not any(e.param == param and guards_overlap(guard, e.guard) for e in entries):
+                    entries.append(TransitionEntry(param, guard, effect))
+        duration = rng.randint(1, 4)
+        functionalities.append(Functionality(module, name, domain, tuple(entries), duration))
+    initial = {p: rng.choice(labels[p]) for p in properties}
+    goal = {
+        p: rng.choice([label for label in labels[p] if label != initial[p]])
+        for p in rng.sample(properties, rng.randint(1, len(properties)))
+    }
+    if rng.random() < 0.125:
+        goal = {p: initial[p] for p in goal}
+    return PlanningProblem(tuple(functionalities), initial, goal), labels
+
+
+def exhaustive_minimum(problem, labels):
+    """The plan that is least under (duration, length, step keys), found
+    without ``plan``, and whether a step had to be chosen by its key.
+
+    Every product state gets its least (duration, length) to a goal state by
+    relaxing all moves until nothing changes.  From the initial state, the
+    plan then takes, at each state, the step of smallest key (module,
+    functionality, parameter position) among those that stay on a least
+    path.  Plans of least (duration, length) all have the same length, so
+    this greedy choice gives the least key sequence."""
+    properties = sorted(labels)
+    states = list(itertools.product(*(labels[p] for p in properties)))
+    actions = sorted(
+        (
+            ((f.module, f.name, position), f, param)
+            for f in problem.functionalities
+            for position, param in enumerate(f.parameter_domain)
+        ),
+        key=itemgetter(0),
+    )
+    moves = {}
+    for state in states:
+        moves[state] = []
+        for _, f, param in actions:
+            after = apply_functionality(f, param, dict(zip(properties, state)))
+            step = PlanStep(f.module, f.name, param)
+            moves[state].append((f.duration, tuple(after[p] for p in properties), step))
+    unreachable = (math.inf, math.inf)
+    distance = {
+        state: (0, 0)
+        if all(dict(zip(properties, state))[p] == label for p, label in problem.goal.items())
+        else unreachable
+        for state in states
+    }
+    changed = True
+    while changed:
+        changed = False
+        for state, options in moves.items():
+            for duration, after, _ in options:
+                through = (distance[after][0] + duration, distance[after][1] + 1)
+                if through < distance[state]:
+                    distance[state], changed = through, True
+    state = tuple(problem.initial[p] for p in properties)
+    if distance[state] == unreachable:
+        return None, False
+    total, steps, by_key = distance[state][0], [], False
+    while distance[state] != (0, 0):
+        least = [
+            (after, step)
+            for duration, after, step in moves[state]
+            if (distance[after][0] + duration, distance[after][1] + 1) == distance[state]
+        ]
+        by_key |= len(least) > 1
+        state, step = least[0]
+        steps.append(step)
+    return Plan(tuple(steps), total), by_key
+
+
+def test_plan_equals_exhaustive_minimum_on_random_problems():
+    """``plan`` returns the whole least plan, steps and duration, or None
+    when no plan exists, on 300 random problems; each kind of problem below
+    is met at least 10 times."""
+    rng = random.Random(20261020)
+    seen = Counter()
+    for case in range(300):
+        problem, labels = random_planning_problem(rng)
+        expected, by_key = exhaustive_minimum(problem, labels)
+        assert plan(problem) == expected, case
+        widths = {
+            len({*entry.guard, *entry.effect})
+            for f in problem.functionalities
+            for entry in f.transitions
+        }
+        seen["coupled"] += max(widths, default=0) > 1
+        seen["independent"] += 1 in widths
+        if expected is None:
+            seen["unreachable"] += 1
+        else:
+            seen["already holds" if not expected.steps else "reachable"] += 1
+            seen["three or more steps"] += len(expected.steps) >= 3
+            seen["chosen by key"] += by_key
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
 def test_goal_over_unknown_sensor_rejected(knife_doc):
