@@ -8,7 +8,7 @@ can match at once, so the table always defines a deterministic transformation.
 Two guards can both match iff they agree on every sensor they share, so the
 check compares guards instead of enumerating the joint state set, and only
 guards that can agree: those with different labels on one sensor never do
-(see ``_first_overlap``).
+(see ``first_overlap``).
 
 Composition, too, builds its joint table from pairwise guard merges on one
 path, with no joint state enumerated (see ``compose``).
@@ -78,7 +78,12 @@ class Rule:
     effects: tuple[Effect, ...]
 
     def matches(self, assignment: Mapping[str, str]) -> bool:
-        return self.guard.items() <= assignment.items()
+        return holds(self.guard, assignment)
+
+
+def holds(partial: Mapping[str, str], state: Mapping[str, str]) -> bool:
+    """Whether every sensor of ``partial`` has its label in ``state``."""
+    return partial.items() <= state.items()
 
 
 def guards_overlap(a: Mapping[str, str], b: Mapping[str, str]) -> bool:
@@ -265,7 +270,7 @@ def validate_rules(
     # Determinism check; exact because guards are conjunctions over the
     # validated labels of this subsystem's sensors.
     guards = [rule.guard for rule in rules]
-    pair = _first_overlap(guards, sub.sensors)
+    pair = first_overlap(guards)
     if pair is not None:
         i, j = pair
         witness = {sid: model.sensor(sid).labels()[0] for sid in sub.sensors}
@@ -277,25 +282,26 @@ def validate_rules(
         )
 
 
-def _first_overlap(
-    guards: Sequence[Mapping[str, str]], sensors: Sequence[str]
-) -> tuple[int, int] | None:
+def first_overlap(guards: Sequence[Mapping[str, str]]) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in lexicographic order, of guards that
-    agree on every sensor they share (``guards_overlap``), or None.
+    agree on every sensor they share (``guards_overlap``), or None.  Called
+    on a rule table by ``validate_rules`` and on each parameter value's
+    transitions by ``planning.Functionality``.
 
     Only guards that can agree are compared.  The pivot is the sensor most
-    guards read (the first such in ``sensors``); two guards with different
-    labels on it never agree, so a guard that reads it is compared with the
-    later guards of its label and the later guards that do not read it, and
-    a guard that does not read it with every later guard.  Taking each
-    guard's first match in index order gives the pairwise loop's first
-    pair.  A table of one-sensor guards on distinct labels costs one pass.
+    guards read (the first such met; None when no guard reads one); two
+    guards with different labels on it never agree, so a guard that reads
+    it is compared with the later guards of its label and the later guards
+    that do not read it, and a guard that does not read it with every later
+    guard.  Taking each guard's first match in index order gives the
+    pairwise loop's first pair, whatever the pivot.  A table of one-sensor
+    guards on distinct labels costs one pass.
     """
-    reads = dict.fromkeys(sensors, 0)
+    reads: dict[str, int] = {}
     for guard in guards:
         for sensor in guard:
-            reads[sensor] += 1
-    pivot = max(sensors, key=reads.__getitem__)
+            reads[sensor] = reads.get(sensor, 0) + 1
+    pivot = max(reads, key=reads.__getitem__, default=None)
     # Guards by their label on the pivot (None: not read), in index order,
     # and each guard's place in its group.
     groups: dict[str | None, list[int]] = {}

@@ -6,7 +6,9 @@ taking a fixed number of ticks.  Planning is uniform-cost search over total
 product states with (functionality, parameter) as the action set and duration
 as the cost; ties break on plan length, then on the per-step keys
 (module id, functionality name, parameter position), so the returned plan does
-not depend on the order functionalities were declared in.
+not depend on the order functionalities were declared in.  A heap entry holds
+a partial plan as its step keys alone; steps are built once, for the plan
+returned.  Transition tables are checked and applied by the model's guard code.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .model import guards_overlap
+from .model import first_overlap, holds
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,7 @@ class TransitionEntry:
     effect: dict[str, str]
 
     def applies(self, state: Mapping[str, str]) -> bool:
-        return all(state.get(sensor) == label for sensor, label in self.guard.items())
+        return holds(self.guard, state)
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,15 @@ class Functionality:
                     f"{entry.param} outside domain"
                 )
         # Determinism: for one parameter, no two guards may match the same state.
-        by_param: dict[float, list[TransitionEntry]] = {}
+        by_param: dict[float, list[dict[str, str]]] = {}
         for entry in self.transitions:
-            by_param.setdefault(entry.param, []).append(entry)
-        for param, entries in by_param.items():
-            for i, a in enumerate(entries):
-                for b in entries[i + 1 :]:
-                    if guards_overlap(a.guard, b.guard):
-                        raise ValueError(
-                            f"functionality {self.module}.{self.name}: overlapping "
-                            f"transition guards for parameter {param}"
-                        )
+            by_param.setdefault(entry.param, []).append(entry.guard)
+        for param, guards in by_param.items():
+            if first_overlap(guards) is not None:
+                raise ValueError(
+                    f"functionality {self.module}.{self.name}: overlapping "
+                    f"transition guards for parameter {param}"
+                )
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,18 @@ class PlanningProblem:
         unknown = set(self.goal) - set(self.initial)
         if unknown:
             raise ValueError(f"goal references sensors missing from the initial state: {sorted(unknown)}")
-        named: set[tuple[str, str]] = set()
-        for functionality in self.functionalities:
-            key = (functionality.module, functionality.name)
-            if key in named:
-                raise ValueError(f"functionality {key[0]}.{key[1]}: declared more than once")
-            named.add(key)
+        check_distinct_names(self.functionalities)
+
+
+def check_distinct_names(functionalities: Sequence[Functionality]) -> None:
+    """Refuse two functionalities of one module with one name: their steps
+    would tie in the search heap on every key."""
+    named: set[tuple[str, str]] = set()
+    for functionality in functionalities:
+        key = (functionality.module, functionality.name)
+        if key in named:
+            raise ValueError(f"functionality {key[0]}.{key[1]}: declared more than once")
+        named.add(key)
 
 
 def apply_functionality(
@@ -122,10 +128,6 @@ def apply_functionality(
     return dict(state)
 
 
-def _goal_satisfied(state: Mapping[str, str], goal: Mapping[str, str]) -> bool:
-    return all(state.get(sensor) == label for sensor, label in goal.items())
-
-
 def plan(problem: PlanningProblem) -> Plan | None:
     """Minimum-total-duration plan from the initial state to the goal, or None.
 
@@ -146,37 +148,26 @@ def plan(problem: PlanningProblem) -> Plan | None:
     # per action sequence, strictly increases along expansions, and equal
     # sequences produce equal states.  The first pop of a state is therefore
     # its minimum, independent of functionality declaration order.
-    heap: list[tuple[int, int, tuple, tuple, tuple[PlanStep, ...]]] = [
-        (0, 0, (), start, ())
-    ]
+    heap: list[tuple[int, int, tuple, tuple]] = [(0, 0, (), start)]
     settled: set[tuple] = set()
     while heap:
-        duration, length, keys, state_key, steps = heapq.heappop(heap)
+        duration, length, keys, state_key = heapq.heappop(heap)
         if state_key in settled:
             continue
         settled.add(state_key)
         state = dict(state_key)
-        if _goal_satisfied(state, problem.goal):
+        if holds(problem.goal, state):
+            param_of = {key: param for key, _, param in actions}
+            steps = tuple(PlanStep(key[0], key[1], param_of[key]) for key in keys)
             return Plan(steps=steps, total_duration=duration)
         for key, functionality, param in actions:
             successor = apply_functionality(functionality, param, state)
             new_key = tuple(sorted(successor.items()))
             if new_key == state_key or new_key in settled:
                 continue
-            step = PlanStep(
-                module=functionality.module,
-                functionality=functionality.name,
-                parameter=param,
-            )
             heapq.heappush(
                 heap,
-                (
-                    duration + functionality.duration,
-                    length + 1,
-                    keys + (key,),
-                    new_key,
-                    steps + (step,),
-                ),
+                (duration + functionality.duration, length + 1, keys + (key,), new_key),
             )
     return None
 
@@ -199,4 +190,4 @@ def validate_plan(the_plan: Plan | None, problem: PlanningProblem) -> bool:
         total += functionality.duration
     if total != the_plan.total_duration:
         return False
-    return _goal_satisfied(state, problem.goal)
+    return holds(problem.goal, state)

@@ -111,7 +111,7 @@ from .model import (
     build_model,
     validate_rules,
 )
-from .planning import Functionality, Plan, PlanningProblem, TransitionEntry
+from .planning import Functionality, Plan, PlanningProblem, TransitionEntry, check_distinct_names
 from .simulation import FaultSpec, ScriptedIntervention, Trace, run_script
 
 
@@ -725,15 +725,14 @@ def _validate_semantics(doc: ScenarioDocument) -> None:
     model = doc.build()  # delegated model validation; raises ModelError
     module_ids = {s.id for s in model.subsystems if s.kind is SubsystemKind.MODULE}
     product_ids = set(model.product_sensor_ids())
-    named: set[tuple[str, str]] = set()
+    try:
+        check_distinct_names(doc.functionalities)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
     for functionality in doc.functionalities:
         where = f"functionality {functionality.module}.{functionality.name}"
         if functionality.module not in module_ids:
             raise ScenarioError(f"{where}: module is not a module-kind subsystem")
-        key = (functionality.module, functionality.name)
-        if key in named:
-            raise ScenarioError(f"{where}: declared more than once")
-        named.add(key)
         for entry in functionality.transitions:
             for sensor_id, label in list(entry.guard.items()) + list(entry.effect.items()):
                 if sensor_id not in product_ids:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from causalcps import model as model_module
+from causalcps import planning as planning_module
 from causalcps.distributions import Degenerate, Normal
 from causalcps.model import (
     CausalEdge,
@@ -26,6 +27,7 @@ from causalcps.model import (
     guards_overlap,
     validate_rules,
 )
+from causalcps.planning import Functionality, TransitionEntry
 from causalcps.scenario import parse_scenario
 from causalcps.simulation import run_script
 
@@ -266,6 +268,39 @@ def grouped_tables(seed, count):
         yield model, sub, rules
 
 
+def transition_overlaps_exhaustively(model, sub, entries):
+    """Reference oracle: some joint state of ``sub`` is matched by two
+    transition entries of one parameter value."""
+    domains = [model.sensor(sid).labels() for sid in sub.sensors]
+    for combo in itertools.product(*domains):
+        state = dict(zip(sub.sensors, combo))
+        params = [
+            entry.param
+            for entry in entries
+            if all(state[sid] == label for sid, label in entry.guard.items())
+        ]
+        if len(params) != len(set(params)):
+            return True
+    return False
+
+
+def one_parameter_table_text(n):
+    """A scenario whose one functionality holds ``n`` one-sensor transitions
+    for one parameter value, each on its own label of product sensor p."""
+    states = "\n".join(f"  - {{label: S{k}, dist: degenerate({k})}}" for k in range(n))
+    transitions = "\n".join(
+        f"  - {{param: 1, when: {{p: S{k}}}, then: {{p: S{(k + 1) % n}}}}}" for k in range(n)
+    )
+    return (
+        f"horizon: 5\nsensors:\n- id: p\n  initial: S0\n  states:\n{states}\n"
+        f"- id: station\n  initial: S0\n  states:\n  - {{label: S0, dist: degenerate(0)}}\n"
+        f"subsystems:\n- {{id: line, kind: module, sensors: [station]}}\n"
+        f"- {{id: part, kind: product, sensors: [p]}}\n"
+        f"functionalities:\n- module: line\n  name: advance\n  parameters: [1]\n"
+        f"  duration: 1\n  transitions:\n{transitions}\n"
+    )
+
+
 class TestDeterminismCheck:
     def test_grouped_check_equals_pairwise_loop(self):
         outcomes = []
@@ -307,6 +342,43 @@ class TestDeterminismCheck:
         # The guards read s, not spare, and each is its label's only one:
         # no pair is compared.
         assert len(compared) == 0
+
+    def test_one_parameter_transition_table_of_2000_entries_is_checked_in_one_pass(
+        self, monkeypatch
+    ):
+        compared = []
+        overlap = model_module.guards_overlap
+
+        def counting(a, b):
+            compared.append(1)
+            return overlap(a, b)
+
+        monkeypatch.setattr(model_module, "guards_overlap", counting)
+        # A module that imports guards_overlap by name holds its own binding;
+        # count the calls through planning's too, should it have one.
+        monkeypatch.setattr(planning_module, "guards_overlap", counting, raising=False)
+        doc = parse_scenario(one_parameter_table_text(2000))
+        assert len(doc.functionalities[0].transitions) == 2000
+        assert len(compared) == 0
+
+    def test_transition_check_agrees_with_exhaustive_oracle(self):
+        rng = random.Random(27)
+        verdicts = []
+        for model, sub, rules in [*random_tables(seed=5, count=300), *grouped_tables(27, 150)]:
+            entries = tuple(
+                TransitionEntry(float(rng.randint(0, 2)), rule.guard, {}) for rule in rules
+            )
+            try:
+                Functionality("m", "f", (0.0, 1.0, 2.0), entries, duration=1)
+                rejected = False
+            except ValueError as exc:
+                param = float(re.fullmatch(r".*for parameter (\S+)", str(exc))[1])
+                same = [entry for entry in entries if entry.param == param]
+                assert transition_overlaps_exhaustively(model, sub, same), entries
+                rejected = True
+            assert rejected == transition_overlaps_exhaustively(model, sub, entries), entries
+            verdicts.append(rejected)
+        assert any(verdicts) and not all(verdicts)
 
     def test_pairwise_check_agrees_with_exhaustive_oracle(self):
         verdicts = []

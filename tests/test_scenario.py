@@ -35,6 +35,7 @@ from causalcps.scenario import (
     serialize_scenario,
     thermostat_fixture,
 )
+from test_model import one_parameter_table_text
 
 PACKAGED_KNIFE = importlib.resources.files("causalcps") / "scenarios" / "knife.yaml"
 REPO_KNIFE = Path(__file__).resolve().parent.parent / "scenarios" / "knife.yaml"
@@ -684,7 +685,23 @@ class TestLoadYaml:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("fixture", [knife_fixture, chain_fixture, thermostat_fixture])
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            knife_fixture,
+            chain_fixture,
+            thermostat_fixture,
+            *(
+                pytest.param(
+                    lambda name=name: parse_scenario(generated_scenario_texts()[name]), id=name
+                )
+                for name in ("relay-diagnose", "plant-monitor")
+            ),
+            pytest.param(
+                lambda: parse_scenario(one_parameter_table_text(2000)), id="transition-table"
+            ),
+        ],
+    )
     def test_serialize_parse_identity(self, fixture):
         doc = fixture()
         assert parse_scenario(serialize_scenario(doc)) == doc

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import random
 import sys
@@ -697,15 +698,56 @@ class TestOracleMemo:
         assert fired_equal_ranks >= 25
 
 
-def load_perfbench_generators():
-    """The benchmark's scenario generators, loaded from their file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench_module(name):
+    """A module of the benchmark harness, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # Its dataclasses resolve their annotations through sys.modules.
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_perfbench_generators():
+    """The benchmark's scenario generators, loaded from their file."""
+    return load_perfbench_module("generators")
+
+
+def test_tracer_patch_points_are_replaced_then_restored(knife_doc):
+    """The benchmark tracer patches package attributes by name, read here
+    from the ``(module, "attribute", wrapper)`` rows of ``installed``: each
+    must exist, be replaced inside the block, and be its original after."""
+    tracing = load_perfbench_module("tracing")
+    installed = next(
+        node
+        for node in ast.walk(ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "installed"
+    )
+    targets = [
+        (getattr(tracing, row.elts[0].id), row.elts[1].value)
+        for row in ast.walk(installed)
+        if isinstance(row, ast.Tuple)
+        and len(row.elts) == 3
+        and isinstance(row.elts[0], ast.Name)
+        and isinstance(row.elts[1], ast.Constant)
+    ]
+    names = {(module.__name__, attr) for module, attr in targets}
+    for module in ("model", "scenario", "simulation"):
+        assert (f"causalcps.{module}", "validate_rules") in names
+    assert ("causalcps.planning", "apply_functionality") in names
+    originals = [getattr(module, attr) for module, attr in targets]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for (module, attr), original in zip(targets, originals):
+            assert getattr(module, attr) is not original, (module.__name__, attr)
+        # plan() reaches each functionality call through the patched name.
+        tracing.planning.plan(knife_doc.planning_problem({"knife_hardness": "Hard"}))
+        assert "planning.apply_functionality" in {span[0] for span in tracer.spans}
+    for (module, attr), original in zip(targets, originals):
+        assert getattr(module, attr) is original, (module.__name__, attr)
 
 
 class TestTransitionMemo:
