@@ -63,10 +63,9 @@ _SERIES_MAX_TERMS = 100
 _SERIES_EPS = 1e-10
 
 
-def _check_finite(kind: str, **parameters: float) -> None:
-    for name, value in parameters.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} {name} must be finite, got {value}")
+def _check_finite(kind: str, name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{kind} {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,8 @@ class Normal:
     stddev: float
 
     def __post_init__(self):
-        _check_finite("normal", mean=self.mean, stddev=self.stddev)
+        _check_finite("normal", "mean", self.mean)
+        _check_finite("normal", "stddev", self.stddev)
         if not self.stddev > 0:
             raise ValueError(f"normal stddev must be > 0, got {self.stddev}")
 
@@ -86,10 +86,11 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        _check_finite("uniform", lo=self.lo, hi=self.hi)
+        _check_finite("uniform", "lo", self.lo)
+        _check_finite("uniform", "hi", self.hi)
         if not self.lo < self.hi:
             raise ValueError(f"uniform bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        _check_finite("uniform", width=float(self.hi) - float(self.lo))
+        _check_finite("uniform", "width", float(self.hi) - float(self.lo))
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class Degenerate:
     value: float
 
     def __post_init__(self):
-        _check_finite("degenerate", value=self.value)
+        _check_finite("degenerate", "value", self.value)
 
 
 Distribution = Normal | Uniform | Degenerate

@@ -282,41 +282,48 @@ def validate_rules(
         )
 
 
+def pivot_groups(
+    guards: Sequence[Mapping[str, str]],
+) -> tuple[str | None, dict[str | None, list[int]]]:
+    """The pivot of ``guards``, the sensor most of them read (the first such
+    met; None when no guard reads one), and the guards' indices grouped by
+    their label on it (None: not read), each group in index order.  Two
+    guards with different labels on the pivot never agree."""
+    reads: dict[str, int] = {}
+    for guard in guards:
+        for sensor in guard:
+            reads[sensor] = reads.get(sensor, 0) + 1
+    pivot = max(reads, key=reads.__getitem__, default=None)
+    groups: dict[str | None, list[int]] = {}
+    for i, guard in enumerate(guards):
+        groups.setdefault(guard.get(pivot), []).append(i)
+    return pivot, groups
+
+
 def first_overlap(guards: Sequence[Mapping[str, str]]) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in lexicographic order, of guards that
     agree on every sensor they share (``guards_overlap``), or None.  Called
     on a rule table by ``validate_rules`` and on each parameter value's
     transitions by ``planning.Functionality``.
 
-    Only guards that can agree are compared.  The pivot is the sensor most
-    guards read (the first such met; None when no guard reads one); two
-    guards with different labels on it never agree, so a guard that reads
-    it is compared with the later guards of its label and the later guards
-    that do not read it, and a guard that does not read it with every later
-    guard.  Taking each guard's first match in index order gives the
-    pairwise loop's first pair, whatever the pivot.  A table of one-sensor
-    guards on distinct labels costs one pass.
+    Only guards that can agree are compared (see ``pivot_groups``): a guard
+    that reads the pivot is compared with the later guards of its label and
+    the later guards that do not read it, and a guard that does not read it
+    with every later guard.  Taking each guard's first match in index order
+    gives the pairwise loop's first pair, whatever the pivot.  A table of
+    one-sensor guards on distinct labels costs one pass.
     """
-    reads: dict[str, int] = {}
-    for guard in guards:
-        for sensor in guard:
-            reads[sensor] = reads.get(sensor, 0) + 1
-    pivot = max(reads, key=reads.__getitem__, default=None)
-    # Guards by their label on the pivot (None: not read), in index order,
-    # and each guard's place in its group.
-    groups: dict[str | None, list[int]] = {}
-    places = []
-    for i, guard in enumerate(guards):
-        group = groups.setdefault(guard.get(pivot), [])
-        places.append(len(group))
-        group.append(i)
+    pivot, groups = pivot_groups(guards)
     free = groups.get(None, [])
+    # The guards of each label met so far: the next one's place in its group.
+    met: dict[str, int] = {}
     for i, guard in enumerate(guards):
         label = guard.get(pivot)
         if label is None:
             later: Sequence[int] = range(i + 1, len(guards))
         else:
-            later = groups[label][places[i] + 1 :]
+            met[label] = place = met.get(label, 0) + 1
+            later = groups[label][place:]
             if free:
                 later = sorted(later + free[bisect_right(free, i) :])
         for j in later:
@@ -345,12 +352,13 @@ def build_model(sensors: Sequence[Sensor], subsystems: Sequence[Subsystem]) -> S
             raise ModelError("subsystem id must be a nonempty string")
         if not sub.sensors:
             raise ModelError(f"subsystem {sub.id!r} must own at least one sensor")
-        if len(set(sub.sensors)) != len(sub.sensors):
+        owned = set(sub.sensors)
+        if len(owned) != len(sub.sensors):
             raise ModelError(f"subsystem {sub.id!r} lists a sensor twice")
-        unknown = set(sub.sensors) - all_ids
+        unknown = owned - all_ids
         if unknown:
             raise ModelError(f"subsystem {sub.id!r} references unknown sensors {sorted(unknown)}")
-        if set(sub.sensors) == all_ids:
+        if owned == all_ids:
             raise ModelError(
                 f"subsystem {sub.id!r} owns every sensor; it must be a proper subset"
             )

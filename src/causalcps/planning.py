@@ -8,7 +8,10 @@ as the cost; ties break on plan length, then on the per-step keys
 (module id, functionality name, parameter position), so the returned plan does
 not depend on the order functionalities were declared in.  A heap entry holds
 a partial plan as its step keys alone; steps are built once, for the plan
-returned.  Transition tables are checked and applied by the model's guard code.
+returned.  Transition tables are checked and applied by the model's guard code:
+each functionality indexes its transitions by parameter value and by their
+label on the pivot sensor (``model.pivot_groups``) on first use, so applying
+it tests only the guards that can match.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
-from .model import first_overlap, holds
+from .model import first_overlap, holds, pivot_groups
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,10 @@ class TransitionEntry:
         return holds(self.guard, state)
 
 
+# The index entry of a parameter value without transitions.
+_NO_TRANSITIONS: tuple[None, dict, tuple] = (None, {}, ())
+
+
 @dataclass(frozen=True)
 class Functionality:
     module: str
@@ -40,6 +49,32 @@ class Functionality:
     parameter_domain: tuple[float, ...]
     transitions: tuple[TransitionEntry, ...]
     duration: int
+
+    @cached_property
+    def _index(self) -> dict[float, tuple[str | None, dict, list[TransitionEntry]]]:
+        """Per parameter value, the pivot of its transitions' guards (see
+        ``pivot_groups``), its transitions by their label on the pivot, and
+        those whose guards do not read it; built on first use."""
+        by_param: dict[float, list[TransitionEntry]] = {}
+        for entry in self.transitions:
+            by_param.setdefault(entry.param, []).append(entry)
+        index = {}
+        for param, entries in by_param.items():
+            pivot, groups = pivot_groups([entry.guard for entry in entries])
+            by_label = {label: [entries[i] for i in group] for label, group in groups.items()}
+            index[param] = pivot, by_label, by_label.pop(None, [])
+        return index
+
+    def transition(self, param: float, state: Mapping[str, str]) -> TransitionEntry | None:
+        """The transition for ``param`` whose guard ``state`` matches, or None.
+        At most one matches, since the guards of one parameter value are
+        disjoint, and only those with the state's label on the pivot, or
+        none, are tried."""
+        pivot, by_label, free = self._index.get(param, _NO_TRANSITIONS)
+        for entry in chain(by_label.get(state.get(pivot), ()), free):
+            if entry.applies(state):
+                return entry
+        return None
 
     def __post_init__(self):
         if not self.parameter_domain:
@@ -122,10 +157,8 @@ def apply_functionality(
             f"parameter {param} outside domain of "
             f"{functionality.module}.{functionality.name}"
         )
-    for entry in functionality.transitions:
-        if entry.param == param and entry.applies(state):
-            return {**state, **entry.effect}
-    return dict(state)
+    entry = functionality.transition(param, state)
+    return dict(state) if entry is None else {**state, **entry.effect}
 
 
 def plan(problem: PlanningProblem) -> Plan | None:

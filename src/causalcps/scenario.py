@@ -46,12 +46,18 @@ libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without libyaml).
 ``_construct`` builds from it, in one iterative pass, only what a scenario
 can hold: ``str``, ``int``, ``float``, ``bool`` and null scalars, lists,
 mappings with string keys, aliases and merge keys ``<<``, giving the data
-of ``yaml.load``.  Any other node (a timestamp, ``!!set``, ``!!binary``, an
-unknown tag, a non-string key) is refused, naming its line and tag.  Each
-distinct scalar's tag is resolved once per parse, which is exact because
-no path resolvers are registered.  A mapping that repeats a key, ``<<``
-included, is refused, naming the line and the key; a key given explicitly
-and also through ``<<`` is not a repeat, nor is one merged from two mappings.
+of ``yaml.load``.  A plain decimal int (``12``, not ``012``, ``+12`` or
+``1_2``) is built by ``int``; every other int spelling, and each float,
+bool and null, by the loader's constructor.  Any other node (a timestamp,
+``!!set``, ``!!binary``, an unknown tag, a non-string key) is refused,
+naming its line and tag.  Each distinct scalar's tag is resolved once per
+parse, which is exact because no path resolvers are registered.  A mapping
+that repeats a key, ``<<`` included, is refused, naming the line and the
+key; a key given explicitly and also through ``<<`` is not a repeat, nor
+is one merged from two mappings.  The schema checks each mapping with one
+call, its type and then its fields against the allowed set, and reads its
+fields with ``dict.get``.  A field path such as ``sensors[3].states[1].dist``
+is formatted only for a node that fails, as its error leaves each list.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -87,7 +93,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, count, cycle, islice, repeat
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 import yaml
@@ -120,6 +126,7 @@ from .simulation import FaultSpec, ScriptedIntervention, Trace, run_script
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _STR_TAG = "tag:yaml.org,2002:str"
+_INT_TAG = "tag:yaml.org,2002:int"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 _MAP_TAG = "tag:yaml.org,2002:map"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
@@ -131,6 +138,9 @@ _PLAIN_TAGS = frozenset(
 # collections a scenario holds, by tag and node type.
 _KEY_TAGS = frozenset((_STR_TAG, _MERGE_TAG))
 _CONTAINERS = {(_SEQ_TAG, yaml.SequenceNode): list, (_MAP_TAG, yaml.MappingNode): dict}
+
+
+_T = TypeVar("_T")
 
 
 class ScenarioError(ValueError):
@@ -198,30 +208,34 @@ class ScenarioDocument:
 # ---------------------------------------------------------------------------
 
 _DIST_RE = re.compile(r"^\s*(normal|uniform|degenerate)\s*\(([^)]*)\)\s*$")
+_LAWS = {"normal": Normal, "uniform": Uniform, "degenerate": Degenerate}
 
 
 def parse_distribution(text: str, where: str = "dist") -> Distribution:
+    try:
+        return _distribution(text, where)
+    except _Misfit as misfit:
+        raise ScenarioError(f"{misfit.path}: {misfit.problem}") from None
+
+
+def _distribution(text: str, field: str) -> Distribution:
     match = _DIST_RE.match(text)
     if not match:
-        raise ScenarioError(
-            f"{where}: expected normal(m, s), uniform(lo, hi) or degenerate(v), got {text!r}"
+        raise _Misfit(
+            field, f"expected normal(m, s), uniform(lo, hi) or degenerate(v), got {text!r}"
         )
     kind, args_text = match.groups()
     try:
-        args = [float(part) for part in args_text.split(",")]
+        args = list(map(float, args_text.split(",")))
     except ValueError:
-        raise ScenarioError(f"{where}: non-numeric parameter in {text!r}") from None
+        raise _Misfit(field, f"non-numeric parameter in {text!r}") from None
     expected = 1 if kind == "degenerate" else 2
     if len(args) != expected:
-        raise ScenarioError(f"{where}: {kind} takes {expected} parameter(s), got {len(args)}")
+        raise _Misfit(field, f"{kind} takes {expected} parameter(s), got {len(args)}")
     try:
-        if kind == "normal":
-            return Normal(mean=args[0], stddev=args[1])
-        if kind == "uniform":
-            return Uniform(lo=args[0], hi=args[1])
-        return Degenerate(value=args[0])
+        return _LAWS[kind](*args)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        raise _Misfit(field, str(exc)) from None
 
 
 def format_distribution(dist: Distribution) -> str:
@@ -239,241 +253,222 @@ def format_distribution(dist: Distribution) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _expect_mapping(node: Any, where: str) -> dict:
+class _Misfit(Exception):
+    """A schema error, ``problem`` at ``path`` below the node being parsed.
+    Each list it leaves puts the item's field and index in front of the path
+    (``under``), so a path is formatted only for a node that fails."""
+
+    def __init__(self, path: str, problem: str):
+        self.path, self.problem = path, problem
+
+    def under(self, parent: str) -> _Misfit:
+        self.path = f"{parent}.{self.path}" if self.path else parent
+        return self
+
+
+def _fields(node: Any, allowed: frozenset[str], field: str = "") -> dict:
+    """``node``, a mapping of ``allowed`` fields only (``field`` names it)."""
     if not isinstance(node, dict):
-        raise ScenarioError(f"{where}: expected a mapping, got {type(node).__name__}")
+        raise _Misfit(field, f"expected a mapping, got {type(node).__name__}")
+    if not allowed.issuperset(node):
+        raise _Misfit(field, f"unknown field(s) {sorted(set(node) - allowed)}")
     return node
 
 
-def _expect_list(node: Any, where: str) -> list:
-    if not isinstance(node, list):
-        raise ScenarioError(f"{where}: expected a list, got {type(node).__name__}")
-    return node
+def _list(node: Mapping, field: str, default: list | None = None) -> list:
+    items = node.get(field, default)
+    if not isinstance(items, list):
+        raise _Misfit(field, f"expected a list, got {type(items).__name__}")
+    return items
 
 
-def _reject_unknown(node: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(node) - allowed
-    if unknown:
-        raise ScenarioError(f"{where}: unknown field(s) {sorted(unknown)}")
+def _parsed(items: list, field: str, parse: Callable[[Any], _T]) -> tuple[_T, ...]:
+    """``parse`` of each item of the list ``field``."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item))
+        except _Misfit as misfit:
+            raise misfit.under(f"{field}[{i}]") from None
+    return tuple(out)
 
 
-def _get_str(node: Mapping, key: str, where: str) -> str:
-    if key not in node:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    value = node[key]
+def _each(
+    node: Mapping, field: str, parse: Callable[[Any], _T], default: list | None = None
+) -> tuple[_T, ...]:
+    return _parsed(_list(node, field, default), field, parse)
+
+
+def _str(node: Mapping, key: str) -> str:
+    value = node.get(key)
     if not isinstance(value, str) or not value:
-        raise ScenarioError(f"{where}.{key}: expected a nonempty string")
+        if key not in node:
+            raise _Misfit("", f"missing required field {key!r}")
+        raise _Misfit(key, "expected a nonempty string")
     return value
 
 
 _CSV_UNSAFE = re.compile('[,"\r\n]')
 
 
-def _get_name(node: Mapping, key: str, where: str) -> str:
+def _name(node: Mapping, key: str) -> str:
     """A nonempty string that the CSV artifacts write as one unquoted field,
     so it may hold no comma, double quote, CR or LF."""
-    value = _get_str(node, key, where)
+    value = _str(node, key)
     if _CSV_UNSAFE.search(value):
-        raise ScenarioError(
-            f"{where}.{key}: {value!r} holds a comma, double quote, CR or LF, "
-            f"which would break the CSV artifacts"
-        )
+        problem = "holds a comma, double quote, CR or LF, which would break the CSV artifacts"
+        raise _Misfit(key, f"{value!r} {problem}")
     return value
 
 
-def _get_id(node: Mapping, key: str, where: str) -> str:
+def _id(node: Mapping, key: str) -> str:
     """A sensor or subsystem id: a name that may also hold no ``+`` or ``|``,
     which the diagnosis CSV puts between ids and between causal paths."""
-    value = _get_name(node, key, where)
+    value = _name(node, key)
     if "+" in value or "|" in value:
-        raise ScenarioError(
-            f"{where}.{key}: {value!r} holds a '+' or '|', "
-            f"which join ids and paths in the diagnosis CSV"
-        )
+        problem = "holds a '+' or '|', which join ids and paths in the diagnosis CSV"
+        raise _Misfit(key, f"{value!r} {problem}")
     return value
 
 
-def _get_int(
-    node: Mapping, key: str, where: str, default: int | None = None, minimum: int | None = None
-) -> int:
-    if key not in node:
-        if default is None:
-            raise ScenarioError(f"{where}: missing required field {key!r}")
-        return default
-    value = node[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected an integer")
+def _int(node: Mapping, key: str, default: int | None = None, minimum: int | None = None) -> int:
+    value = node.get(key, default)
+    # YAML ints are exact ints, and a bool is not an integer here.
+    if type(value) is not int:
+        if key not in node:
+            raise _Misfit("", f"missing required field {key!r}")
+        raise _Misfit(key, "expected an integer")
     if minimum is not None and value < minimum:
-        raise ScenarioError(f"{where}.{key}: must be >= {minimum}, got {value}")
+        raise _Misfit(key, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _parse_label_map(node: Any, where: str) -> dict[str, str]:
-    mapping = _expect_mapping(node, where)
-    out = {}
-    for key, value in mapping.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise ScenarioError(f"{where}: expected string-to-string entries")
-        out[key] = value
-    return out
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_sensor(node: Any, where: str) -> Sensor:
-    mapping = _expect_mapping(node, where)
-    _reject_unknown(mapping, {"id", "initial", "states"}, where)
-    sensor_id = _get_id(mapping, "id", where)
-    states = []
-    for i, state_node in enumerate(_expect_list(mapping.get("states"), f"{where}.states")):
-        state_where = f"{where}.states[{i}]"
-        state_map = _expect_mapping(state_node, state_where)
-        _reject_unknown(state_map, {"label", "dist"}, state_where)
-        label = _get_name(state_map, "label", state_where)
-        dist = parse_distribution(_get_str(state_map, "dist", state_where), f"{state_where}.dist")
-        states.append((label, dist))
-    return Sensor(
-        id=sensor_id,
-        states=tuple(states),
-        initial_state=_get_str(mapping, "initial", where),
-    )
-
-
-def _parse_rule(node: Any, where: str) -> Rule:
-    mapping = _expect_mapping(node, where)
-    _reject_unknown(mapping, {"when", "then"}, where)
-    guard = _parse_label_map(mapping.get("when", {}), f"{where}.when")
-    effects = []
-    for i, effect_node in enumerate(_expect_list(mapping.get("then", []), f"{where}.then")):
-        effect_where = f"{where}.then[{i}]"
-        effect_map = _expect_mapping(effect_node, effect_where)
-        _reject_unknown(effect_map, {"sensor", "state", "delay"}, effect_where)
-        effects.append(
-            Effect(
-                target=_get_str(effect_map, "sensor", effect_where),
-                state=_get_str(effect_map, "state", effect_where),
-                delay=_get_int(effect_map, "delay", effect_where),
-            )
-        )
-    return Rule(guard=guard, effects=tuple(effects))
-
-
-def _parse_subsystem(node: Any, where: str) -> Subsystem:
-    mapping = _expect_mapping(node, where)
-    _reject_unknown(mapping, {"id", "kind", "sensors", "rules"}, where)
-    kind_text = _get_str(mapping, "kind", where)
-    try:
-        kind = SubsystemKind(kind_text)
-    except ValueError:
-        raise ScenarioError(
-            f"{where}.kind: expected one of component/module/product, got {kind_text!r}"
-        ) from None
-    sensors = _expect_list(mapping.get("sensors"), f"{where}.sensors")
-    if not all(isinstance(s, str) for s in sensors):
-        raise ScenarioError(f"{where}.sensors: expected a list of sensor ids")
-    rules = tuple(
-        _parse_rule(rule_node, f"{where}.rules[{i}]")
-        for i, rule_node in enumerate(_expect_list(mapping.get("rules", []), f"{where}.rules"))
-    )
-    return Subsystem(
-        id=_get_id(mapping, "id", where), kind=kind, sensors=tuple(sensors), rules=rules
-    )
-
-
-def _finite(number: int | float, where: str) -> float:
+def _finite(number: int | float, field: str = "") -> float:
     """``number`` as a float, refused unless it is finite."""
     try:
         value = float(number)
     except OverflowError:  # an int past the float range
         value = math.inf if number > 0 else -math.inf
     if not math.isfinite(value):
-        raise ScenarioError(f"{where}: must be finite, got {value}")
+        raise _Misfit(field, f"must be finite, got {value}")
     return value
 
 
-def _parse_functionality(node: Any, where: str) -> Functionality:
-    mapping = _expect_mapping(node, where)
-    _reject_unknown(mapping, {"module", "name", "parameters", "duration", "transitions"}, where)
-    params = _expect_list(mapping.get("parameters"), f"{where}.parameters")
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in params):
-        raise ScenarioError(f"{where}.parameters: expected a list of numbers")
-    domain = tuple(_finite(p, f"{where}.parameters[{i}]") for i, p in enumerate(params))
-    transitions = []
-    for i, entry_node in enumerate(
-        _expect_list(mapping.get("transitions", []), f"{where}.transitions")
-    ):
-        entry_where = f"{where}.transitions[{i}]"
-        entry_map = _expect_mapping(entry_node, entry_where)
-        _reject_unknown(entry_map, {"param", "when", "then"}, entry_where)
-        param = entry_map.get("param")
-        if not isinstance(param, (int, float)) or isinstance(param, bool):
-            raise ScenarioError(f"{entry_where}.param: expected a number")
-        transitions.append(
-            TransitionEntry(
-                param=_finite(param, f"{entry_where}.param"),
-                guard=_parse_label_map(entry_map.get("when", {}), f"{entry_where}.when"),
-                effect=_parse_label_map(entry_map.get("then", {}), f"{entry_where}.then"),
-            )
-        )
-    module = _get_name(mapping, "module", where)
-    name = _get_name(mapping, "name", where)
-    duration = _get_int(mapping, "duration", where)
+def _label_map(node: Mapping, field: str) -> dict[str, str]:
+    """The sensor-to-label mapping ``field`` of ``node``, empty if absent;
+    its keys are strings, as every key of the document is."""
+    labels = node.get(field, {})
+    if not isinstance(labels, dict):
+        raise _Misfit(field, f"expected a mapping, got {type(labels).__name__}")
+    if not all(map(isinstance, labels.values(), repeat(str))):
+        raise _Misfit(field, "expected string-to-string entries")
+    return dict(labels)
+
+
+_SENSOR_FIELDS = frozenset({"id", "initial", "states"})
+_STATE_FIELDS = frozenset({"label", "dist"})
+_RULE_FIELDS = frozenset({"when", "then"})
+_EFFECT_FIELDS = frozenset({"sensor", "state", "delay"})
+_SUBSYSTEM_FIELDS = frozenset({"id", "kind", "sensors", "rules"})
+_FUNCTIONALITY_FIELDS = frozenset({"module", "name", "parameters", "duration", "transitions"})
+_TRANSITION_FIELDS = frozenset({"param", "when", "then"})
+_SCRIPT_FIELDS = frozenset({"interventions", "faults"})
+_INTERVENTION_FIELDS = frozenset({"tick", "sensor", "state"})
+_FAULT_FIELDS = frozenset({"component", "activation", "rules"})
+_DETECTION_FIELDS = frozenset({"window", "stride", "alpha"})
+_TOP_LEVEL_FIELDS = frozenset(
+    {"name", "seed", "horizon", "detection", "sensors", "subsystems", "functionalities", "script"}
+)
+
+
+def _parse_sensor(node: Any) -> Sensor:
+    sensor = _fields(node, _SENSOR_FIELDS)
+    sensor_id = _id(sensor, "id")
+    states = _each(sensor, "states", _parse_state)
+    return Sensor(id=sensor_id, states=states, initial_state=_str(sensor, "initial"))
+
+
+def _parse_state(node: Any) -> tuple[str, Distribution]:
+    state = _fields(node, _STATE_FIELDS)
+    return _name(state, "label"), _distribution(_str(state, "dist"), "dist")
+
+
+def _parse_rule(node: Any) -> Rule:
+    rule = _fields(node, _RULE_FIELDS)
+    return Rule(guard=_label_map(rule, "when"), effects=_each(rule, "then", _parse_effect, []))
+
+
+def _parse_effect(node: Any) -> Effect:
+    effect = _fields(node, _EFFECT_FIELDS)
+    return Effect(_str(effect, "sensor"), _str(effect, "state"), _int(effect, "delay"))
+
+
+def _parse_subsystem(node: Any) -> Subsystem:
+    subsystem = _fields(node, _SUBSYSTEM_FIELDS)
+    kind_text = _str(subsystem, "kind")
     try:
-        return Functionality(
-            module=module,
-            name=name,
-            parameter_domain=domain,
-            transitions=tuple(transitions),
-            duration=duration,
-        )
+        kind = SubsystemKind(kind_text)
+    except ValueError:
+        problem = f"expected one of component/module/product, got {kind_text!r}"
+        raise _Misfit("kind", problem) from None
+    sensors = _list(subsystem, "sensors")
+    if not all(map(isinstance, sensors, repeat(str))):
+        raise _Misfit("sensors", "expected a list of sensor ids")
+    rules = _each(subsystem, "rules", _parse_rule, [])
+    return Subsystem(id=_id(subsystem, "id"), kind=kind, sensors=tuple(sensors), rules=rules)
+
+
+def _parse_functionality(node: Any) -> Functionality:
+    functionality = _fields(node, _FUNCTIONALITY_FIELDS)
+    params = _list(functionality, "parameters")
+    if not all(map(_is_number, params)):
+        raise _Misfit("parameters", "expected a list of numbers")
+    domain = _parsed(params, "parameters", _finite)
+    transitions = _each(functionality, "transitions", _parse_transition, [])
+    module, name = _name(functionality, "module"), _name(functionality, "name")
+    duration = _int(functionality, "duration")
+    try:
+        return Functionality(module, name, domain, transitions, duration)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        raise _Misfit("", str(exc)) from None
+
+
+def _parse_transition(node: Any) -> TransitionEntry:
+    entry = _fields(node, _TRANSITION_FIELDS)
+    param = entry.get("param")
+    if not _is_number(param):
+        raise _Misfit("param", "expected a number")
+    param = _finite(param, "param")
+    return TransitionEntry(param, _label_map(entry, "when"), _label_map(entry, "then"))
 
 
 def _parse_script(
-    node: Any, where: str, horizon: int
+    node: Any, horizon: int
 ) -> tuple[tuple[ScriptedIntervention, ...], tuple[FaultSpec, ...]]:
-    mapping = _expect_mapping(node, where)
-    _reject_unknown(mapping, {"interventions", "faults"}, where)
-    interventions = []
-    for i, iv_node in enumerate(
-        _expect_list(mapping.get("interventions", []), f"{where}.interventions")
-    ):
-        iv_where = f"{where}.interventions[{i}]"
-        iv_map = _expect_mapping(iv_node, iv_where)
-        _reject_unknown(iv_map, {"tick", "sensor", "state"}, iv_where)
-        tick = _get_int(iv_map, "tick", iv_where)
-        if not 0 <= tick < horizon:
-            raise ScenarioError(f"{iv_where}.tick: {tick} not in [0, horizon={horizon})")
-        interventions.append(
-            ScriptedIntervention(
-                tick=tick,
-                sensor=_get_str(iv_map, "sensor", iv_where),
-                state=_get_str(iv_map, "state", iv_where),
-            )
-        )
-    faults = []
-    for i, fault_node in enumerate(_expect_list(mapping.get("faults", []), f"{where}.faults")):
-        fault_where = f"{where}.faults[{i}]"
-        fault_map = _expect_mapping(fault_node, fault_where)
-        _reject_unknown(fault_map, {"component", "activation", "rules"}, fault_where)
-        activation = _get_int(fault_map, "activation", fault_where)
-        if not 0 <= activation < horizon:
-            raise ScenarioError(
-                f"{fault_where}.activation: {activation} not in [0, horizon={horizon})"
-            )
-        rules = tuple(
-            _parse_rule(rule_node, f"{fault_where}.rules[{j}]")
-            for j, rule_node in enumerate(
-                _expect_list(fault_map.get("rules", []), f"{fault_where}.rules")
-            )
-        )
-        faults.append(
-            FaultSpec(
-                component=_get_str(fault_map, "component", fault_where),
-                replacement_rules=rules,
-                activation=activation,
-            )
-        )
-    return tuple(interventions), tuple(faults)
+    script = _fields(node, _SCRIPT_FIELDS)
+
+    def tick(entry: Mapping, key: str) -> int:
+        value = _int(entry, key)
+        if not 0 <= value < horizon:
+            raise _Misfit(key, f"{value} not in [0, horizon={horizon})")
+        return value
+
+    def intervention(node: Any) -> ScriptedIntervention:
+        entry = _fields(node, _INTERVENTION_FIELDS)
+        at = tick(entry, "tick")
+        return ScriptedIntervention(at, _str(entry, "sensor"), _str(entry, "state"))
+
+    def fault(node: Any) -> FaultSpec:
+        entry = _fields(node, _FAULT_FIELDS)
+        activation = tick(entry, "activation")
+        rules = _each(entry, "rules", _parse_rule, [])
+        return FaultSpec(_str(entry, "component"), rules, activation)
+
+    return _each(script, "interventions", intervention, []), _each(script, "faults", fault, [])
 
 
 # Flow collections nested deeper than this are refused before composing:
@@ -544,12 +539,14 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
     """The data of the document ``node``, as ``loader.construct_document``
     would build it, for the nodes a scenario can hold.
 
-    A ``str`` scalar is its text; an int, float, bool or null scalar goes to
-    the loader's constructor for its tag.  A sequence becomes a list, and a
-    mapping whose keys are ``str`` scalars a dict, filled in node order, so
-    a later duplicate key wins; a mapping with merge keys ``<<`` is first
-    flattened by ``loader.flatten_mapping``.  Any other node, and a scalar
-    that its constructor refuses, raises a ScenarioError naming its line.
+    A ``str`` scalar is its text, and a plain decimal int its ``int``; any
+    other int, float, bool or null scalar goes to the loader's constructor
+    for its tag.  A sequence becomes a list, and a mapping whose keys are
+    ``str`` scalars a dict, filled in node order, so a later duplicate key
+    wins.  A merge key ``<<``, met in that fill, has the mapping flattened
+    by ``loader.flatten_mapping`` and filled again, as if its values had
+    not been built.  Any other node, and a scalar that its constructor
+    refuses, raises a ScenarioError naming its line.
     Each key that repeats an earlier one of its mapping as written, ``<<``
     included, is appended to ``repeated``: keys are taken before
     ``flatten_mapping`` rewrites a node in place, so no merged key repeats.
@@ -572,7 +569,10 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
             if tag == _STR_TAG:
                 return node.value
             if tag in _PLAIN_TAGS:
+                value = node.value
                 try:
+                    if tag == _INT_TAG and value.isdecimal() and (value[0] != "0" or value == "0"):
+                        return int(value)
                     return constructors[tag](loader, node)
                 except (ValueError, KeyError):
                     pass
@@ -606,34 +606,44 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
                 find_repeats(node.value)
         loader.flatten_mapping(root)
 
+    def fill(mapping: yaml.MappingNode, data: dict) -> None:
+        while True:  # once more after a merge key, with the mapping flattened
+            made = len(unfilled)
+            try:
+                for key, value in mapping.value:
+                    if key.tag != _STR_TAG or not isinstance(key, yaml.ScalarNode):
+                        if key.tag != _MERGE_TAG or mapping in merged:
+                            raise _refused(key, "mapping key")
+                        break
+                    data[key.value] = build(value)
+                else:
+                    if len(data) < len(mapping.value) and mapping not in merged:
+                        find_repeats(mapping.value)
+                    return
+            except ScenarioError:
+                if mapping in merged or all(key.tag != _MERGE_TAG for key, _ in mapping.value):
+                    raise
+            # The loader flattens a mapping, merged pairs first, before it
+            # builds any of its values: forget what was built from it.
+            for node in unfilled[made:]:
+                del memo[node]
+            del unfilled[made:]
+            data.clear()
+            merge(mapping)
+
     root = build(node)
     # The loop also reaches the containers that filling appends.
     for container in unfilled:
         data = memo[container]
         if isinstance(data, list):
             data.extend(map(build, container.value))
-            continue
-        if any(key.tag == _MERGE_TAG for key, _ in container.value):
-            merge(container)
-        for key, value in container.value:
-            if key.tag != _STR_TAG or not isinstance(key, yaml.ScalarNode):
-                raise _refused(key, "mapping key")
-            data[key.value] = build(value)
-        if len(data) < len(container.value) and container not in merged:
-            find_repeats(container.value)
+        else:
+            fill(container, data)
     return root
 
 
-_TOP_LEVEL_FIELDS = {
-    "name",
-    "seed",
-    "horizon",
-    "detection",
-    "sensors",
-    "subsystems",
-    "functionalities",
-    "script",
-}
+# Errors in these are named by their own paths, all others under "document".
+_OWN_PATHS = ("sensors[", "subsystems[", "functionalities[", "script")
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -669,56 +679,45 @@ def parse_scenario(text: str) -> ScenarioDocument:
             f"line {key.start_mark.line + 1}: key {key.value!r} repeats an earlier key "
             "of its mapping"
         )
-    root = _expect_mapping(raw, "document")
-    _reject_unknown(root, _TOP_LEVEL_FIELDS, "document")
-
-    horizon = _get_int(root, "horizon", "document", minimum=1)
-    detection = _expect_mapping(root.get("detection", {}), "document.detection")
-    _reject_unknown(detection, {"window", "stride", "alpha"}, "document.detection")
-    alpha = detection.get("alpha", DEFAULT_ALPHA)
-    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
-        raise ScenarioError(f"document.detection.alpha: expected a number in (0, 1), got {alpha!r}")
-
-    sensors = tuple(
-        _parse_sensor(node, f"sensors[{i}]")
-        for i, node in enumerate(_expect_list(root.get("sensors"), "document.sensors"))
-    )
-    if not sensors:
-        raise ScenarioError("document.sensors: expected at least one sensor")
-    subsystems = tuple(
-        _parse_subsystem(node, f"subsystems[{i}]")
-        for i, node in enumerate(_expect_list(root.get("subsystems", []), "document.subsystems"))
-    )
-    functionalities = tuple(
-        _parse_functionality(node, f"functionalities[{i}]")
-        for i, node in enumerate(
-            _expect_list(root.get("functionalities", []), "document.functionalities")
-        )
-    )
-    interventions, faults = _parse_script(root.get("script", {}), "script", horizon)
-    name = root.get("name", "")
-    if not isinstance(name, str):
-        raise ScenarioError(f"document.name: expected a string, got {type(name).__name__}")
-
-    doc = ScenarioDocument(
-        name=name,
-        seed=_get_int(root, "seed", "document", default=0, minimum=0),
-        horizon=horizon,
-        window=_get_int(
-            detection, "window", "document.detection", default=DEFAULT_WINDOW, minimum=1
-        ),
-        stride=_get_int(
-            detection, "stride", "document.detection", default=DEFAULT_STRIDE, minimum=1
-        ),
-        alpha=float(alpha),
-        sensors=sensors,
-        subsystems=subsystems,
-        functionalities=functionalities,
-        interventions=interventions,
-        faults=faults,
-    )
+    try:
+        doc = _parse_document(raw)
+    except _Misfit as misfit:
+        if not misfit.path.startswith(_OWN_PATHS):
+            misfit.under("document")
+        raise ScenarioError(f"{misfit.path}: {misfit.problem}") from None
     _validate_semantics(doc)
     return doc
+
+
+def _parse_document(raw: Any) -> ScenarioDocument:
+    root = _fields(raw, _TOP_LEVEL_FIELDS)
+    horizon = _int(root, "horizon", minimum=1)
+    detection = _fields(root.get("detection", {}), _DETECTION_FIELDS, "detection")
+    alpha = detection.get("alpha", DEFAULT_ALPHA)
+    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise _Misfit("detection.alpha", f"expected a number in (0, 1), got {alpha!r}")
+    sensors = _each(root, "sensors", _parse_sensor)
+    if not sensors:
+        raise _Misfit("sensors", "expected at least one sensor")
+    subsystems = _each(root, "subsystems", _parse_subsystem, [])
+    functionalities = _each(root, "functionalities", _parse_functionality, [])
+    try:
+        interventions, faults = _parse_script(root.get("script", {}), horizon)
+    except _Misfit as misfit:
+        raise misfit.under("script") from None
+    name = root.get("name", "")
+    if not isinstance(name, str):
+        raise _Misfit("name", f"expected a string, got {type(name).__name__}")
+    seed = _int(root, "seed", 0, minimum=0)
+    try:
+        window = _int(detection, "window", DEFAULT_WINDOW, minimum=1)
+        stride = _int(detection, "stride", DEFAULT_STRIDE, minimum=1)
+    except _Misfit as misfit:
+        raise misfit.under("detection") from None
+    return ScenarioDocument(
+        name, seed, horizon, window, stride, float(alpha),
+        sensors, subsystems, functionalities, interventions, faults,
+    )
 
 
 def _validate_semantics(doc: ScenarioDocument) -> None:

@@ -5,7 +5,9 @@ from collections import Counter
 from operator import itemgetter
 
 import pytest
+from test_model import one_parameter_table_text
 
+import causalcps.planning as planning
 from causalcps.model import guards_overlap
 from causalcps.planning import (
     Functionality,
@@ -17,6 +19,7 @@ from causalcps.planning import (
     plan,
     validate_plan,
 )
+from causalcps.scenario import parse_scenario
 
 
 def knife_problem(knife_doc, goal=None):
@@ -386,3 +389,73 @@ def test_repeated_module_and_name_rejected():
     )
     with pytest.raises(ValueError, match="functionality oven.heat: declared more than once"):
         PlanningProblem((heat, again), {"p": "Raw"}, {"p": "Done"})
+
+
+class TestTransitionIndex:
+    """``Functionality.transition`` finds, through its index, the entry a
+    scan of the whole table finds, and tries a bounded number of guards."""
+
+    def test_transition_is_the_match_of_a_table_scan(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            problem, labels = random_planning_problem(rng)
+            properties = sorted(labels)
+            states = [
+                dict(zip(properties, combo))
+                for combo in itertools.product(*(labels[p] for p in properties))
+            ]
+            for functionality in problem.functionalities:
+                for param in functionality.parameter_domain:
+                    for state in states:
+                        scanned = next(
+                            (
+                                entry
+                                for entry in functionality.transitions
+                                if entry.param == param and entry.applies(state)
+                            ),
+                            None,
+                        )
+                        assert functionality.transition(param, state) is scanned
+
+    def test_guards_that_skip_the_pivot_are_tried_for_every_state(self):
+        # Each sensor is read twice, so the pivot is a, the first met.
+        f = Functionality(
+            "m",
+            "f",
+            (1.0,),
+            (
+                TransitionEntry(1.0, {"a": "X", "b": "Y"}, {"b": "X"}),
+                TransitionEntry(1.0, {"a": "Z", "c": "Y"}, {"c": "X"}),
+                TransitionEntry(1.0, {"b": "X", "c": "X"}, {"a": "X"}),
+            ),
+            duration=1,
+        )
+        assert f.transition(1.0, {"a": "Q", "b": "X", "c": "X"}) is f.transitions[2]
+        assert f.transition(1.0, {"b": "X", "c": "X"}) is f.transitions[2]
+        assert f.transition(1.0, {"a": "Z", "b": "Y", "c": "Y"}) is f.transitions[1]
+        assert f.transition(1, {"a": "X", "b": "Y"}) is f.transitions[0]
+        assert f.transition(1.0, {"b": "Y", "c": "Y"}) is None
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_one_parameter_table_plans_with_one_guard_test_per_call(self, monkeypatch, n):
+        doc = parse_scenario(one_parameter_table_text(n))
+        problem = doc.planning_problem({"p": f"S{n - 1}"})
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(planning, "holds", counted("holds", planning.holds))
+        monkeypatch.setattr(
+            planning, "apply_functionality", counted("apply", planning.apply_functionality)
+        )
+        steps = (PlanStep("line", "advance", 1.0),) * (n - 1)
+        assert plan(problem) == Plan(steps=steps, total_duration=n - 1)
+        # One call per action of each settled state but the goal, each with
+        # one guard test; the other holds calls are the n goal tests.
+        assert calls["apply"] == n - 1
+        assert calls["holds"] == calls["apply"] + n

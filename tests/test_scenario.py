@@ -8,6 +8,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,73 @@ class TestParseScenario:
         quench = "parameters:\n  - 1.0\n  duration: 3\n  transitions:\n  - param: 1.0\n"
         assert quench in text
         text = text.replace(quench, quench.replace("param: 1.0", "param: true"))
-        with pytest.raises(ScenarioError, match=r"transitions\[0\]\.param: expected a number"):
+        with pytest.raises(ScenarioError) as info:
             parse_scenario(text)
+        assert str(info.value) == "functionalities[1].transitions[0].param: expected a number"
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (
+                ("sensors", 1, "states", 2, "label"),
+                "S,50",
+                "sensors[1].states[2].label: 'S,50' holds a comma, double quote, CR or LF, "
+                "which would break the CSV artifacts",
+            ),
+            (
+                ("sensors", 5, "states", 1, "dist"),
+                "normal(800, 0)",
+                "sensors[5].states[1].dist: normal stddev must be > 0, got 0.0",
+            ),
+            (
+                ("subsystems", 2, "rules", 1, "when"),
+                ["burner_set"],
+                "subsystems[2].rules[1].when: expected a mapping, got list",
+            ),
+            (
+                ("subsystems", 0, "rules", 3, "then", 0, "delay"),
+                "1",
+                "subsystems[0].rules[3].then[0].delay: expected an integer",
+            ),
+            (
+                ("functionalities", 1, "transitions", 1, "param"),
+                "1.0",
+                "functionalities[1].transitions[1].param: expected a number",
+            ),
+            (
+                ("script", "interventions", 3, "tick"),
+                300,
+                "script.interventions[3].tick: 300 not in [0, horizon=300)",
+            ),
+            (
+                ("script", "faults", 0, "rules"),
+                [
+                    {"when": {"lid_cmd": "DoClose"}, "then": []},
+                    {"when": {"lid_cmd": "DoOpen"}, "then": [{"sensor": "", "state": "Open"}]},
+                ],
+                "script.faults[0].rules[1].then[0].sensor: expected a nonempty string",
+            ),
+            (
+                ("sensors", 7, "states"),
+                {"label": "Soft"},
+                "sensors[7].states: expected a list, got dict",
+            ),
+            (("detection", "window"), 0, "document.detection.window: must be >= 1, got 0"),
+            (("detection", "beta"), 1, "document.detection: unknown field(s) ['beta']"),
+            (("subsystems", 3), [], "subsystems[3]: expected a mapping, got list"),
+            (("script",), [], "script: expected a mapping, got list"),
+        ],
+    )
+    def test_error_text_names_the_field_path(self, path, value, message):
+        data = yaml.safe_load(PACKAGED_KNIFE.read_text(encoding="utf-8"))
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(yaml.safe_dump(data, sort_keys=False))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1" + "0" * 400])
     @pytest.mark.parametrize(
@@ -451,6 +517,11 @@ EDGE_DOCUMENTS = {
         "b: [true, False, yes, off]\n"
         "n: [~, null, '', !!null '']\n"
     ),
+    # Only "0" and a plain decimal not led by "0" are built by int() directly.
+    "int spellings": "i: [0, 00, 007, 010, +12, -0, 1_2, 0b1, 08, 1:30]\n",
+    # Plain, they resolve to str; tagged, int() takes any decimal digits.
+    "unicode decimal digits": "u: [\u0663, \u0661\u0662, !!int \u0663, !!int \u0661\u0662]\n",
+    "superscript int": "a: !!int \u00b2\n",
     "keys of every plain kind": "{a: 1, 2: b, 3.5: c, true: d, ~: e, 1.0: f}\n",
     # One text written plain, quoted and tagged: a tag memo keyed on the
     # text alone would give all of a row one type.
@@ -523,6 +594,7 @@ REFUSED_DOCUMENTS = {
     "unknown tag": refusal(1, "scalar", "!custom", "value", "2"),
     "str tag on a sequence": refusal(1, "sequence", "str", "value"),
     "bad int": refusal(1, "scalar", "int", "value", "abc"),
+    "superscript int": refusal(1, "scalar", "int", "value", "\u00b2"),
 }
 
 
@@ -751,6 +823,155 @@ class TestRoundTrip:
     def test_repo_scenario_path_links_to_the_packaged_file(self):
         assert REPO_KNIFE.is_symlink()
         assert REPO_KNIFE.read_bytes() == PACKAGED_KNIFE.read_bytes()
+
+
+# Names that YAML would read as something other than a plain string, or
+# that hold characters a CSV field or YAML scalar must carry through.
+TRICKY_NAMES = [
+    "yes", "No", "null", "~", "12", "0x1F", "1.5", ".inf", "1:30", "2002-12-14", "- a", "#x",
+    "a: b", "'q'", "[l]", "{m}", " lead", "trail ", "\u00e9t\u00e9", "\u0663", "tab\there",
+    "&a", "*a", "!t", "%p", "@at", "`b", "a+b", "x|y",
+]
+
+
+def random_scenario_text(rng):
+    """A valid scenario drawn from ``rng``, as YAML text: one to six
+    sensors of normal, uniform and point-mass states, subsystems of every
+    kind over random proper subsets with disjoint guards, functionalities
+    when a module and product sensors exist, and a script of interventions
+    and faults."""
+
+    def fresh(taken, ids=False):
+        while True:
+            text = rng.choice([*TRICKY_NAMES, f"n{rng.randrange(100)}"])
+            if ids:
+                text = text.replace("+", "_").replace("|", "_")
+            if text not in taken and text != "ANOMALOUS":
+                taken.add(text)
+                return text
+
+    def dist():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return f"normal({rng.uniform(-1e3, 1e3)!r}, {rng.choice([rng.uniform(0.01, 50), 2])!r})"
+        if kind == 1:
+            lo = rng.choice([rng.uniform(-100, 100), rng.randint(-5, 5)])
+            return f"uniform({lo!r}, {lo + rng.uniform(0.001, 50)!r})"
+        return f"degenerate({rng.choice([rng.uniform(-1e6, 1e6), rng.randint(-9, 9)])!r})"
+
+    ids = set()
+    sensors = []
+    for _ in range(rng.randint(1, 6)):
+        sensor_id = fresh(ids, ids=True)
+        taken = set()
+        texts = list(dict.fromkeys(dist() for _ in range(rng.randint(1, 4))))
+        states = [{"label": fresh(taken), "dist": text} for text in texts]
+        initial = rng.choice([state["label"] for state in states])
+        sensors.append({"id": sensor_id, "initial": initial, "states": states})
+    labels = {sensor["id"]: [s["label"] for s in sensor["states"]] for sensor in sensors}
+    sensor_ids = list(labels)
+
+    def table(owned):
+        """Rules whose guards differ on one pivot sensor, so none overlap."""
+        pivot = rng.choice(owned)
+        rules = []
+        for label in rng.sample(labels[pivot], rng.randint(0, len(labels[pivot]))):
+            guard = {pivot: label}
+            other = rng.choice(owned)
+            if other != pivot and rng.random() < 0.3:
+                guard[other] = rng.choice(labels[other])
+            effects = []
+            for _ in range(rng.randint(0, 2)):
+                target = rng.choice(sensor_ids)
+                state = rng.choice(labels[target])
+                effects.append({"sensor": target, "state": state, "delay": rng.randint(1, 4)})
+            rules.append({"when": guard, "then": effects})
+        if len(rules) == 1 and rng.random() < 0.3:
+            rules[0]["when"] = {}
+        return rules
+
+    subsystems = []
+    if len(sensor_ids) > 1:
+        taken = set(ids)
+        for _ in range(rng.randint(1, 4)):
+            owned = rng.sample(sensor_ids, rng.randint(1, len(sensor_ids) - 1))
+            kind = rng.choice(["component", "module", "product"])
+            subsystem = {"id": fresh(taken, ids=True), "kind": kind, "sensors": owned}
+            subsystem["rules"] = table(owned)
+            subsystems.append(subsystem)
+    modules = [s["id"] for s in subsystems if s["kind"] == "module"]
+    products = sorted({sid for s in subsystems if s["kind"] == "product" for sid in s["sensors"]})
+    functionalities = []
+    names = set()
+    for _ in range(rng.randint(0, 2) if modules and products else 0):
+        domain = rng.sample([0, 1, 2.5, 25, 100, -3, 0.125], rng.randint(1, 3))
+        transitions = []
+        for param in domain:
+            pivot = rng.choice(products)
+            for label in rng.sample(labels[pivot], rng.randint(0, len(labels[pivot]))):
+                written = rng.choice(products)
+                effect = {written: rng.choice(labels[written])}
+                transitions.append({"param": param, "when": {pivot: label}, "then": effect})
+        functionalities.append(
+            {
+                "module": rng.choice(modules),
+                "name": fresh(names),
+                "parameters": domain,
+                "duration": rng.randint(1, 9),
+                "transitions": transitions,
+            }
+        )
+    horizon = rng.randint(1, 40)
+    interventions = []
+    for _ in range(rng.randint(0, 4)):
+        sensor_id = rng.choice(sensor_ids)
+        state = rng.choice(labels[sensor_id])
+        interventions.append({"tick": rng.randrange(horizon), "sensor": sensor_id, "state": state})
+    faults = []
+    for subsystem in rng.sample(subsystems, rng.randint(0, min(2, len(subsystems)))):
+        rules = table(subsystem["sensors"])
+        faults.append(
+            {"component": subsystem["id"], "activation": rng.randrange(horizon), "rules": rules}
+        )
+    document = {
+        "name": fresh(set()),
+        "seed": rng.randrange(10**6),
+        "horizon": horizon,
+        "detection": {
+            "window": rng.randint(1, 10),
+            "stride": rng.randint(1, 5),
+            "alpha": rng.uniform(0.001, 0.2),
+        },
+        "sensors": sensors,
+        "subsystems": subsystems,
+        "functionalities": functionalities,
+        "script": {"interventions": interventions, "faults": faults},
+    }
+    return yaml.safe_dump(document, sort_keys=False, default_flow_style=rng.choice([False, None]))
+
+
+class TestRandomScenarios:
+    """Documents drawn from a seeded generator keep their content through
+    serialize and parse, and their simulated traces their bytes through
+    export and import."""
+
+    def test_serialize_parse_and_trace_csv_round_trips(self):
+        rng = random.Random(2028)
+        drawn = Counter()
+        for _ in range(300):
+            doc = parse_scenario(random_scenario_text(rng))
+            assert parse_scenario(serialize_scenario(doc)) == doc
+            trace = doc.run()
+            text = export_trace(trace)
+            assert export_trace(import_trace(text)) == text
+            assert export_trace(import_trace(text, doc.build())) == text
+            drawn.update(
+                subsystems=bool(doc.subsystems),
+                functionalities=bool(doc.functionalities),
+                interventions=bool(doc.interventions),
+                faults=bool(doc.faults),
+            )
+        assert min(drawn.values()) >= 30, drawn
 
 
 class TestKnifeFixtureContent:
