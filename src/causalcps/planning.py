@@ -9,9 +9,9 @@ as the cost; ties break on plan length, then on the per-step keys
 not depend on the order functionalities were declared in.  A heap entry holds
 a partial plan as its step keys alone; steps are built once, for the plan
 returned.  Transition tables are checked and applied by the model's guard code:
-each functionality indexes its transitions by parameter value and by their
-label on the pivot sensor (``model.pivot_groups``) on first use, so applying
-it tests only the guards that can match.
+a functionality of more than two transitions indexes them by parameter value
+and by their label on the pivot sensor (``model.pivot_groups``) on first use,
+so applying it tests only the guards that can match.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import first_overlap, holds, pivot_groups
 
@@ -40,6 +40,10 @@ class TransitionEntry:
 
 # The index entry of a parameter value without transitions.
 _NO_TRANSITIONS: tuple[None, dict, tuple] = (None, {}, ())
+
+# A table of at most this many transitions is scanned whole: testing its
+# guards costs less than building the index and consulting it.
+_SCANNED = 2
 
 
 @dataclass(frozen=True)
@@ -68,11 +72,15 @@ class Functionality:
     def transition(self, param: float, state: Mapping[str, str]) -> TransitionEntry | None:
         """The transition for ``param`` whose guard ``state`` matches, or None.
         At most one matches, since the guards of one parameter value are
-        disjoint, and only those with the state's label on the pivot, or
-        none, are tried."""
-        pivot, by_label, free = self._index.get(param, _NO_TRANSITIONS)
-        for entry in chain(by_label.get(state.get(pivot), ()), free):
-            if entry.applies(state):
+        disjoint.  Past ``_SCANNED`` transitions, only those with the
+        state's label on the pivot, or none, are tried."""
+        if len(self.transitions) <= _SCANNED:
+            tried: Iterable[TransitionEntry] = self.transitions
+        else:
+            pivot, by_label, free = self._index.get(param, _NO_TRANSITIONS)
+            tried = chain(by_label.get(state.get(pivot), ()), free)
+        for entry in tried:
+            if entry.param == param and entry.applies(state):
                 return entry
         return None
 

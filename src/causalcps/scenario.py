@@ -41,23 +41,43 @@ Distributions are written ``normal(mean, stddev)``, ``uniform(lo, hi)`` or
 ``degenerate(value)``.  Unknown fields are rejected; semantic errors are
 raised by model validation.
 
-The text is composed into a YAML node graph by ``_YAML_LOADER`` (PyYAML's
-libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without libyaml).
-``_construct`` builds from it, in one iterative pass, only what a scenario
-can hold: ``str``, ``int``, ``float``, ``bool`` and null scalars, lists,
-mappings with string keys, aliases and merge keys ``<<``, giving the data
-of ``yaml.load``.  A plain decimal int (``12``, not ``012``, ``+12`` or
-``1_2``) is built by ``int``; every other int spelling, and each float,
-bool and null, by the loader's constructor.  Any other node (a timestamp,
+A scenario text is read by one of two readers, chosen by the text alone.
+Text in the block layout that ``yaml.safe_dump`` writes, as
+``serialize_scenario``, the bundled fixtures and the generated workloads
+are, is read by ``_read_block`` in one pass over its lines, with a stack of
+open containers and no node graph.  It takes printable ASCII ending in a
+newline, indented two spaces a level with sequences not indented under
+their key and at most one ``- `` a line; keys are identifiers that resolve
+to ``str``, and a value is a one-line plain scalar that resolves to
+``str``, ``int`` or ``float``, a one-line single-quoted scalar, ``[]`` or
+``{}``.  Every other text (a comment, an anchor or alias, a tag, ``<<``,
+a double-quoted, folded or multi-line scalar, a blank line, a tab, a CR,
+a repeated key, a bool or null) is left to the libyaml path below, so
+every refusal and every error text comes from that path.
+
+There the text is composed into a YAML node graph by ``_YAML_LOADER``
+(PyYAML's libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without
+libyaml).  ``_construct`` builds from it, in one iterative pass, only what
+a scenario can hold: ``str``, ``int``, ``float``, ``bool`` and null
+scalars, lists, mappings with string keys, aliases and merge keys ``<<``,
+giving the data of ``yaml.load``.  Any other node (a timestamp,
 ``!!set``, ``!!binary``, an unknown tag, a non-string key) is refused,
-naming its line and tag.  Each distinct scalar's tag is resolved once per
-parse, which is exact because no path resolvers are registered.  A mapping
-that repeats a key, ``<<`` included, is refused, naming the line and the
-key; a key given explicitly and also through ``<<`` is not a repeat, nor
-is one merged from two mappings.  The schema checks each mapping with one
-call, its type and then its fields against the allowed set, and reads its
-fields with ``dict.get``.  A field path such as ``sensors[3].states[1].dist``
-is formatted only for a node that fails, as its error leaves each list.
+naming its line and tag.  A mapping that repeats a key, ``<<`` included,
+is refused, naming the line and the key; a key given explicitly and also
+through ``<<`` is not a repeat, nor is one merged from two mappings.
+
+Both readers build a scalar with ``_scalar``: a ``str`` is its text, a
+plain decimal int (``12``, not ``012``, ``+12`` or ``1_2``) is built by
+``int``, and every other int spelling, and each float, bool and null, by
+the loader's constructor.  The block reader takes a plain scalar's tag from
+``_YAML_LOADER``'s implicit-resolver table and a quoted one's as ``str``;
+the libyaml path resolves each distinct scalar's tag key once per parse,
+which is exact because no path resolvers are registered.  Neither keeps
+anything from one parse to the next.  The schema checks each mapping with
+one call, its type and then its fields against the allowed set, and reads
+its fields with ``dict.get``.  A field path such as
+``sensors[3].states[1].dist`` is formatted only for a node that fails, as
+its error leaves each list.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -92,7 +112,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -127,6 +147,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _STR_TAG = "tag:yaml.org,2002:str"
 _INT_TAG = "tag:yaml.org,2002:int"
+_FLOAT_TAG = "tag:yaml.org,2002:float"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 _MAP_TAG = "tag:yaml.org,2002:map"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
@@ -535,18 +556,34 @@ def _refused(node: yaml.Node, role: str) -> ScenarioError:
     )
 
 
+def _scalar(tag: str, value: str, constructor: Any, node: yaml.ScalarNode | None = None) -> Any:
+    """The data of the scalar ``value`` tagged ``tag``, one of ``_PLAIN_TAGS``:
+    the text itself for a ``str``, ``int(value)`` for a plain decimal int
+    (``12``, not ``012``, ``+12`` or ``1_2``), else what ``constructor``
+    builds from ``node`` (a new node of ``value`` if None) with its
+    constructor for the tag.  Raises ValueError or KeyError for a value
+    that the constructor refuses."""
+    if tag == _STR_TAG:
+        return value
+    if tag == _INT_TAG and value.isdecimal() and (value[0] != "0" or value == "0"):
+        return int(value)
+    if node is None:
+        node = yaml.ScalarNode(tag, value)
+    return constructor.yaml_constructors[tag](constructor, node)
+
+
 def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -> Any:
     """The data of the document ``node``, as ``loader.construct_document``
     would build it, for the nodes a scenario can hold.
 
-    A ``str`` scalar is its text, and a plain decimal int its ``int``; any
-    other int, float, bool or null scalar goes to the loader's constructor
-    for its tag.  A sequence becomes a list, and a mapping whose keys are
-    ``str`` scalars a dict, filled in node order, so a later duplicate key
-    wins.  A merge key ``<<``, met in that fill, has the mapping flattened
-    by ``loader.flatten_mapping`` and filled again, as if its values had
-    not been built.  Any other node, and a scalar that its constructor
-    refuses, raises a ScenarioError naming its line.
+    A ``str``, ``int``, ``float``, ``bool`` or null scalar is built by
+    ``_scalar`` with ``loader`` as its constructor.  A sequence becomes a
+    list, and a mapping whose keys are ``str`` scalars a dict, filled in
+    node order, so a later duplicate key wins.  A merge key ``<<``, met in
+    that fill, has the mapping flattened by ``loader.flatten_mapping`` and
+    filled again, as if its values had not been built.  Any other node, and
+    a scalar that its constructor refuses, raises a ScenarioError naming
+    its line.
     Each key that repeats an earlier one of its mapping as written, ``<<``
     included, is appended to ``repeated``: keys are taken before
     ``flatten_mapping`` rewrites a node in place, so no merged key repeats.
@@ -557,7 +594,6 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
     """
     if node is None:
         return None
-    constructors = loader.yaml_constructors
     memo: dict[yaml.Node, Any] = {}
     unfilled: list[yaml.Node] = []
     # Mappings whose keys were taken before a merge.
@@ -566,14 +602,9 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
     def build(node: yaml.Node) -> Any:
         tag = node.tag
         if isinstance(node, yaml.ScalarNode):
-            if tag == _STR_TAG:
-                return node.value
             if tag in _PLAIN_TAGS:
-                value = node.value
                 try:
-                    if tag == _INT_TAG and value.isdecimal() and (value[0] != "0" or value == "0"):
-                        return int(value)
-                    return constructors[tag](loader, node)
+                    return _scalar(tag, node.value, loader, node)
                 except (ValueError, KeyError):
                     pass
         elif node in memo:
@@ -642,6 +673,146 @@ def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -
     return root
 
 
+_SINGLE_QUOTED = re.compile(r"'(?:[^']|'')*'")
+# The characters that a plain scalar the block reader takes may not start
+# with: YAML's indicators and a space.
+_NOT_FIRST = frozenset("-?:,[]{}#&*!|>'\"%@` ")
+# The tags of the plain scalars that the block reader takes.
+_BLOCK_TAGS = frozenset((_STR_TAG, _INT_TAG, _FLOAT_TAG))
+
+
+def _implicit_tag(value: str) -> str:
+    """The tag that ``_YAML_LOADER`` resolves the nonempty plain scalar
+    ``value`` to: that of the first implicit resolver, of those listed for
+    its first character and then those for any, whose pattern matches it,
+    else ``str``.  With no path resolvers registered, a scalar's place in
+    the document plays no part."""
+    resolvers = _YAML_LOADER.yaml_implicit_resolvers
+    for tag, pattern in chain(resolvers.get(value[0], ()), resolvers.get(None, ())):
+        if pattern.match(value):
+            return tag
+    return _STR_TAG
+
+
+def _block_scalar(text: str, constructor: Any) -> Any:
+    """The data of the scalar written ``text`` in the block layout, or None
+    if the block reader does not take it: a single-quoted scalar is a
+    ``str``; a plain one must not start with an indicator or a space, end
+    with a colon or a space, nor hold ": " or " #", and must resolve to
+    ``str``, ``int`` or ``float``.  Either must be printable ASCII."""
+    if not text.isprintable():
+        return None
+    if text[0] == "'":
+        if not _SINGLE_QUOTED.fullmatch(text):
+            return None
+        return _scalar(_STR_TAG, text[1:-1].replace("''", "'"), constructor)
+    if text[0] in _NOT_FIRST or text[-1] in ": " or ": " in text or " #" in text:
+        return None
+    tag = _implicit_tag(text)
+    if tag not in _BLOCK_TAGS:
+        return None
+    try:
+        return _scalar(tag, text, constructor)
+    except (ValueError, KeyError):
+        return None
+
+
+def _read_block(text: str) -> dict | None:
+    """The data of ``text`` if it is in the block layout that
+    ``yaml.safe_dump(sort_keys=False)`` writes, else None (see the module
+    docstring for what that takes); what it returns equals, type for type,
+    what ``_load_yaml`` returns for the text.
+
+    A line is its indent of spaces, a "- " if it holds a sequence item, and
+    then "key:", "key: value" or, after a "- ", a value alone.  One pass
+    over the lines keeps a stack of the open containers, each with the
+    column of its keys or of its items' "- ".  A line closes those deeper
+    than it, and the sequence at its column if it holds a key; a "key:"
+    line opens, on the next line, the sequence at its column or the
+    mapping two columns in.  Every character is an indent space, part of a
+    "- ", ":" or ": ", an identifier key, a checked value or a line end, so
+    the text is printable ASCII.  Each distinct scalar text is built once,
+    its data kept for this parse only; ``[]`` and ``{}`` give a new
+    container each time."""
+    if not text.endswith("\n") or not text.isascii():
+        return None
+    # Both loaders build scalars with SafeConstructor's methods, which read
+    # nothing of the loader but the node: this one needs no parser.
+    constructor = yaml.constructor.SafeConstructor()
+    built: dict[str, Any] = {}
+
+    def scalar(written: str) -> Any:
+        """The data of a scalar not built yet, None if refused."""
+        if written == "[]":
+            return []
+        if written == "{}":
+            return {}
+        data = built[written] = _block_scalar(written, constructor) if written else None
+        return data
+
+    root: dict = {}
+    stack: list[tuple[int, Any]] = [(0, root)]
+    opened: tuple[dict, str, int] | None = None
+    for line in text[:-1].split("\n"):
+        content = line.lstrip(" ")
+        column = len(line) - len(content)
+        dash = content[:2] == "- "
+        if dash:
+            content = content[2:]
+        key, colon, value = content.partition(": ")
+        if not colon:
+            if content[-1:] == ":":
+                key = content[:-1]
+            elif dash:
+                key = ""
+            else:
+                return None
+        if opened is not None:
+            mapping, name, at = opened
+            opened = None
+            if dash and column == at:
+                top = mapping[name] = []
+            elif key and not dash and column == at + 2:
+                top = mapping[name] = {}
+            else:
+                return None
+            stack.append((column, top))
+        else:
+            at, top = stack[-1]
+            while at != column or (type(top) is list) is not dash:
+                if at < column or (at == column and dash):
+                    return None
+                stack.pop()
+                at, top = stack[-1]
+        if dash:
+            if not key:
+                data = built.get(content)
+                if data is None and (data := scalar(content)) is None:
+                    return None
+                top.append(data)
+                continue
+            mapping = {}
+            top.append(mapping)
+            top = mapping
+            column += 2
+            stack.append((column, top))
+        # An identifier resolves to a str, a bool or a null, and the block
+        # reader takes only the first.
+        if not key.isidentifier():
+            return None
+        name = built.get(key) or scalar(key)
+        if name is None or name in top:
+            return None
+        if colon:
+            data = built.get(value)
+            if data is None and (data := scalar(value)) is None:
+                return None
+            top[name] = data
+        else:
+            opened = top, name, column
+    return None if opened is not None else root
+
+
 # Errors in these are named by their own paths, all others under "document".
 _OWN_PATHS = ("sensors[", "subsystems[", "functionalities[", "script")
 
@@ -649,10 +820,27 @@ _OWN_PATHS = ("sensors[", "subsystems[", "functionalities[", "script")
 def parse_scenario(text: str) -> ScenarioDocument:
     """Parse and fully validate a scenario document.
 
-    Schema violations raise ScenarioError with field context; semantic
-    violations (bad references, overlapping guards, delays < 1, ...) are
-    raised by model validation.
+    The block reader reads the text if it takes it, else the libyaml path
+    does (see the module docstring).  Schema violations raise ScenarioError
+    with field context; semantic violations (bad references, overlapping
+    guards, delays < 1, ...) are raised by model validation.
     """
+    raw = _read_block(text)
+    if raw is None:
+        raw = _read_yaml(text)
+    try:
+        doc = _parse_document(raw)
+    except _Misfit as misfit:
+        if not misfit.path.startswith(_OWN_PATHS):
+            misfit.under("document")
+        raise ScenarioError(f"{misfit.path}: {misfit.problem}") from None
+    _validate_semantics(doc)
+    return doc
+
+
+def _read_yaml(text: str) -> Any:
+    """The data of ``text`` read by the libyaml path, refusing a text whose
+    flow collections nest too deep, bad YAML and repeated keys."""
     # No deeper nesting than there are opening brackets: most documents are
     # cleared by counting them.
     if text.count("[") + text.count("{") > _MAX_FLOW_DEPTH and _flow_depth_exceeds(
@@ -679,14 +867,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
             f"line {key.start_mark.line + 1}: key {key.value!r} repeats an earlier key "
             "of its mapping"
         )
-    try:
-        doc = _parse_document(raw)
-    except _Misfit as misfit:
-        if not misfit.path.startswith(_OWN_PATHS):
-            misfit.under("document")
-        raise ScenarioError(f"{misfit.path}: {misfit.problem}") from None
-    _validate_semantics(doc)
-    return doc
+    return raw
 
 
 def _parse_document(raw: Any) -> ScenarioDocument:
@@ -884,6 +1065,17 @@ def _tick_strings(start: int, stop: int, width: int) -> list[str]:
     return list(islice(ticks, stop - start))
 
 
+def _tick_text(start: int, stop: int, width: int) -> str:
+    """``",".join(_tick_strings(start, stop, width))``, built a tick at a
+    time (``start < stop``)."""
+    first, done = divmod(start, width)
+    last, left = divmod(stop, width)
+    if first == last:
+        return (f"{first}," * (stop - start))[:-1]
+    whole = (f"{tick}," * width for tick in range(first + 1, last))
+    return "".join((f"{first}," * (width - done), *whole, f"{last}," * left))[:-1]
+
+
 _TRACE_HEADER = ["tick", "sensor_id", "value", "state_label"]
 _TRACE_HEADER_LINE = ",".join(_TRACE_HEADER) + "\n"
 
@@ -968,6 +1160,12 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
     sensor_ids = tuple(text[start:tick_1].replace("\n", ",").split(",")[1::4])
     if len(sensor_ids) != width or len(set(sensor_ids)) != width:
         return None
+    # A chunk's tick and id fields are checked joined by commas, against
+    # the text they make in export's layout: no field holds a comma, so the
+    # texts are equal exactly when the fields are.  One tick's ids, each
+    # followed by a comma, and where each id starts in that text:
+    ids_text = ",".join(sensor_ids) + ","
+    id_starts = [0, *accumulate(len(sensor_id) + 1 for sensor_id in sensor_ids)]
     # Every label is coded by one coder shared by all sensors, in order of
     # first sight, and each column is recoded to its sensor's table at the end.
     coder = defaultdict()
@@ -992,8 +1190,13 @@ def _trace_by_column(text: str, model: SystemModel | None) -> Trace | None:
             return None
         fields = chunk.replace("\n", ",").split(",")
         first = row % width
-        sensors = islice(chain(sensor_ids[first : first + n], cycle(sensor_ids)), n)
-        if fields[0::4] != _tick_strings(row, row + n, width) or fields[1::4] != list(sensors):
+        ids_end, ids_left = divmod(first + n, width)
+        ids = (ids_text * (ids_end + 1))[
+            id_starts[first] : ids_end * len(ids_text) + id_starts[ids_left] - 1
+        ]
+        if ",".join(fields[1::4]) != ids or ",".join(fields[0::4]) != _tick_text(
+            row, row + n, width
+        ):
             return None
         try:
             chunk_values = np.fromiter(map(float, fields[2::4]), dtype=np.float64, count=n)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import importlib.resources
 import io
@@ -395,6 +396,14 @@ functionalities:
             parse_scenario(text)
 
 
+def read_by_libyaml(text):
+    """``text`` behind a comment line, which the block reader refuses, so
+    that ``parse_scenario`` reads it by the libyaml path."""
+    refused = "# read by the libyaml path\n" + text
+    assert scenario_module._read_block(refused) is None
+    return refused
+
+
 class TestYamlLoader:
     """The libyaml loader is used when PyYAML has it; the pure-Python fallback
     must parse the same documents and report errors the same way."""
@@ -442,7 +451,7 @@ class TestYamlLoader:
     def test_fallback_parses_bundled_scenario_like_fixture(self, monkeypatch):
         # knife_fixture() parses with whichever loader is patched in, so each
         # parse names its loader explicitly.
-        text = PACKAGED_KNIFE.read_text(encoding="utf-8")
+        text = read_by_libyaml(PACKAGED_KNIFE.read_text(encoding="utf-8"))
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.CSafeLoader)
         with_libyaml = parse_scenario(text)
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
@@ -674,7 +683,7 @@ class TestConstruct:
 
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", Recording)
         monkeypatch.setattr(scenario_module, "build_model", build_model)
-        parse_scenario(PACKAGED_KNIFE.read_text(encoding="utf-8"))
+        parse_scenario(read_by_libyaml(PACKAGED_KNIFE.read_text(encoding="utf-8")))
         assert alive == [False]
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
@@ -722,7 +731,7 @@ class TestLoadYaml:
                 return super().resolve(kind, value, implicit)
 
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", Recording)
-        for text in workload_scenario_texts():
+        for text in map(read_by_libyaml, workload_scenario_texts()):
             calls.clear()
             yaml.compose(text, Loader=Recording)
             every_node = set(calls)
@@ -737,7 +746,7 @@ class TestLoadYaml:
         # Garbage in a cycle waits for the collector, which then also walks
         # every object the caller holds.
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
-        texts = workload_scenario_texts()
+        texts = list(map(read_by_libyaml, workload_scenario_texts()))
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -950,16 +959,22 @@ def random_scenario_text(rng):
     return yaml.safe_dump(document, sort_keys=False, default_flow_style=rng.choice([False, None]))
 
 
+@functools.lru_cache(maxsize=None)
+def random_scenario_texts():
+    """300 texts drawn by ``random_scenario_text`` from a fixed seed."""
+    rng = random.Random(2028)
+    return tuple(random_scenario_text(rng) for _ in range(300))
+
+
 class TestRandomScenarios:
     """Documents drawn from a seeded generator keep their content through
     serialize and parse, and their simulated traces their bytes through
     export and import."""
 
     def test_serialize_parse_and_trace_csv_round_trips(self):
-        rng = random.Random(2028)
         drawn = Counter()
-        for _ in range(300):
-            doc = parse_scenario(random_scenario_text(rng))
+        for text in random_scenario_texts():
+            doc = parse_scenario(text)
             assert parse_scenario(serialize_scenario(doc)) == doc
             trace = doc.run()
             text = export_trace(trace)
@@ -972,6 +987,247 @@ class TestRandomScenarios:
                 faults=bool(doc.faults),
             )
         assert min(drawn.values()) >= 30, drawn
+
+
+# Plain scalars that YAML reads as something other than their text, or that
+# a block layout cannot hold as they are; each is also tried single-quoted.
+BLOCK_TRAPS = [
+    *TRICKY_NAMES,
+    "-", "- x", "?", ":", "a:b", "1e3", "1.0e+3", "017", "0b1", "Off",
+    "'it''s'", "''", "[ ]", "{a: 1}",
+]
+
+
+def quoted(text):
+    return "'" + text.replace("'", "''") + "'"
+
+
+def block_mutations(text, rng, lines_per_edit, every_trap):
+    """Edits of the block-layout ``text``, each with a name: line edits on
+    ``lines_per_edit`` lines drawn by ``rng``, edits of the whole text, and
+    each of ``BLOCK_TRAPS`` in place of a value and of a key on lines drawn
+    by ``rng``: plain and quoted on two lines each if ``every_trap``, else
+    in one style, on one line, as a value or as a key."""
+    lines = text[:-1].split("\n")
+
+    def joined(edited):
+        return "\n".join(edited) + "\n"
+
+    def keyed(line):
+        """(indent and "- ", key, ": " or ":", value) of a key line, else None."""
+        body = line.lstrip(" ")
+        lead = line[: len(line) - len(body)]
+        if body.startswith("- "):
+            lead, body = lead + "- ", body[2:]
+        key, colon, value = body.partition(": ")
+        if colon:
+            return lead, key, colon, value
+        if body.endswith(":"):
+            return lead, body[:-1], ":", ""
+        return None
+
+    for i in rng.sample(range(len(lines)), min(lines_per_edit, len(lines))):
+        line = lines[i]
+        depth = len(line) - len(line.lstrip(" "))
+        yield f"delete {i}", joined(lines[:i] + lines[i + 1 :])
+        yield f"duplicate {i}", joined(lines[: i + 1] + lines[i:])
+        if i + 1 < len(lines):
+            yield f"join {i}", joined(lines[:i] + [line + lines[i + 1]] + lines[i + 2 :])
+        for shift in (-2, -1, 1, 2):
+            if depth + shift >= 0:
+                moved = " " * (depth + shift) + line.lstrip(" ")
+                yield f"indent {i} by {shift}", joined(lines[:i] + [moved] + lines[i + 1 :])
+        for tail in (" #c", " "):
+            yield f"append {tail!r} to {i}", joined(lines[:i] + [line + tail] + lines[i + 1 :])
+        parts = keyed(line)
+        if parts and parts[3]:
+            lead, key, _, value = parts
+            head, space, rest = value.partition(" ")
+            first = f"{lead}{key}: {head}" if space else f"{lead}{key}:"
+            continued = " " * (len(lead) + 2) + (rest if space else value)
+            split = lines[:i] + [first, continued] + lines[i + 1 :]
+            yield f"split {i}", joined(split)
+    yield "no final newline", text[:-1]
+    at = rng.randrange(1, len(lines))
+    yield "blank line", joined(lines[:at] + [""] + lines[at:])
+    yield "document start", "---\n" + text
+    yield "document end", text + "...\n"
+    yield "CRLF", text.replace("\n", "\r\n")
+    yield "tab after a colon", text.replace(": ", ":\t", 1)
+    yield "tab indent", text.replace("\n  ", "\n\t", 1)
+
+    def has_value(line):
+        parts = keyed(line)
+        return bool(parts[3]) if parts else line.lstrip(" ").startswith("- ")
+
+    values = [i for i, line in enumerate(lines) if has_value(line)]
+    keys = [i for i, line in enumerate(lines) if keyed(line)]
+
+    def with_value(i, written):
+        lead, key, colon, _ = keyed(lines[i]) or (lines[i].partition("- ")[0] + "- ", "", "", "")
+        return joined(lines[:i] + [f"{lead}{key}{colon}{written}"] + lines[i + 1 :])
+
+    def with_key(i, written):
+        lead, _, colon, value = keyed(lines[i])
+        return joined(lines[:i] + [f"{lead}{written}{colon}{value}"] + lines[i + 1 :])
+
+    for trap in BLOCK_TRAPS:
+        if every_trap:
+            for written in (trap, quoted(trap)):
+                for i in rng.sample(values, 2):
+                    yield f"value {i} as {written!r}", with_value(i, written)
+                for i in rng.sample(keys, 2):
+                    yield f"key {i} as {written!r}", with_key(i, written)
+        else:
+            written = rng.choice([trap, quoted(trap)])
+            if rng.random() < 0.5:
+                i = rng.choice(values)
+                yield f"value {i} as {written!r}", with_value(i, written)
+            else:
+                i = rng.choice(keys)
+                yield f"key {i} as {written!r}", with_key(i, written)
+
+
+def block_reader_corpus():
+    """The fixtures, the generated workload scenarios, the texts of
+    ``TestRandomScenarios`` and their serializations, the edge documents
+    and edits of the knife, relay and plant texts, each with a name."""
+    fixtures = importlib.resources.files("causalcps") / "scenarios"
+    texts = {
+        name: (fixtures / name).read_text(encoding="utf-8")
+        for name in ("knife.yaml", "chain.yaml", "thermostat.yaml")
+    }
+    texts.update(generated_scenario_texts())
+    for i, text in enumerate(random_scenario_texts()):
+        texts[f"random {i}"] = text
+        texts[f"random {i} serialized"] = serialize_scenario(parse_scenario(text))
+    texts.update(EDGE_DOCUMENTS)
+    rng = random.Random(2029)
+    edits = [("knife.yaml", 12, True), ("relay-diagnose", 6, False), ("plant-monitor", 4, False)]
+    for source, lines_per_edit, every_trap in edits:
+        for name, text in block_mutations(texts[source], rng, lines_per_edit, every_trap):
+            texts[f"{source}: {name}"] = text
+    return texts
+
+
+def parse_outcome(text):
+    """``parse_scenario``'s document for ``text``, or the type and text of
+    what it raises."""
+    try:
+        return "document", parse_scenario(text)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+class TestBlockReader:
+    """The block reader takes the layout that ``yaml.safe_dump`` writes and
+    gives what the libyaml path gives; it leaves every other text, and so
+    every error, to that path."""
+
+    def test_agrees_with_the_libyaml_path_on_corpus(self, monkeypatch):
+        corpus = block_reader_corpus()
+        # Each parse records whether the libyaml path ran: a text the reader
+        # refuses has its outcome from that path alone already.
+        by_libyaml = []
+        read_yaml = scenario_module._read_yaml
+
+        def recording(text):
+            by_libyaml.append(text)
+            return read_yaml(text)
+
+        monkeypatch.setattr(scenario_module, "_read_yaml", recording)
+        outcomes = {}
+        read = {}
+        for name, text in corpus.items():
+            by_libyaml.clear()
+            outcomes[name] = parse_outcome(text)
+            data = scenario_module._read_block(text)
+            assert by_libyaml == ([] if data is not None else [text]), name
+            if data is not None:
+                repeated = []
+                assert_same_graph(data, scenario_module._load_yaml(text, repeated))
+                assert repeated == []
+                read[name] = data
+        monkeypatch.setattr(scenario_module, "_read_block", lambda text: None)
+        for name in read:
+            assert outcomes[name] == parse_outcome(corpus[name]), name
+        # Both paths are exercised, and the reader takes edited texts that
+        # hold traps, refused ones among them.
+        taken = [name for name in read if ": " in name]
+        assert len(read) >= 200 and len(corpus) - len(read) >= 1000, (len(read), len(corpus))
+        assert sum(" as " in name for name in taken) >= 100
+        assert any(outcomes[name][0] == "error" for name in taken)
+
+    def test_reads_the_scenarios_without_a_loader(self, monkeypatch):
+        fixtures = importlib.resources.files("causalcps") / "scenarios"
+        texts = [
+            (fixtures / name).read_text(encoding="utf-8")
+            for name in ("knife.yaml", "chain.yaml", "thermostat.yaml")
+        ]
+        texts += generated_scenario_texts().values()
+        texts += [serialize_scenario(parse_scenario(text)) for text in texts]
+        docs = [parse_scenario(read_by_libyaml(text)) for text in texts]
+
+        class Unused(scenario_module._YAML_LOADER):
+            def __init__(self, stream):
+                raise AssertionError("the block reader instantiated the loader")
+
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", Unused)
+        for text, doc in zip(texts, docs):
+            assert scenario_module._read_block(text) is not None
+            assert parse_scenario(text) == doc
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_implicit_tag_is_the_loaders_resolution(self, loader):
+        instance = loader("")
+        try:
+            for value in [*BLOCK_TRAPS, "0", "-1", "+.5", "1_0", "0x_1", "190:20:30.15", "NULL"]:
+                if value:
+                    expected = instance.resolve(yaml.ScalarNode, value, (True, False))
+                    assert scenario_module._implicit_tag(value) == expected, value
+        finally:
+            instance.dispose()
+
+    def test_both_loaders_build_scalars_with_the_safe_constructor(self):
+        # The block reader builds scalars with a SafeConstructor of its own.
+        safe = yaml.constructor.SafeConstructor
+        loader = scenario_module._YAML_LOADER
+        assert loader.construct_scalar is safe.construct_scalar
+        for tag in scenario_module._PLAIN_TAGS:
+            assert loader.yaml_constructors[tag] is safe.yaml_constructors[tag]
+
+    def test_each_distinct_scalar_is_built_once_per_parse(self, monkeypatch):
+        calls = []
+        real = scenario_module._block_scalar
+
+        def recording(text, constructor):
+            calls.append(text)
+            return real(text, constructor)
+
+        monkeypatch.setattr(scenario_module, "_block_scalar", recording)
+        for text in workload_scenario_texts():
+            calls.clear()
+            parse_scenario(text)
+            first = list(calls)
+            assert len(first) == len(set(first)) > 20
+            # Nothing built is kept for the next parse.
+            calls.clear()
+            parse_scenario(text)
+            assert calls == first
+
+    def test_a_parse_leaves_no_cyclic_garbage(self):
+        texts = workload_scenario_texts()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for text in texts:
+                assert scenario_module._read_block(text) is not None
+                parse_scenario(text)
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestKnifeFixtureContent:
@@ -1560,6 +1816,14 @@ class TestChunkedImport:
             finally:
                 tracemalloc.stop()
             assert peak < 3 * len(text), (name, peak / len(text))
+
+
+def test_tick_text_joins_the_tick_strings():
+    for width in (1, 2, 3, 33):
+        for start in range(0, 4 * width + 2):
+            for stop in range(start + 1, start + 5 * width + 3):
+                expected = ",".join(scenario_module._tick_strings(start, stop, width))
+                assert scenario_module._tick_text(start, stop, width) == expected
 
 
 class TestReportCsv:
