@@ -300,11 +300,15 @@ def pivot_groups(
     return pivot, groups
 
 
-def first_overlap(guards: Sequence[Mapping[str, str]]) -> tuple[int, int] | None:
+def first_overlap(
+    guards: Sequence[Mapping[str, str]],
+    grouping: tuple[str | None, dict[str | None, list[int]]] | None = None,
+) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in lexicographic order, of guards that
     agree on every sensor they share (``guards_overlap``), or None.  Called
     on a rule table by ``validate_rules`` and on each parameter value's
-    transitions by ``planning.Functionality``.
+    transitions by ``planning.Functionality``, which passes the
+    ``pivot_groups(guards)`` it indexes them by as ``grouping``.
 
     Only guards that can agree are compared (see ``pivot_groups``): a guard
     that reads the pivot is compared with the later guards of its label and
@@ -313,7 +317,7 @@ def first_overlap(guards: Sequence[Mapping[str, str]]) -> tuple[int, int] | None
     gives the pairwise loop's first pair, whatever the pivot.  A table of
     one-sensor guards on distinct labels costs one pass.
     """
-    pivot, groups = pivot_groups(guards)
+    pivot, groups = grouping or pivot_groups(guards)
     free = groups.get(None, [])
     # The guards of each label met so far: the next one's place in its group.
     met: dict[str, int] = {}

@@ -9,9 +9,10 @@ as the cost; ties break on plan length, then on the per-step keys
 not depend on the order functionalities were declared in.  A heap entry holds
 a partial plan as its step keys alone; steps are built once, for the plan
 returned.  Transition tables are checked and applied by the model's guard code:
-a functionality of more than two transitions indexes them by parameter value
-and by their label on the pivot sensor (``model.pivot_groups``) on first use,
-so applying it tests only the guards that can match.
+each functionality indexes its transitions by parameter value and by their
+label on the pivot sensor (``model.pivot_groups``), with the grouping that
+its overlap check computes, so applying it tests only the guards that can
+match.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import first_overlap, holds, pivot_groups
 
@@ -39,11 +38,7 @@ class TransitionEntry:
 
 
 # The index entry of a parameter value without transitions.
-_NO_TRANSITIONS: tuple[None, dict, tuple] = (None, {}, ())
-
-# A table of at most this many transitions is scanned whole: testing its
-# guards costs less than building the index and consulting it.
-_SCANNED = 2
+_NO_TRANSITIONS: tuple[None, dict, list] = (None, {}, [])
 
 
 @dataclass(frozen=True)
@@ -54,33 +49,14 @@ class Functionality:
     transitions: tuple[TransitionEntry, ...]
     duration: int
 
-    @cached_property
-    def _index(self) -> dict[float, tuple[str | None, dict, list[TransitionEntry]]]:
-        """Per parameter value, the pivot of its transitions' guards (see
-        ``pivot_groups``), its transitions by their label on the pivot, and
-        those whose guards do not read it; built on first use."""
-        by_param: dict[float, list[TransitionEntry]] = {}
-        for entry in self.transitions:
-            by_param.setdefault(entry.param, []).append(entry)
-        index = {}
-        for param, entries in by_param.items():
-            pivot, groups = pivot_groups([entry.guard for entry in entries])
-            by_label = {label: [entries[i] for i in group] for label, group in groups.items()}
-            index[param] = pivot, by_label, by_label.pop(None, [])
-        return index
-
     def transition(self, param: float, state: Mapping[str, str]) -> TransitionEntry | None:
         """The transition for ``param`` whose guard ``state`` matches, or None.
         At most one matches, since the guards of one parameter value are
-        disjoint.  Past ``_SCANNED`` transitions, only those with the
-        state's label on the pivot, or none, are tried."""
-        if len(self.transitions) <= _SCANNED:
-            tried: Iterable[TransitionEntry] = self.transitions
-        else:
-            pivot, by_label, free = self._index.get(param, _NO_TRANSITIONS)
-            tried = chain(by_label.get(state.get(pivot), ()), free)
-        for entry in tried:
-            if entry.param == param and entry.applies(state):
+        disjoint, and only those with the state's label on the pivot, or
+        none, are tried."""
+        pivot, by_label, free = self._index.get(param, _NO_TRANSITIONS)
+        for entry in by_label.get(state.get(pivot), free):
+            if entry.applies(state):
                 return entry
         return None
 
@@ -102,16 +78,30 @@ class Functionality:
                     f"functionality {self.module}.{self.name}: transition parameter "
                     f"{entry.param} outside domain"
                 )
-        # Determinism: for one parameter, no two guards may match the same state.
-        by_param: dict[float, list[dict[str, str]]] = {}
+        by_param: dict[float, list[TransitionEntry]] = {}
         for entry in self.transitions:
-            by_param.setdefault(entry.param, []).append(entry.guard)
-        for param, guards in by_param.items():
-            if first_overlap(guards) is not None:
+            by_param.setdefault(entry.param, []).append(entry)
+        # Per parameter value: the pivot of its transitions' guards, the
+        # transitions that can match a state of each label on the pivot (those
+        # with the label, then those whose guards do not read the pivot), and
+        # the latter alone, for a label no guard has.  Not a dataclass field,
+        # so eq, hash and repr skip it.
+        index: dict[float, tuple[str | None, dict, list[TransitionEntry]]] = {}
+        for param, entries in by_param.items():
+            guards = [entry.guard for entry in entries]
+            pivot, groups = grouping = pivot_groups(guards)
+            # Determinism: for one parameter, no two guards may match the same state.
+            if first_overlap(guards, grouping) is not None:
                 raise ValueError(
                     f"functionality {self.module}.{self.name}: overlapping "
                     f"transition guards for parameter {param}"
                 )
+            free = [entries[i] for i in groups.pop(None, [])]
+            by_label = {
+                label: [entries[i] for i in group] + free for label, group in groups.items()
+            }
+            index[param] = pivot, by_label, free
+        object.__setattr__(self, "_index", index)
 
 
 @dataclass(frozen=True)

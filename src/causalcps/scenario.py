@@ -112,7 +112,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -717,6 +717,12 @@ def _block_scalar(text: str, constructor: Any) -> Any:
         return None
 
 
+# safe_dump writes a key as a plain one only if it is under 128 characters
+# with its "!!str" tag counted, and libyaml refuses a plain key of more than
+# 1,024: the block reader leaves every longer key to the libyaml path.
+_LONGEST_KEY = 128 - len("!!str") - 1
+
+
 def _read_block(text: str) -> dict | None:
     """The data of ``text`` if it is in the block layout that
     ``yaml.safe_dump(sort_keys=False)`` writes, else None (see the module
@@ -798,7 +804,7 @@ def _read_block(text: str) -> dict | None:
             stack.append((column, top))
         # An identifier resolves to a str, a bool or a null, and the block
         # reader takes only the first.
-        if not key.isidentifier():
+        if not key.isidentifier() or len(key) > _LONGEST_KEY:
             return None
         name = built.get(key) or scalar(key)
         if name is None or name in top:
@@ -1040,7 +1046,7 @@ def export_trace(trace: Trace) -> str:
         codes = trace.codes[t : t + step, order] + offsets
         # 4 slots per row: tick, "," + id + ",", value, "," + label + "\n".
         parts = [""] * (4 * values.size)
-        parts[0::4] = _tick_strings(t * width, t * width + values.size, width)
+        parts[0::4] = _tick_text(t * width, t * width + values.size, width).split(",")
         parts[1::4] = separated_ids * len(values)
         parts[2::4] = map(repr, values.ravel().tolist())
         parts[3::4] = map(ends.__getitem__, codes.ravel().tolist())
@@ -1056,18 +1062,10 @@ _CHUNK_CHARS = 1 << 16
 _CHUNK_ROWS = 1 << 10
 
 
-def _tick_strings(start: int, stop: int, width: int) -> list[str]:
-    """Rows ``start..stop-1`` of the tick column of a trace CSV in export's
-    layout, ``width`` rows per tick: ``str(row // width)`` for each row."""
-    first, done = divmod(start, width)
-    rows_per_tick = chain([width - done], repeat(width))
-    ticks = chain.from_iterable(map(repeat, map(str, count(first)), rows_per_tick))
-    return list(islice(ticks, stop - start))
-
-
 def _tick_text(start: int, stop: int, width: int) -> str:
-    """``",".join(_tick_strings(start, stop, width))``, built a tick at a
-    time (``start < stop``)."""
+    """Rows ``start..stop-1`` (``start < stop``) of the tick column of a trace
+    CSV in export's layout, ``width`` rows per tick, joined by commas:
+    ``str(row // width)`` for each row, built a tick at a time."""
     first, done = divmod(start, width)
     last, left = divmod(stop, width)
     if first == last:
