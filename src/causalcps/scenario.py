@@ -47,13 +47,14 @@ Text in the block layout that ``yaml.safe_dump`` writes, as
 are, is read by ``_read_block`` in one pass over its lines, with a stack of
 open containers and no node graph.  It takes printable ASCII ending in a
 newline, indented two spaces a level with sequences not indented under
-their key and at most one ``- `` a line; keys are identifiers that resolve
-to ``str``, and a value is a one-line plain scalar that resolves to
-``str``, ``int`` or ``float``, a one-line single-quoted scalar, ``[]`` or
-``{}``.  Every other text (a comment, an anchor or alias, a tag, ``<<``,
-a double-quoted, folded or multi-line scalar, a blank line, a tab, a CR,
-a repeated key, a bool or null) is left to the libyaml path below, so
-every refusal and every error text comes from that path.
+their key and at most one ``- `` a line; keys are identifiers of at most
+122 characters that resolve to ``str``, and a value is a one-line plain
+scalar that resolves to ``str``, ``int`` or ``float``, a one-line
+single-quoted scalar, ``[]`` or ``{}``.  Every other text (a comment, an
+anchor or alias, a tag, ``<<``, a double-quoted, folded or multi-line
+scalar, a blank line, a tab, a CR, a repeated or longer key, a bool or
+null) is left to the libyaml path below, so every refusal and every error
+text comes from that path.
 
 There the text is composed into a YAML node graph by ``_YAML_LOADER``
 (PyYAML's libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without
