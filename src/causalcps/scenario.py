@@ -58,27 +58,27 @@ text comes from that path.
 
 There the text is composed into a YAML node graph by ``_YAML_LOADER``
 (PyYAML's libyaml-backed ``CSafeLoader``, or its ``SafeLoader`` without
-libyaml).  ``_construct`` builds from it, in one iterative pass, only what
-a scenario can hold: ``str``, ``int``, ``float``, ``bool`` and null
-scalars, lists, mappings with string keys, aliases and merge keys ``<<``,
-giving the data of ``yaml.load``.  Any other node (a timestamp,
-``!!set``, ``!!binary``, an unknown tag, a non-string key) is refused,
-naming its line and tag.  A mapping that repeats a key, ``<<`` included,
-is refused, naming the line and the key; a key given explicitly and also
-through ``<<`` is not a repeat, nor is one merged from two mappings.
+libyaml), and ``_Constructor``, a ``SafeConstructor`` whose table holds
+only the tags a scenario can hold, builds from it the data of
+``yaml.load``: ``str``, ``int``, ``float``, ``bool`` and null scalars,
+lists, mappings with string keys, aliases and merge keys ``<<``.  Any other
+node (a timestamp, ``!!set``, ``!!binary``, an unknown tag, a non-string
+key) is refused, naming its line and tag.  A mapping that repeats a key,
+``<<`` included, is refused, naming the line and the key; a key given
+explicitly and also through ``<<`` is not a repeat, nor is one merged from
+two mappings.  A document nested so deeply that composing or merging it
+exhausts the stack is refused too.
 
-Both readers build a scalar with ``_scalar``: a ``str`` is its text, a
-plain decimal int (``12``, not ``012``, ``+12`` or ``1_2``) is built by
-``int``, and every other int spelling, and each float, bool and null, by
-the loader's constructor.  The block reader takes a plain scalar's tag from
-``_YAML_LOADER``'s implicit-resolver table and a quoted one's as ``str``;
-the libyaml path resolves each distinct scalar's tag key once per parse,
-which is exact because no path resolvers are registered.  Neither keeps
-anything from one parse to the next.  The schema checks each mapping with
-one call, its type and then its fields against the allowed set, and reads
-its fields with ``dict.get``.  A field path such as
-``sensors[3].states[1].dist`` is formatted only for a node that fails, as
-its error leaves each list.
+The block reader takes a plain scalar's tag from ``_YAML_LOADER``'s
+implicit-resolver table and a quoted one's as ``str``.  A ``str`` is its
+text, a plain decimal int (``12``, not ``012``, ``+12`` or ``1_2``) is
+built by ``int``, and every other int spelling and each float by
+``SafeConstructor``'s constructor for its tag, as the libyaml path builds
+it.  Neither reader keeps anything from one parse to the next.  The schema
+checks each mapping with one call, its type and then its fields against
+the allowed set, and reads its fields with ``dict.get``.  A field path such
+as ``sensors[3].states[1].dist`` is formatted only for a node that fails,
+as its error leaves each list.
 
 The bundled fixtures ship as package data, one file each in
 ``causalcps/scenarios/`` (``knife.yaml``, ``chain.yaml`` and
@@ -108,11 +108,10 @@ import csv
 import importlib.resources
 import io
 import math
-import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -156,10 +155,14 @@ _MERGE_TAG = "tag:yaml.org,2002:merge"
 _PLAIN_TAGS = frozenset(
     f"tag:yaml.org,2002:{kind}" for kind in ("str", "int", "float", "bool", "null")
 )
-# The tags of a mapping's keys before its merge keys are flattened, and the
-# collections a scenario holds, by tag and node type.
+# The tags of a mapping's keys before its merge keys are flattened.
 _KEY_TAGS = frozenset((_STR_TAG, _MERGE_TAG))
-_CONTAINERS = {(_SEQ_TAG, yaml.SequenceNode): list, (_MAP_TAG, yaml.MappingNode): dict}
+# The node type of each tag that a scenario holds.
+_NODE_TYPES = {
+    **dict.fromkeys(_PLAIN_TAGS, yaml.ScalarNode),
+    _SEQ_TAG: yaml.SequenceNode,
+    _MAP_TAG: yaml.MappingNode,
+}
 
 
 _T = TypeVar("_T")
@@ -525,26 +528,16 @@ def _flow_depth_exceeds(text: str, limit: int) -> bool:
 
 
 def _load_yaml(text: str, repeated: list[yaml.Node]) -> Any:
-    """The data of the one YAML document in ``text``, None if it has none.
-
-    The loader resolves each distinct (kind, text, implicit) key to its tag
-    once, and its path-resolver hooks do nothing: with no path resolvers
-    registered (a test pins this), a tag depends on that key alone and the
-    hooks keep state that nothing reads.  ``repeated`` is passed on to
-    ``_construct``.  The loader, and with it the node graph, is freed on
-    return, before the caller validates the data."""
+    """The data of the one YAML document in ``text``, None if it has none,
+    built by a ``_Constructor`` that appends to ``repeated``.  The loader is
+    disposed of once it has composed the node graph, and the graph is freed
+    on return, before the caller validates the data."""
     loader = _YAML_LOADER(text)
-    loader.resolve = lru_cache(maxsize=None)(loader.resolve)
-    # Callables written in C that take the hooks' arguments and do nothing.
-    loader.descend_resolver = operator.is_
-    loader.ascend_resolver = tuple
     try:
-        return _construct(loader, loader.get_single_node(), repeated)
+        node = loader.get_single_node()
     finally:
-        # The cached resolve holds the loader's bound method: without this
-        # the loader would sit in a reference cycle until the collector ran.
-        del loader.resolve, loader.descend_resolver, loader.ascend_resolver
         loader.dispose()
+    return None if node is None else _Constructor(repeated).construct_document(node)
 
 
 def _refused(node: yaml.Node, role: str) -> ScenarioError:
@@ -557,121 +550,78 @@ def _refused(node: yaml.Node, role: str) -> ScenarioError:
     )
 
 
-def _scalar(tag: str, value: str, constructor: Any, node: yaml.ScalarNode | None = None) -> Any:
-    """The data of the scalar ``value`` tagged ``tag``, one of ``_PLAIN_TAGS``:
-    the text itself for a ``str``, ``int(value)`` for a plain decimal int
-    (``12``, not ``012``, ``+12`` or ``1_2``), else what ``constructor``
-    builds from ``node`` (a new node of ``value`` if None) with its
-    constructor for the tag.  Raises ValueError or KeyError for a value
-    that the constructor refuses."""
-    if tag == _STR_TAG:
-        return value
-    if tag == _INT_TAG and value.isdecimal() and (value[0] != "0" or value == "0"):
-        return int(value)
-    if node is None:
-        node = yaml.ScalarNode(tag, value)
-    return constructor.yaml_constructors[tag](constructor, node)
+class _Constructor(yaml.constructor.SafeConstructor):
+    """PyYAML's safe constructor, for only what a scenario can hold: ``str``,
+    ``int``, ``float``, ``bool`` and null scalars, lists, and mappings whose
+    keys are ``str`` scalars, with aliases and merge keys ``<<``, giving the
+    data of ``yaml.load``.  Containers are filled breadth first, as
+    ``construct_document`` runs their generators.
 
+    Any other node (a timestamp, ``!!set``, ``!!binary``, an unknown tag, a
+    node whose type does not match its tag, a non-string key) is refused,
+    and so is a scalar that its constructor refuses, naming its line.  Each
+    key that repeats an earlier one of its mapping as written, ``<<``
+    included, is appended to ``repeated``; a key given explicitly and also
+    through ``<<`` is not a repeat, nor is one merged from two mappings."""
 
-def _construct(loader: Any, node: yaml.Node | None, repeated: list[yaml.Node]) -> Any:
-    """The data of the document ``node``, as ``loader.construct_document``
-    would build it, for the nodes a scenario can hold.
+    yaml_constructors = {
+        tag: yaml.constructor.SafeConstructor.yaml_constructors[tag] for tag in _NODE_TYPES
+    }
 
-    A ``str``, ``int``, ``float``, ``bool`` or null scalar is built by
-    ``_scalar`` with ``loader`` as its constructor.  A sequence becomes a
-    list, and a mapping whose keys are ``str`` scalars a dict, filled in
-    node order, so a later duplicate key wins.  A merge key ``<<``, met in
-    that fill, has the mapping flattened by ``loader.flatten_mapping`` and
-    filled again, as if its values had not been built.  Any other node, and
-    a scalar that its constructor refuses, raises a ScenarioError naming
-    its line.
-    Each key that repeats an earlier one of its mapping as written, ``<<``
-    included, is appended to ``repeated``: keys are taken before
-    ``flatten_mapping`` rewrites a node in place, so no merged key repeats.
-    Each list and dict is made empty when its node is first met and filled
-    in turn from a work list, not by recursion, so nesting depth costs no
-    stack; memoized by node, an alias gives the same object and a recursive
-    alias a recursive structure.
-    """
-    if node is None:
-        return None
-    memo: dict[yaml.Node, Any] = {}
-    unfilled: list[yaml.Node] = []
-    # Mappings whose keys were taken before a merge.
-    merged: set[yaml.Node] = set()
+    def __init__(self, repeated: list[yaml.Node]):
+        super().__init__()
+        self.repeated = repeated
+        # Mappings whose keys were taken before a merge flattened them.
+        self.merged: set[yaml.Node] = set()
 
-    def build(node: yaml.Node) -> Any:
-        tag = node.tag
-        if isinstance(node, yaml.ScalarNode):
-            if tag in _PLAIN_TAGS:
-                try:
-                    return _scalar(tag, node.value, loader, node)
-                except (ValueError, KeyError):
-                    pass
-        elif node in memo:
-            return memo[node]
-        elif (tag, type(node)) in _CONTAINERS:
-            data = memo[node] = _CONTAINERS[tag, type(node)]()
-            unfilled.append(node)
-            return data
-        raise _refused(node, "value")
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        if type(node) is not _NODE_TYPES.get(node.tag):
+            raise _refused(node, "value")
+        # Only a scalar's constructor runs here: a container's is a
+        # generator, which first yields its empty list or dict.
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, IndexError):
+            raise _refused(node, "value") from None
 
-    def find_repeats(pairs: list[tuple[yaml.Node, yaml.Node]]) -> None:
-        seen: set[str] = set()
-        # set.add returns None, so a key is taken only if it was seen before.
-        repeated.extend(key for key, _ in pairs if key.value in seen or seen.add(key.value))
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        """The dict of ``node``, filled in node order, so a later repeated
+        key wins.  A mapping with a merge key first has its keys and those
+        of the mappings merged into it taken as written, then is flattened
+        by ``flatten_mapping``, merged pairs first."""
+        if any(key.tag == _MERGE_TAG for key, _ in node.value):
+            self._take_merged_keys(node)
+            self.flatten_mapping(node)
+        data = {}
+        for key, value in node.value:
+            if key.tag != _STR_TAG or not isinstance(key, yaml.ScalarNode):
+                raise _refused(key, "mapping key")
+            data[key.value] = self.construct_object(value)
+        if len(data) < len(node.value) and node not in self.merged:
+            self._find_repeats(node.value)
+        return data
 
-    def merge(root: yaml.MappingNode) -> None:
-        """Take the keys of ``root`` and of the mappings merged into it, then flatten it."""
+    def _take_merged_keys(self, root: yaml.MappingNode) -> None:
+        """Check and take the keys of ``root`` and of the mappings merged
+        into it, before ``flatten_mapping`` rewrites them in place."""
         stack = [root]
         while stack:
             node = stack.pop()
             # flatten_mapping refuses a merge of anything but mappings.
-            if isinstance(node, yaml.MappingNode) and node not in merged:
-                merged.add(node)
+            if isinstance(node, yaml.MappingNode) and node not in self.merged:
+                self.merged.add(node)
                 for key, value in node.value:
                     if key.tag not in _KEY_TAGS or not isinstance(key, yaml.ScalarNode):
                         raise _refused(key, "mapping key")
                     if key.tag == _MERGE_TAG:
                         many = isinstance(value, yaml.SequenceNode)
                         stack.extend(value.value if many else [value])
-                find_repeats(node.value)
-        loader.flatten_mapping(root)
+                self._find_repeats(node.value)
 
-    def fill(mapping: yaml.MappingNode, data: dict) -> None:
-        while True:  # once more after a merge key, with the mapping flattened
-            made = len(unfilled)
-            try:
-                for key, value in mapping.value:
-                    if key.tag != _STR_TAG or not isinstance(key, yaml.ScalarNode):
-                        if key.tag != _MERGE_TAG or mapping in merged:
-                            raise _refused(key, "mapping key")
-                        break
-                    data[key.value] = build(value)
-                else:
-                    if len(data) < len(mapping.value) and mapping not in merged:
-                        find_repeats(mapping.value)
-                    return
-            except ScenarioError:
-                if mapping in merged or all(key.tag != _MERGE_TAG for key, _ in mapping.value):
-                    raise
-            # The loader flattens a mapping, merged pairs first, before it
-            # builds any of its values: forget what was built from it.
-            for node in unfilled[made:]:
-                del memo[node]
-            del unfilled[made:]
-            data.clear()
-            merge(mapping)
-
-    root = build(node)
-    # The loop also reaches the containers that filling appends.
-    for container in unfilled:
-        data = memo[container]
-        if isinstance(data, list):
-            data.extend(map(build, container.value))
-        else:
-            fill(container, data)
-    return root
+    def _find_repeats(self, pairs: list[tuple[yaml.Node, yaml.Node]]) -> None:
+        seen: set[str] = set()
+        # set.add returns None, so a key is taken only if it was seen before.
+        self.repeated.extend(key for key, _ in pairs if key.value in seen or seen.add(key.value))
 
 
 _SINGLE_QUOTED = re.compile(r"'(?:[^']|'')*'")
@@ -698,22 +648,32 @@ def _implicit_tag(value: str) -> str:
 def _block_scalar(text: str, constructor: Any) -> Any:
     """The data of the scalar written ``text`` in the block layout, or None
     if the block reader does not take it: a single-quoted scalar is a
-    ``str``; a plain one must not start with an indicator or a space, end
-    with a colon or a space, nor hold ": " or " #", and must resolve to
-    ``str``, ``int`` or ``float``.  Either must be printable ASCII."""
+    ``str``; a plain one must not start with an indicator (save a "-" that
+    a space does not follow) or a space, end with a colon or a space, nor
+    hold ": " or " #", and must resolve to ``str``, ``int`` or ``float``.
+    Either must be printable ASCII.  A plain decimal int (``12``, not
+    ``012``, ``+12`` or ``1_2``) is built by ``int``, every other int
+    spelling and each float by ``constructor``."""
     if not text.isprintable():
         return None
     if text[0] == "'":
-        if not _SINGLE_QUOTED.fullmatch(text):
-            return None
-        return _scalar(_STR_TAG, text[1:-1].replace("''", "'"), constructor)
-    if text[0] in _NOT_FIRST or text[-1] in ": " or ": " in text or " #" in text:
+        return text[1:-1].replace("''", "'") if _SINGLE_QUOTED.fullmatch(text) else None
+    if (
+        (text[0] in _NOT_FIRST and (text[0] != "-" or text[1:2] in ("", " ")))
+        or text[-1] in ": "
+        or ": " in text
+        or " #" in text
+    ):
         return None
     tag = _implicit_tag(text)
+    if tag == _STR_TAG:
+        return text
+    if tag == _INT_TAG and text.isdecimal() and (text[0] != "0" or text == "0"):
+        return int(text)
     if tag not in _BLOCK_TAGS:
         return None
     try:
-        return _scalar(tag, text, constructor)
+        return constructor.yaml_constructors[tag](constructor, yaml.ScalarNode(tag, text))
     except (ValueError, KeyError):
         return None
 
@@ -847,7 +807,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
 def _read_yaml(text: str) -> Any:
     """The data of ``text`` read by the libyaml path, refusing a text whose
-    flow collections nest too deep, bad YAML and repeated keys."""
+    flow collections nest too deep, bad YAML, repeated keys, and a document
+    nested so deeply that composing or merging it exhausts the stack."""
     # No deeper nesting than there are opening brackets: most documents are
     # cleared by counting them.
     if text.count("[") + text.count("{") > _MAX_FLOW_DEPTH and _flow_depth_exceeds(
@@ -867,6 +828,8 @@ def _read_yaml(text: str) -> Any:
         # the text's last line so both loaders name the same line.
         line = min(mark.line + 1, text.count("\n") + 1)
         raise ScenarioError(f"line {line}: invalid YAML: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("document: nested too deeply to read") from None
     if repeated:
         # Mappings are filled breadth first; name the repeat met first in the text.
         key = min(repeated, key=lambda node: node.start_mark.index)

@@ -9,10 +9,15 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 
 import causalcps
+import causalcps.scenario
 from causalcps.cli import build_parser, main
 from causalcps.scenario import knife_fixture, serialize_scenario
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
 
 
 @pytest.fixture
@@ -509,7 +514,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "depth,detail",
         [
-            # The data is built from a work list, so nesting depth costs no stack.
+            # The data is built breadth first, so nesting depth costs no stack.
             (100, "sensors[0]: expected a mapping, got list"),
             (101, "document: flow collections nested deeper than 100 levels"),
             # Refused before composing, whose time grows with the square of the depth.
@@ -524,6 +529,34 @@ class TestSimulate:
         assert time.perf_counter() - start < 0.5
         error = json.loads(capsys.readouterr().err)
         assert error["detail"] == detail
+
+    @pytest.mark.parametrize(
+        "loader", ["SafeLoader", pytest.param("CSafeLoader", marks=needs_libyaml)]
+    )
+    @pytest.mark.parametrize(
+        "nesting, levels",
+        [
+            # A 2.3 MB file; flattening its merges recurses once per level.
+            ("<<:", 1_500),
+            ("-", 500),
+        ],
+        ids=["merge keys", "sequences"],
+    )
+    def test_document_nested_past_the_stack_exits_2(
+        self, tmp_path, capsys, monkeypatch, loader, nesting, levels
+    ):
+        bad = tmp_path / "deep.yaml"
+        nested = "".join(f"{'  ' * (level + 1)}{nesting}\n" for level in range(levels))
+        bad.write_text(f"horizon: 5\nsensors:\n{nested}{'  ' * (levels + 1)}x: 1\n")
+        monkeypatch.setattr(causalcps.scenario, "_YAML_LOADER", getattr(yaml, loader))
+        assert main(["simulate", str(bad), "--out", str(tmp_path / "t.csv")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        # libyaml composes without Python recursion, and the data is built
+        # breadth first: only the schema refuses the nested sequences.
+        expected = {
+            ("-", "CSafeLoader"): "sensors[0]: expected a mapping, got list",
+        }.get((nesting, loader), "document: nested too deeply to read")
+        assert error["detail"] == expected
 
     @pytest.mark.parametrize("seed", sorted(KNIFE_TRACE_DIGESTS))
     def test_knife_traces_keep_their_bytes(self, tmp_path, seed):

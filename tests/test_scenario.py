@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -469,12 +470,14 @@ LOADER_IDS = ["SafeLoader", "CSafeLoader"]
 
 
 def construct(text, loader):
-    """``scenario._construct`` over the node graph that ``loader`` composes."""
+    """What ``scenario._Constructor`` builds from the node graph that
+    ``loader`` composes, None for a text with no document."""
     instance = loader(text)
     try:
-        return scenario_module._construct(instance, instance.get_single_node(), [])
+        node = instance.get_single_node()
     finally:
         instance.dispose()
+    return None if node is None else scenario_module._Constructor([]).construct_document(node)
 
 
 def built_or_raised(build):
@@ -622,7 +625,7 @@ def assert_like_yaml_load(name, text, ours, loader):
 
 
 class TestConstruct:
-    """``_construct`` returns what ``yaml.load`` returns with the same
+    """``_Constructor`` returns what ``yaml.load`` returns with the same
     loader, and raises what it raises, except for the nodes that a scenario
     cannot hold, which it refuses at their line."""
 
@@ -698,15 +701,138 @@ class TestConstruct:
         assert time.perf_counter() - start < 1.0
 
 
+# Plain scalars of every kind, and quoted ones, that a scenario can hold.
+YAML_SCALARS = [
+    "text", "two words", "a-b", "x.y", "1.2.3", "'quoted'", '"double"', "'12'", "''", '"~"',
+    "0", "12", "-7", "+12", "0x1F", "-0x1F", "0o17", "017", "0b101", "1_000", "190:20:30",
+    "1.5", "-2.25", "6.8523015e+5", ".inf", "-.Inf", "1_0.5", "190:20:30.15", ".5",
+    "true", "False", "yes", "NO", "on", "Off",
+    "~", "null", "Null",
+]
+
+
+def random_yaml_document(rng):
+    """A YAML document drawn from ``rng`` that a scenario can hold and that
+    repeats no key in any mapping: block and flow mappings and sequences
+    nested up to four deep, scalars of ``YAML_SCALARS``, anchors on
+    scalars and collections, aliases to nodes already complete, and ``<<``
+    merges of an alias, a list of aliases or a mapping written in place,
+    whose merged mappings may merge in turn."""
+    names = iter(range(10**6))
+    # The anchors of complete nodes, and of complete mappings.
+    done, mappings = [], []
+
+    def anchored():
+        """An anchor to put on a new node, "" for none, and its name."""
+        if rng.random() < 0.25:
+            name = f"a{next(names)}"
+            return f"&{name} ", name
+        return "", None
+
+    def finish(name, is_mapping):
+        if name is not None:
+            done.append(name)
+            if is_mapping:
+                mappings.append(name)
+
+    def keys():
+        """Distinct keys, each written plain or quoted."""
+        drawn = rng.sample(range(10), rng.randint(0, 4))
+        return [rng.choice([f"k{k}", f"'k{k}'", f'"k{k}"']) for k in drawn]
+
+    def merge(depth):
+        """The value of a merge key, or None for a mapping with none."""
+        choice = rng.random()
+        if mappings and choice < 0.3:
+            return f"*{rng.choice(mappings)}"
+        if mappings and choice < 0.5:
+            merged = rng.sample(mappings, min(3, len(mappings)))
+            return "[" + ", ".join(f"*{m}" for m in merged) + "]"
+        if choice < 0.65 and depth < 4:
+            return flow_mapping(depth + 1)
+        return None
+
+    def entries(depth, write):
+        """The written entries of a mapping, in text order, each key's by
+        ``write(key)`` and a merge key's by ``write("<<", value)``."""
+        drawn = keys()
+        at = rng.randint(0, len(drawn))
+        written = []
+        for i, key in enumerate([*drawn, None]):
+            if i == at and (value := merge(depth)) is not None:
+                written.append(write("<<", value))
+            if key is not None:
+                written.append(write(key))
+        return written
+
+    def flow_mapping(depth):
+        anchor, name = anchored()
+        pairs = entries(depth, lambda key, value=None: f"{key}: {value or flow(depth + 1)}")
+        finish(name, True)
+        return anchor + "{" + ", ".join(pairs) + "}"
+
+    def flow(depth):
+        choice = rng.random()
+        if done and choice < 0.15:
+            return f"*{rng.choice(done)}"
+        if depth < 4 and choice < 0.35:
+            anchor, name = anchored()
+            items = ", ".join(flow(depth + 1) for _ in range(rng.randint(0, 3)))
+            finish(name, False)
+            return f"{anchor}[{items}]"
+        if depth < 4 and choice < 0.5:
+            return flow_mapping(depth)
+        anchor, name = anchored()
+        text = anchor + rng.choice(YAML_SCALARS)
+        finish(name, False)
+        return text
+
+    def block(head, indent, depth):
+        """The lines of a node that follows ``head`` ("key:" or "-", with
+        its indent), its children indented ``indent``."""
+        choice = rng.random()
+        pad = " " * indent
+        if depth < 4 and choice < 0.3:
+            anchor, name = anchored()
+            lines = [f"{head} {anchor}".rstrip()]
+
+            def write(key, value=None):
+                if value is None:
+                    return block(f"{pad}{key}:", indent + 2, depth + 1)
+                return [f"{pad}{key}: {value}"]
+
+            pairs = entries(depth, write)
+            finish(name, True)
+            if not pairs:
+                return [f"{head} {anchor}{{}}"]
+            return lines + [line for pair in pairs for line in pair]
+        if depth < 4 and choice < 0.5:
+            anchor, name = anchored()
+            items = [block(f"{pad}-", indent + 2, depth + 1) for _ in range(rng.randint(0, 3))]
+            if not items:
+                return [f"{head} {anchor}[]"]
+            finish(name, False)
+            return [f"{head} {anchor}".rstrip()] + [line for item in items for line in item]
+        comment = " # note" if rng.random() < 0.1 else ""
+        return [f"{head} {flow(depth)}{comment}"]
+
+    if rng.random() < 0.2:
+        return flow_mapping(0) + "\n"
+    lines = []
+    for key in keys() or ["k0"]:
+        lines += block(f"{key}:", 2, 1)
+    return "\n".join(lines) + "\n"
+
+
 def workload_scenario_texts():
     """The knife text and the generated relay and plant texts."""
     return [PACKAGED_KNIFE.read_text(encoding="utf-8"), *generated_scenario_texts().values()]
 
 
 class TestLoadYaml:
-    """``_load_yaml`` resolves each distinct tag key once, and still returns
-    what ``yaml.load`` returns with the same loader, or raises what it
-    raises, except for the refused edge documents."""
+    """``_load_yaml`` returns what ``yaml.load`` returns with the same
+    loader, or raises what it raises, except for the refused edge documents,
+    and frees what it built the data from."""
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_agrees_with_yaml_load(self, monkeypatch, loader):
@@ -722,24 +848,53 @@ class TestLoadYaml:
             assert_like_yaml_load(name, text, ours, loader)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
-    def test_each_distinct_tag_key_is_resolved_once(self, monkeypatch, loader):
-        calls = []
+    def test_agrees_with_yaml_load_on_random_documents(self, monkeypatch, loader):
+        rng = random.Random(2030)
+        texts = [random_yaml_document(rng) for _ in range(400)]
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        for text in texts:
+            repeated = []
+            ours = scenario_module._load_yaml(text, repeated)
+            assert repeated == [], text
+            assert_same_graph(ours, yaml.load(text, Loader=loader))
+        # Each feature is drawn often.
+        features = Counter()
+        for text in texts:
+            features.update(
+                alias="*" in text,
+                merge="<<: " in text,
+                list_merge="<<: [*" in text,
+                block_collection=bool(re.search(r":\n +(- )?[\w'\"]", text)),
+                flow_collection="[" in text or "{" in text,
+            )
+        assert min(features.values()) >= 60, features
 
-        class Recording(loader):
-            def resolve(self, kind, value, implicit):
-                calls.append((kind, value, implicit))
-                return super().resolve(kind, value, implicit)
-
-        monkeypatch.setattr(scenario_module, "_YAML_LOADER", Recording)
-        for text in map(read_by_libyaml, workload_scenario_texts()):
-            calls.clear()
-            yaml.compose(text, Loader=Recording)
-            every_node = set(calls)
-            assert len(calls) > len(every_node)
-            calls.clear()
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            # Containers are filled breadth first: b's value before a's item.
+            (
+                "a: [!!binary aGk=]\nb: !!binary aGk=\n",
+                refusal(2, "scalar", "binary", "value", "aGk="),
+            ),
+            # A mapping's keys and values are checked pair by pair.
+            ("{a: !!binary aGk=, 3: x}\n", refusal(1, "scalar", "binary", "value", "aGk=")),
+            # The keys of merged mappings are checked before any value.
+            ("{a: !!binary aGk=, <<: {2: y}}\n", refusal(1, "scalar", "int", "mapping key", "2")),
+            # Repeated keys are reported once the data is built.
+            ("a: 1\na: 2\nb: !!binary aGk=\n", refusal(3, "scalar", "binary", "value", "aGk=")),
+            # A tagged number with no digits is refused, not a crash.
+            ("a: !!int ''\n", refusal(1, "scalar", "int", "value", "")),
+            ("a: [!!float '']\n", refusal(1, "scalar", "float", "value", "")),
+        ],
+        ids=["breadth first", "pair by pair", "merge walk first", "repeats last", "int", "float"],
+    )
+    def test_which_refusal_is_named(self, monkeypatch, loader, text, refused):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError) as error:
             parse_scenario(text)
-            assert len(calls) == len(set(calls))
-            assert set(calls) == every_node
+        assert str(error.value) == refused
 
     @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
     def test_a_parse_leaves_no_cyclic_garbage(self, monkeypatch, loader):
@@ -760,7 +915,8 @@ class TestLoadYaml:
 
     def test_no_path_resolvers_are_registered(self):
         # With one, a tag would depend on the node's place in the document,
-        # and neither the resolve memo nor the no-op hooks would be exact.
+        # and the block reader's _implicit_tag, which reads the implicit
+        # resolvers alone, would not be exact.
         assert not scenario_module._YAML_LOADER.yaml_path_resolvers
         assert not yaml.SafeLoader.yaml_path_resolvers
 
@@ -997,6 +1153,7 @@ BLOCK_TRAPS = [
     *TRICKY_NAMES,
     "-", "- x", "?", ":", "a:b", "1e3", "1.0e+3", "017", "0b1", "Off",
     "'it''s'", "''", "[ ]", "{a: 1}",
+    "-1", "-25.0", "-x", "--", "---", "- -1", "-.inf", "-0x1F", "-#",
     *("k" * length for length in (122, 123, 128, 1024, 1100)),
 ]
 
@@ -1009,8 +1166,8 @@ def block_mutations(text, rng, lines_per_edit, every_trap):
     """Edits of the block-layout ``text``, each with a name: line edits on
     ``lines_per_edit`` lines drawn by ``rng``, edits of the whole text, and
     each of ``BLOCK_TRAPS`` in place of a value and of a key on lines drawn
-    by ``rng``: plain and quoted on two lines each if ``every_trap``, else
-    in one style, on one line, as a value or as a key."""
+    by ``rng``: plain and quoted, as a sequence item, as the value of a key
+    and as two keys if ``every_trap``, else in one style, on one line, as a value or as a key."""
     lines = text[:-1].split("\n")
 
     def joined(edited):
@@ -1064,6 +1221,7 @@ def block_mutations(text, rng, lines_per_edit, every_trap):
         return bool(parts[3]) if parts else line.lstrip(" ").startswith("- ")
 
     values = [i for i, line in enumerate(lines) if has_value(line)]
+    items = [i for i in values if not keyed(lines[i])]
     keys = [i for i, line in enumerate(lines) if keyed(line)]
 
     def with_value(i, written):
@@ -1077,7 +1235,8 @@ def block_mutations(text, rng, lines_per_edit, every_trap):
     for trap in BLOCK_TRAPS:
         if every_trap:
             for written in (trap, quoted(trap)):
-                for i in rng.sample(values, 2):
+                # One item of a sequence and one value of a key.
+                for i in (rng.choice(items), rng.choice(sorted(set(values) - set(items)))):
                     yield f"value {i} as {written!r}", with_value(i, written)
                 for i in rng.sample(keys, 2):
                     yield f"key {i} as {written!r}", with_key(i, written)
@@ -1168,8 +1327,13 @@ class TestBlockReader:
             for name in ("knife.yaml", "chain.yaml", "thermostat.yaml")
         ]
         texts += generated_scenario_texts().values()
+        # A negative number is a plain scalar too.
+        negative = texts[0].replace("  parameters:\n  - 0.0\n", "  parameters:\n  - -25.0\n")
+        assert negative.count("- -25.0\n") == 1
+        texts.append(negative)
         texts += [serialize_scenario(parse_scenario(text)) for text in texts]
         docs = [parse_scenario(read_by_libyaml(text)) for text in texts]
+        assert docs[-1].functionalities[0].parameter_domain[0] == -25.0
 
         class Unused(scenario_module._YAML_LOADER):
             def __init__(self, stream):
