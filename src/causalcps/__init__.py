@@ -40,6 +40,7 @@ from .simulation import (
 from .detection import (
     AnomalyReport,
     Deviation,
+    VerdictBlock,
     WindowVerdict,
     detect_effect,
     expected_state_check,

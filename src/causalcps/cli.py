@@ -67,7 +67,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else doc.alpha
     report = scan_anomalies(trace, model, window=window, stride=stride, alpha=alpha)
     # Neither the scan (trace segments) nor the check (reference segments) has a window.
-    if not report.verdicts and not any(
+    if not report.window_count and not any(
         next(constant_label_windows(reference.codes_for(s), window, stride), None)
         for s in reference.sensor_ids
     ):
@@ -82,8 +82,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.deviations_out:
         Path(args.deviations_out).write_text(export_deviations(deviations), encoding="utf-8")
     print(
-        f"wrote {args.out}: {len(report.verdicts)} windows, "
-        f"{len(report.anomalous_verdicts())} anomalous, {len(deviations)} deviations"
+        f"wrote {args.out}: {report.window_count} windows, "
+        f"{report.anomalous_count} anomalous, {len(deviations)} deviations"
     )
     return 0
 

@@ -22,20 +22,30 @@ p-value (``argmax`` keeps the first maximum in state order), or ANOMALOUS
 where that p-value is below ``alpha / len(states)``.  That is
 ``select_state``'s rule: it keeps the states whose p-value reaches that
 level and picks the first of highest p-value among them, and the states of
-highest p-value are kept exactly when the highest p-value reaches it.  A
-verdict's ``p_values`` are its window's row of that matrix, as Python
-floats, and ``WindowVerdict`` has slots.  Both functions reject a bad
-window, stride or alpha on entry, even when there is no window to test.
+highest p-value are kept exactly when the highest p-value reaches it.  Both
+functions reject a bad window, stride or alpha on entry, even when there is
+no window to test.
+
+An ``AnomalyReport`` is columnar, as a ``Trace`` is: one ``VerdictBlock``
+per sensor holds the window starts, the matched labels, the state labels
+and the read-only states x windows p-value matrix of that block.  The CLI
+reads only these columns (``export_anomaly_report`` takes a window's
+``p_best`` as its column's maximum).  ``report.verdicts`` is a view of the
+same columns, built once, on first read, as ``WindowVerdict`` objects with
+slots whose ``p_values`` are the window's column as Python floats.
 
 A window that both functions cover is tested once when the check is handed
 the scan's report (``scan=``): a window's statistics depend only on its own
 samples, so its p-values, and hence its verdict, do not depend on the other
-windows of its block.
+windows of its block.  The report records the trace it scanned, and the
+check refuses a report on any other ``Trace`` object; identity suffices,
+since a trace's arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Iterator, Sequence
 
@@ -77,12 +87,54 @@ class WindowVerdict:
         return max(self.p_values.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
+class VerdictBlock:
+    """The verdicts on one sensor's windows, as columns: window i starts at
+    ``starts[i]``, matched ``matched[i]``, and has p-value ``p_values[j, i]``
+    against the state ``labels[j]``."""
+
+    sensor: str
+    starts: tuple[int, ...]
+    matched: tuple[str, ...]
+    labels: tuple[str, ...]
+    p_values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class AnomalyReport:
+    """``scan_anomalies``'s verdicts on ``trace``, one block per sensor in
+    sorted id order."""
+
     window: int
     stride: int
     alpha: float
-    verdicts: tuple[WindowVerdict, ...]
+    trace: Trace = field(repr=False)
+    blocks: tuple[VerdictBlock, ...]
+
+    @property
+    def window_count(self) -> int:
+        return sum(len(block.starts) for block in self.blocks)
+
+    @property
+    def anomalous_count(self) -> int:
+        return sum(block.matched.count(ANOMALOUS) for block in self.blocks)
+
+    @cached_property
+    def verdicts(self) -> tuple[WindowVerdict, ...]:
+        """Every window's verdict, block by block in window order."""
+        verdicts = []
+        for block in self.blocks:
+            p_values = [dict(zip(block.labels, column)) for column in block.p_values.T.tolist()]
+            # Fields in declaration order: sensor, start, length, matched,
+            # p_values, alpha.
+            verdicts.extend(
+                map(
+                    WindowVerdict,
+                    repeat(block.sensor), block.starts, repeat(self.window), block.matched,
+                    p_values, repeat(self.alpha),
+                )
+            )
+        return tuple(verdicts)
 
     def anomalous_verdicts(self) -> list[WindowVerdict]:
         return [v for v in self.verdicts if v.anomalous]
@@ -142,17 +194,17 @@ def detect_effect(
 
 def _window_verdicts(
     values: np.ndarray,
-    starts: list[int],
+    starts: Sequence[int],
     window: int,
     states: Sequence[tuple[str, Distribution]],
     alpha: float,
-) -> tuple[list[str], list[list[float]]]:
+) -> tuple[list[str], np.ndarray]:
     """The verdict on every window ``values[start : start + window]``, one
-    per start (``starts`` ascending), and each window's p-values against
-    every labeled state, one row per window in state order (see the module
-    docstring)."""
+    per start (``starts`` ascending), and the read-only states x windows
+    matrix of each window's p-value against every labeled state, rows in
+    state order (see the module docstring)."""
     if not starts:
-        return [], []
+        return [], np.empty((len(states), 0))
     first = starts[0]
     span = values[first : starts[-1] + window]
     offsets = np.subtract(starts, first)[:, np.newaxis]
@@ -165,7 +217,8 @@ def _window_verdicts(
         labels[best] if fit else ANOMALOUS
         for best, fit in zip(p_values.argmax(axis=0).tolist(), fits)
     ]
-    return matched, p_values.T.tolist()
+    p_values.flags.writeable = False
+    return matched, p_values
 
 
 def scan_anomalies(
@@ -182,25 +235,17 @@ def scan_anomalies(
     of the trace's columns."""
     _check_window(window, stride)
     check_alpha(alpha)
-    verdicts = []
+    blocks = []
     for sensor_id in sorted(trace.sensor_ids):
         codes = trace.codes_for(sensor_id)
-        starts = [start for start, _ in constant_label_windows(codes, window, stride)]
+        starts = tuple(start for start, _ in constant_label_windows(codes, window, stride))
         states = model.sensor(sensor_id).states
-        matched, rows = _window_verdicts(
+        matched, p_values = _window_verdicts(
             trace.values_for(sensor_id), starts, window, states, alpha
         )
-        labels = [label for label, _ in states]
-        p_values = [dict(zip(labels, row)) for row in rows]
-        # Fields in declaration order: sensor, start, length, matched,
-        # p_values, alpha.
-        verdicts.extend(
-            map(
-                WindowVerdict,
-                repeat(sensor_id), starts, repeat(window), matched, p_values, repeat(alpha),
-            )
-        )
-    return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
+        labels = tuple(label for label, _ in states)
+        blocks.append(VerdictBlock(sensor_id, starts, tuple(matched), labels, p_values))
+    return AnomalyReport(window, stride, alpha, trace, tuple(blocks))
 
 
 def expected_state_check(
@@ -221,11 +266,11 @@ def expected_state_check(
     whenever the matched state differs from the reference label or is
     ANOMALOUS.  Sensors are taken in sorted id order.
 
-    ``scan`` may be ``scan_anomalies``'s report on the same trace with the
-    same window, stride and alpha (else ValueError): a window it judged takes
-    its verdict and is not tested again.  The deviations are the same, since
-    a window's p-values do not depend on which other windows are tested
-    with it.
+    ``scan`` may be ``scan_anomalies``'s report on this ``trace`` object with
+    the same window, stride and alpha (else ValueError): a window it judged
+    takes its verdict and is not tested again.  The deviations are the same,
+    since a window's p-values do not depend on which other windows are
+    tested with it.
     """
     _check_window(window, stride)
     check_alpha(alpha)
@@ -242,8 +287,9 @@ def expected_state_check(
                 f"scan has window {scan.window}, stride {scan.stride}, alpha {scan.alpha}; "
                 f"the check has window {window}, stride {stride}, alpha {alpha}"
             )
-        for verdict in scan.verdicts:
-            judged.setdefault(verdict.sensor, {})[verdict.start] = verdict.matched
+        if scan.trace is not trace:
+            raise ValueError("scan is a report on another trace than the one checked")
+        judged = {block.sensor: dict(zip(block.starts, block.matched)) for block in scan.blocks}
     deviations = []
     for sensor_id in sorted(trace.sensor_ids):
         table = reference.label_table(sensor_id)

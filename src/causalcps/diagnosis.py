@@ -1,7 +1,9 @@
 """Consistency-based root-cause diagnosis over deviation reports.
 
-A fault hypothesis is a set of components assumed broken, with unknown
-behavior.  It is consistent with the observations when
+A fault hypothesis is a set of components assumed broken.  Their behavior
+is not left unknown: rule (b) below predicts it with one fault mode, the
+dead mode, in which a component's rule table is removed.  It is consistent
+with the observations when
 
   (a) every deviating sensor is one of a hypothesized component's own sensors
       or causally downstream of one, and
@@ -46,10 +48,21 @@ without a run.  Otherwise only the subsystems that write into the cone are
 advanced, their effects outside it dropped, and every other sensor they
 read replays its reference labels as scripted interventions.
 
-Only normal behavior is modeled; no fault modes are enumerated.  A deviating
-sensor whose observed causal descendants are all nominal additionally yields a
-synthetic single-sensor hypothesis "sensor-fault:<id>": nothing downstream
-noticed anything, so the reading itself is suspect.
+The dead mode is the only fault mode; no other is enumerated.  A component
+that fails otherwise can be refuted although it is the true fault: its dead
+mode moves a nominal sensor that the real fault left alone.  On generated
+scenarios with one injected table per component, the true fault was refuted
+in this way, in runs that kept every nominal sensor on its reference
+labels, in 16 of 675 cases with a stuck table (one empty-guard rule forcing
+a target to a fixed label) and 54 of 499 with a wrong one (the same guards,
+each effect's label redrawn); with an empty table, never.  The weak fault
+model of GDE, which asks whether some behavior of the component is
+consistent, is not approximated: over label sequences in time it is an
+existential search with no bound given here.
+
+A deviating sensor whose observed causal descendants are all nominal
+additionally yields a synthetic single-sensor hypothesis "sensor-fault:<id>":
+nothing downstream noticed anything, so the reading itself is suspect.
 """
 
 from __future__ import annotations

@@ -30,6 +30,19 @@ single point -- and it performs the scalar formula's IEEE operations in the
 same order, element by element, so it gives the same values as calling
 ``cdf`` on each sample.
 
+A normal law's CDF is ``0.5 * (1 + erf(z))``, and ``math.erf`` is called
+only where ``|z| < ERF_SATURATION`` (6.0); everywhere else erf is taken as
+``sign(z)``, i.e. +-1.0.  This assumes that ``math.erf`` itself returns
+exactly +-1.0 there.  CPython's ``math.erf`` is the C library's ``erf``,
+and the libms derived from fdlibm (glibc, musl, the BSDs) return
+``one - tiny``, which rounds to 1.0, on their branch for
+``|x| >= 6`` (``ix >= 0x40180000``).  CPython's own fallback computes
+``1 - erfc(x)``, and erfc(6) ~ 2.2e-17 is below 2**-54, so that also
+rounds to 1.0.  With glibc, ``math.erf`` first returns exactly 1.0 near
+x = 5.9216.  On a platform where the assumption fails, the shortcut would
+change CDF values in the last bits, as the simulator's no-FMA assumption
+would (see ``simulation``); ``test_distributions`` checks it bit for bit.
+
 Every parameter of a law, and the width ``hi - lo`` of a uniform one, must
 be finite; the constructors raise ValueError otherwise.  So a uniform value
 ``lo + (hi - lo) * u`` never meets an infinite width, which numpy's
@@ -58,6 +71,9 @@ ANOMALOUS = "ANOMALOUS"
 
 # Absolute tolerance of the exact-match test against a point mass.
 DEGENERATE_TOLERANCE = 1e-9
+
+# math.erf returns exactly +-1.0 at and beyond this |z| (module docstring).
+ERF_SATURATION = 6.0
 
 _SERIES_MAX_TERMS = 100
 _SERIES_EPS = 1e-10
@@ -140,8 +156,11 @@ def _cdf_array(dist: Distribution, xs: np.ndarray) -> np.ndarray:
     """The CDF of ``dist`` at every element of the float array ``xs`` (any shape)."""
     if isinstance(dist, Normal):
         z = (xs - dist.mean) / (dist.stddev * math.sqrt(2.0))
-        erf = np.fromiter(map(math.erf, z.ravel().tolist()), dtype=float, count=z.size)
-        return 0.5 * (1.0 + erf.reshape(z.shape))
+        # erf is +-1.0 from |z| = ERF_SATURATION on (module docstring); NaN stays NaN.
+        erf = np.sign(z)
+        inside = np.abs(z) < ERF_SATURATION
+        erf[inside] = list(map(math.erf, z[inside].tolist()))
+        return 0.5 * (1.0 + erf)
     if isinstance(dist, Uniform):
         return np.where(
             xs <= dist.lo,

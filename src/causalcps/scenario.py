@@ -126,7 +126,7 @@ from .detection import (
     Deviation,
 )
 from .diagnosis import CausalPath, FaultHypothesis
-from .distributions import Degenerate, Distribution, Normal, Uniform
+from .distributions import ANOMALOUS, Degenerate, Distribution, Normal, Uniform
 from .model import (
     Effect,
     Rule,
@@ -1278,8 +1278,10 @@ def _trace_by_row(rows: Iterator[tuple[int, list[str]]], model: SystemModel | No
 def export_anomaly_report(report: AnomalyReport) -> str:
     out = io.StringIO()
     out.write("sensor_id,window_start,matched_state,p_best,anomalous\n")
-    for v in report.verdicts:
-        out.write(f"{v.sensor},{v.start},{v.matched},{v.p_best!r},{int(v.anomalous)}\n")
+    for block in report.blocks:
+        p_best = block.p_values.max(axis=0).tolist()
+        for start, matched, p in zip(block.starts, block.matched, p_best):
+            out.write(f"{block.sensor},{start},{matched},{p!r},{int(matched == ANOMALOUS)}\n")
     return out.getvalue()
 
 

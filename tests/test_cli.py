@@ -13,8 +13,9 @@ import yaml
 
 import causalcps
 import causalcps.scenario
+from causalcps import detection
 from causalcps.cli import build_parser, main
-from causalcps.scenario import knife_fixture, serialize_scenario
+from causalcps.scenario import import_trace, knife_fixture, parse_scenario, serialize_scenario
 
 
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml")
@@ -671,6 +672,28 @@ class TestPipeline:
             assert row["explained"] == "oven_temp"
             ends = [path.split(" -> ")[-1].split("[")[0] for path in row["paths"].split("|")]
             assert ends == ["oven_temp"], row
+
+    def test_detect_builds_no_window_verdict(self, tmp_path, capsys, monkeypatch):
+        """detect reads the report's columns: it writes the pinned bytes and
+        its counts without building one WindowVerdict."""
+        built = []
+        original = detection.WindowVerdict
+
+        def counting(*fields):
+            built.append(fields)
+            return original(*fields)
+
+        monkeypatch.setattr(detection, "WindowVerdict", counting)
+        digests = knife_detect_digests(tmp_path, 1)
+        assert built == []
+        assert digests == {name: KNIFE_SEED_1_DIGESTS[name] for name in digests}
+        rows = list(csv.DictReader((tmp_path / "report.csv").read_text().splitlines()))
+        flagged = sum(row["anomalous"] == "1" for row in rows)
+        assert f": {len(rows)} windows, {flagged} anomalous, " in capsys.readouterr().out
+        # The counter sees the verdicts a library caller reads.
+        model = parse_scenario(BUNDLED_KNIFE.read_text(encoding="utf-8")).build()
+        trace = import_trace((tmp_path / "faulty.csv").read_text(encoding="utf-8"), model)
+        assert len(detection.scan_anomalies(trace, model).verdicts) == len(built) == len(rows)
 
     def test_detect_on_shuffled_rows_writes_the_same_bytes(self, tmp_path):
         """A trace whose rows are not in export order is read the same.  The

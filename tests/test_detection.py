@@ -1,14 +1,15 @@
 import dataclasses
+import io
 import itertools
 import random
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from causalcps import detection
 from causalcps.detection import (
-    AnomalyReport,
     Deviation,
     WindowVerdict,
     constant_label_windows,
@@ -35,7 +36,7 @@ from causalcps.model import (
     causal_descendants,
     derive_causal_graph,
 )
-from causalcps.scenario import parse_scenario
+from causalcps.scenario import export_anomaly_report, parse_scenario
 from causalcps.simulation import FaultSpec, ScriptedIntervention, Trace, run_script
 from test_diagnosis import random_cone_model
 
@@ -207,12 +208,28 @@ class TestScanAnomalies:
                 level = verdict.alpha / len(verdict.p_values)
                 assert verdict.p_values[verdict.matched] >= level
 
-    def test_verdicts_are_frozen_and_slotted(self, knife_model):
+    def test_verdicts_are_frozen_and_slotted(self, knife_model, monkeypatch):
+        """...and built from the report's columns on first read, once."""
         # oven_temp at Ambient, then stuck at ~400 under the same label.
         values = {"oven_temp": [*sample(Normal(20, 2), 5, 60), *sample(Normal(400, 10), 6, 60)]}
         trace = synthetic_trace(values, {"oven_temp": ["Ambient"] * 120})
+        built = []
+        original = detection.WindowVerdict
+
+        def counting(*fields):
+            built.append(fields)
+            return original(*fields)
+
+        monkeypatch.setattr(detection, "WindowVerdict", counting)
         report = scan_anomalies(trace, knife_model)
-        verdict = report.verdicts[0]
+        assert built == [] and (report.window_count, report.anomalous_count) == (3, 2)
+        (block,) = report.blocks
+        assert block.p_values.shape == (len(block.labels), len(block.starts))
+        assert not block.p_values.flags.writeable
+        verdicts = report.verdicts
+        assert report.verdicts is verdicts and len(built) == len(verdicts) == 3
+        assert [(v.sensor, v.start) for v in verdicts] == [("oven_temp", s) for s in block.starts]
+        verdict = verdicts[0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             verdict.matched = ANOMALOUS
         assert not hasattr(verdict, "__dict__")
@@ -220,6 +237,7 @@ class TestScanAnomalies:
         assert [v.start for v in flagged] == [25, 50]
         assert flagged == [v for v in report.verdicts if v.matched == ANOMALOUS]
         assert all(type(p) is float for v in report.verdicts for p in v.p_values.values())
+        assert len(built) == 3
 
 
 class TestExpectedStateCheck:
@@ -265,6 +283,20 @@ class TestExpectedStateCheck:
             expected_state_check(
                 knife_lid_fault_trace, knife_reference, knife_model, **settings, scan=scan
             )
+
+    def test_scan_of_another_trace_rejected(self, knife_doc, knife_model):
+        """The check once took a scan of another trace whenever its settings
+        matched: a scan of the seed-3 fault-free run turned the seed-1
+        faulty run's 16 deviations into none."""
+        faulty = knife_doc.run(seed=1)
+        reference = knife_doc.run(seed=1, include_faults=False)
+        assert len(expected_state_check(faulty, reference, knife_model)) == 16
+        for other in (knife_doc.run(seed=3, include_faults=False), knife_doc.run(seed=1)):
+            scan = scan_anomalies(other, knife_model)
+            with pytest.raises(ValueError, match="another trace"):
+                expected_state_check(faulty, reference, knife_model, scan=scan)
+        scan = scan_anomalies(faulty, knife_model)
+        assert len(expected_state_check(faulty, reference, knife_model, scan=scan)) == 16
 
     def test_rejects_bad_parameters_with_no_window_to_test(self, knife_model, knife_reference):
         ref = knife_reference
@@ -343,9 +375,21 @@ class TestExpectedStateCheck:
         assert hits >= 29
 
 
+class Scan(NamedTuple):
+    window: int
+    stride: int
+    alpha: float
+    verdicts: tuple
+
+
+def as_scan(report):
+    """A report's settings and verdicts, as reference_scan gives them."""
+    return Scan(report.window, report.stride, report.alpha, report.verdicts)
+
+
 def reference_scan(trace, model, window, stride, alpha):
-    """scan_anomalies, one window and one state_p_values call at a time,
-    sensors in id order."""
+    """scan_anomalies's settings and verdicts, one window and one
+    state_p_values call at a time, sensors in id order."""
     verdicts = []
     for sensor_id in sorted(trace.sensor_ids):
         states = model.sensor(sensor_id).states
@@ -356,7 +400,7 @@ def reference_scan(trace, model, window, stride, alpha):
             verdicts.append(
                 WindowVerdict(sensor_id, start, window, select_state(p_values, alpha), p_values, alpha)
             )
-    return AnomalyReport(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
+    return Scan(window=window, stride=stride, alpha=alpha, verdicts=tuple(verdicts))
 
 
 def reference_check(trace, reference, model, window, stride, alpha):
@@ -397,7 +441,7 @@ class TestBlockOracle:
             for window, stride, alpha in self.settings(trace):
                 report = scan_anomalies(trace, knife_model, window, stride, alpha)
                 expected = reference_scan(trace, knife_model, window, stride, alpha)
-                assert report == expected
+                assert as_scan(report) == expected
                 # report.csv writes repr(p_best): the p-values' types must match too.
                 assert [repr(v.p_best) for v in report.verdicts] == [
                     repr(v.p_best) for v in expected.verdicts
@@ -456,7 +500,7 @@ class TestBlockOracle:
         probed = [v for v in report.verdicts if v.sensor == "probe"]
         assert probed and all(v.p_values == {"A": 1.0, "B": 1.0} for v in probed)
         assert {v.matched for v in probed} == {order[0]}
-        assert report == reference_scan(trace, model, 50, 25, 0.01)
+        assert as_scan(report) == reference_scan(trace, model, 50, 25, 0.01)
         deviations = expected_state_check(trace, trace, model, scan=report)
         assert deviations == reference_check(trace, trace, model, 50, 25, 0.01)
         assert {(d.expected, d.matched) for d in deviations} == {(order[1], order[0])}
@@ -483,7 +527,7 @@ class TestBlockOracle:
         for window, stride, alpha in self.PLANT_SETTINGS:
             report = scan_anomalies(trace, model, window, stride, alpha)
             expected = reference_scan(trace, model, window, stride, alpha)
-            assert report == expected
+            assert as_scan(report) == expected
             assert [repr(v.p_best) for v in report.verdicts] == [
                 repr(v.p_best) for v in expected.verdicts
             ]
@@ -499,6 +543,59 @@ class TestBlockOracle:
                 trace, reference, model, window, stride, alpha, scan=report
             )
             assert shared == deviations
+
+
+def per_verdict_report(verdicts):
+    """export_anomaly_report as it was written before reports were columnar:
+    one row per WindowVerdict, p_best as the maximum of its p-value dict."""
+    out = io.StringIO()
+    out.write("sensor_id,window_start,matched_state,p_best,anomalous\n")
+    for v in verdicts:
+        out.write(f"{v.sensor},{v.start},{v.matched},{v.p_best!r},{int(v.anomalous)}\n")
+    return out.getvalue()
+
+
+def random_detection_case(rng):
+    """A model of 2-5 sensors with 1-3 states each, of all three laws, and a
+    trace that walks their labels in segments of 1-80 ticks.  A third of the
+    segments draw from another law than their label's, so windows come out
+    ANOMALOUS; a sensor whose segments are all short has no window."""
+    laws = [Normal(0, 1), Normal(5, 1), Normal(40, 3), Uniform(-2, 2), Uniform(10, 30), Degenerate(7.0)]
+    sensors, values, labels = [], {}, {}
+    horizon = rng.randint(60, 200)
+    for i in range(rng.randint(2, 5)):
+        states = tuple((f"S{k}", law) for k, law in enumerate(rng.sample(laws, rng.randint(1, 3))))
+        sensors.append(Sensor(f"s{i}", states, "S0"))
+        longest = rng.choice([8, 80])
+        column_values, column_labels = [], []
+        while len(column_labels) < horizon:
+            label, law = rng.choice(states)
+            n = min(rng.randint(1, longest), horizon - len(column_labels))
+            if rng.random() < 1 / 3:
+                law = rng.choice(laws)
+            column_values += sample(law, rng.randrange(2**32), n).tolist()
+            column_labels += [label] * n
+        values[f"s{i}"], labels[f"s{i}"] = column_values, column_labels
+    return build_model(sensors, ()), synthetic_trace(values, labels)
+
+
+def test_report_export_equals_the_per_verdict_formatter_on_random_traces():
+    rng = random.Random(31)
+    anomalous = empty_sensors = 0
+    for _ in range(60):
+        model, trace = random_detection_case(rng)
+        window, stride = rng.randint(1, 30), rng.randint(1, 15)
+        alpha = rng.choice([0.01, 0.05])
+        report = scan_anomalies(trace, model, window, stride, alpha)
+        expected = reference_scan(trace, model, window, stride, alpha).verdicts
+        text = export_anomaly_report(report)
+        assert text == per_verdict_report(expected)
+        assert text == per_verdict_report(report.verdicts)
+        assert report.window_count == len(expected)
+        assert report.anomalous_count == sum(v.anomalous for v in expected)
+        anomalous += report.anomalous_count
+        empty_sensors += sum(not block.starts for block in report.blocks)
+    assert anomalous and empty_sensors
 
 
 def label_deviations(faulty, reference, window, stride):

@@ -113,6 +113,33 @@ class TestCdf:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_normal_cdf_equals_math_erf_bit_for_bit(self):
+        """Where |z| >= 6 the array CDF takes erf as +-1.0 without calling
+        math.erf; every element must still be 0.5 * (1 + math.erf(z))."""
+        near = np.linspace(5.9, 6.1, 4001)
+        edge = [6.0, np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0), 0.0, 1.0, 5.9216]
+        huge = [1e10, 1e100, 1e300, 1.7e308]
+        zs = np.concatenate([near, -near, edge, np.negative(edge), huge, np.negative(huge)])
+        seen = []
+        for mean, stddev in [
+            (0.0, 1.0), (20.0, 2.0), (-3.5, 0.25), (800.0, 40.0), (1e-3, 1e-6), (-1e300, 1e-300)
+        ]:
+            scale = stddev * math.sqrt(2.0)
+            with np.errstate(over="ignore"):
+                xs = np.concatenate([mean + zs * scale, [1e308, -1e308, 1.7e308, -1.7e308]])
+                actual = distributions._cdf_array(Normal(mean, stddev), xs)
+                block = distributions._cdf_array(Normal(mean, stddev), xs[:8002].reshape(2, -1))
+            z_of = [(x - mean) / scale for x in xs.tolist()]
+            expected = np.array([0.5 * (1.0 + math.erf(z)) for z in z_of])
+            assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(block.ravel().view(np.int64), expected[:8002].view(np.int64))
+            seen += z_of
+        # The z cover unsaturated values, values below 6 whose erf is
+        # already exactly +-1.0, both signs of 6.0, and overflows to +-inf.
+        assert any(abs(z) < 6.0 and abs(math.erf(z)) < 1.0 for z in seen)
+        assert any(abs(z) < 6.0 and abs(math.erf(z)) == 1.0 for z in seen)
+        assert {6.0, -6.0, math.inf, -math.inf} <= set(seen)
+
 
 class TestGofTest:
     def test_perfect_fit_quantiles(self):
